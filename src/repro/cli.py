@@ -29,10 +29,11 @@ and ``synthetic``, plus anything user code registers via
 experiments and ``--cache-dir DIR`` to reuse already-measured
 configurations across invocations; results are bit-identical for every
 jobs count.  Measurement commands take ``--engine`` to pick a registered
-execution engine (default: ``compiled``, the IR-to-closure compiler;
-``vectorized`` runs the whole sweep as tensor batches, bit-identically);
+execution engine (default: ``vectorized``, which runs the whole sweep as
+tensor batches; ``compiled`` is the one-configuration-at-a-time
+IR-to-closure compiler, bit-identical);
 ``taint``/``run``/``model`` take ``--taint-engine`` to pick the engine
-executing the dynamic taint stage (default ``compiled`` as well) — the
+executing the dynamic taint stage (default ``compiled``) — the
 built-in engines are bit-identical in both roles.  ``run``/``model``
 take ``--search-backend`` to pick the model-search backend (default
 ``batched``, one stacked-LAPACK call per hypothesis class; ``loop`` is
@@ -641,8 +642,8 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default=DEFAULT_MEASUREMENT_ENGINE,
         choices=ENGINE_REGISTRY.names(),
-        help="execution engine for the measurement stage; the built-in "
-        "engines produce bit-identical results",
+        help="execution engine for the measurement stage (default: "
+        "%(default)s); the built-in engines produce bit-identical results",
     )
 
 

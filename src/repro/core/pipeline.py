@@ -97,8 +97,9 @@ class PerfTaintPipeline:
     n_jobs: int = 1
     #: Run-cache directory; None disables caching.
     cache_dir: str | None = None
-    #: Execution engine for the measurement stage ("compiled" | "tree" |
-    #: "vectorized" — batch-capable engines route to the batched runner).
+    #: Execution engine for the measurement stage ("vectorized", the
+    #: default, routes to the batched runner; "compiled" | "tree" run one
+    #: configuration at a time).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
     #: Execution engine for the taint stage.  Any registered engine whose
     #: entry declares ``supports_taint``; the built-ins are bit-identical
@@ -187,11 +188,13 @@ class PerfTaintPipeline:
         design: Sequence[Mapping[str, float]],
         plan: InstrumentationPlan,
     ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-        """Run the instrumented experiments.
+        """Run the instrumented experiments (see :func:`run_measure_stage`).
 
-        Uses the process-pool runner when ``n_jobs > 1`` or a run cache is
-        configured; the plain serial runner otherwise.  Both produce
-        bit-identical measurements.
+        The default ``vectorized`` engine measures the whole design in
+        one batched pass; a scalar ``engine`` uses the process-pool
+        runner when ``n_jobs > 1`` or a run cache is configured and the
+        plain serial runner otherwise.  All produce bit-identical
+        measurements.
         """
         return run_measure_stage(
             self.workload,

@@ -229,12 +229,15 @@ def run_measure_stage(
     """Run the instrumented experiments.
 
     An explicit *scheduler* takes the whole stage (distributed
-    campaigns).  Otherwise a batch-capable *engine* (``supports_batch``
-    registry metadata, e.g. ``vectorized``) routes to the whole-sweep
-    :class:`~repro.measure.batched.BatchedExperimentRunner`, which owns
-    its own ``n_jobs`` (batch-axis sharding) and run cache; the
-    process-pool runner handles ``n_jobs > 1`` or a run cache, and the
-    plain serial runner everything else.  All paths produce bit-identical
+    campaigns).  Otherwise the *engine* picks the runner.  A
+    batch-capable engine (``supports_batch`` registry metadata; the
+    default ``vectorized`` is one) goes to the whole-sweep
+    :class:`~repro.measure.batched.BatchedExperimentRunner`: one engine
+    build and one noise block per design, ``n_jobs`` sharding the batch
+    axis, and its own run cache.  A scalar engine (``compiled``,
+    ``tree``) runs one configuration at a time, on the process-pool
+    runner when ``n_jobs > 1`` or a run cache is set and on the plain
+    serial runner otherwise.  All paths produce bit-identical
     measurements.
 
     A *telemetry* dict, when given, is filled in place with execution

@@ -9,10 +9,13 @@ over one shared semantics core (:mod:`repro.interp.semantics`):
   sibling.
 * :class:`CompiledEngine` — the IR-to-closure compiler
   (:mod:`repro.interp.compile`).  Lowers a finalized program once and
-  executes pre-dispatched closures; the default for measurement runs.
-  :class:`CompiledShadowEngine` is its shadow sibling — shadows travel
-  through the same pre-resolved frame slots as values; the default for
-  taint runs.
+  executes pre-dispatched closures; the engine of single-configuration
+  runs.  :class:`CompiledShadowEngine` is its shadow sibling — shadows
+  travel through the same pre-resolved frame slots as values; the
+  default for taint runs.
+* :class:`VectorizedEngine` — the batched tensor engine
+  (:mod:`repro.interp.vectorize`).  Runs a whole sweep as one pass over
+  per-lane arrays; the default for measurement stages.
 
 Construct engines through :func:`make_engine` rather than instantiating
 any class directly — callers then inherit new engines (and the
@@ -48,7 +51,7 @@ ENGINE_TREE = "tree"
 ENGINE_COMPILED = "compiled"
 #: The batched tensor engine (whole-sweep measurement hot path).
 ENGINE_VECTORIZED = "vectorized"
-#: Built-in engine identifiers, in preference order for measurement.
+#: Built-in scalar (one configuration per run) engine identifiers.
 #: The full (user-extensible) set lives in the engine registry.
 ENGINES: tuple[str, ...] = (ENGINE_COMPILED, ENGINE_TREE)
 
@@ -71,8 +74,12 @@ register_engine(
     supports_batch=True,
 )(VectorizedEngine)
 
-#: Engine used by the measurement layer unless a caller overrides it.
-DEFAULT_MEASUREMENT_ENGINE = ENGINE_COMPILED
+#: Engine of the measurement stage (campaigns, pipelines, the CLI and
+#: the service) unless a caller overrides it: one engine build and one
+#: noise block per design, bit-identical to ``compiled`` lane by lane.
+#: Helpers that run one configuration at a time default to
+#: ``ENGINE_COMPILED`` instead.
+DEFAULT_MEASUREMENT_ENGINE = ENGINE_VECTORIZED
 #: Engine used by the taint stage unless a caller overrides it.  Both
 #: built-ins produce bit-identical TaintReports; the compiled engine is
 #: ~2-4x faster on real programs (see benchmarks/bench_taint_speedup.py).

@@ -24,8 +24,9 @@ executes.  This module removes that dispatch cost by lowering a finalized
 :class:`~repro.interp.metrics.RunResult` metrics as the tree-walker —
 bit-identical by the shared :mod:`~repro.interp.semantics` core and
 enforced by the differential property tests in
-``tests/interp/test_compiled_differential.py``.  Measurement runs default
-to this engine (see :func:`repro.interp.make_engine`); shadow-tracking
+``tests/interp/test_compiled_differential.py``.  Single-configuration
+measurement runs default to this engine, and the vectorized engine falls
+back to it (see :func:`repro.interp.make_engine`); shadow-tracking
 analyses (taint) use its domain-parameterized sibling
 :class:`~repro.interp.shadowjit.CompiledShadowEngine`, which reuses this
 module's compilation strategy with shadows in parallel frame slots.

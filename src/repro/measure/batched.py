@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import RegistryError
-from ..interp import batch_capable_engines
+from ..interp import ENGINE_VECTORIZED, batch_capable_engines
 from ..mpisim.contention import ContentionModel, NoContention
 from ..registry import ENGINE_REGISTRY
 from .experiment import (
@@ -57,7 +57,7 @@ from .parallel import (
 from .profiler import APP_KEY, ProfileNode, ProfileResult, profile_run_batch
 
 #: Default batched engine (the only built-in with ``supports_batch``).
-DEFAULT_BATCH_ENGINE = "vectorized"
+DEFAULT_BATCH_ENGINE = ENGINE_VECTORIZED
 
 
 def batch_chunks(

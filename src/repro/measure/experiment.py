@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ..errors import DesignError
-from ..interp import DEFAULT_MEASUREMENT_ENGINE
+from ..interp import ENGINE_COMPILED
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.runtime import LibraryRuntime
 from ..interp.values import Value
@@ -234,7 +234,7 @@ def run_configuration(
     repetitions: int,
     seed: int,
     key: ConfigKey,
-    engine: str = DEFAULT_MEASUREMENT_ENGINE,
+    engine: str = ENGINE_COMPILED,
 ) -> ConfigRunResult:
     """Profile one configuration and derive its noisy repetitions.
 
@@ -333,7 +333,7 @@ class ExperimentRunner:
     repetitions: int = 5
     seed: int = 0
     #: Execution engine for the profiled runs ("compiled" | "tree").
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
+    engine: str = ENGINE_COMPILED
 
     def run(
         self, design: Iterable[Mapping[str, float]]

@@ -31,7 +31,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..interp import DEFAULT_MEASUREMENT_ENGINE
+from ..interp import ENGINE_COMPILED
 from ..mpisim.contention import ContentionModel, NoContention
 from .experiment import (
     ConfigKey,
@@ -182,7 +182,7 @@ class _ConfigTask:
     repetitions: int
     seed: int
     key: ConfigKey
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
+    engine: str = ENGINE_COMPILED
 
 
 def _run_task(task: _ConfigTask) -> tuple[int, ConfigRunResult]:
@@ -242,7 +242,7 @@ class ParallelExperimentRunner:
     #: Execution engine for the profiled runs ("compiled" | "tree").
     #: Folded into cache fingerprints so a cache populated by one engine
     #: is never served to the other.
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
+    engine: str = ENGINE_COMPILED
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:

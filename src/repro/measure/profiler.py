@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..interp import DEFAULT_MEASUREMENT_ENGINE, make_engine
+from ..interp import ENGINE_COMPILED, ENGINE_VECTORIZED, make_engine
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.events import CostKind, NullListener
 from ..interp.runtime import LibraryRuntime
@@ -409,13 +409,13 @@ def profile_run(
     exec_config: ExecConfig = DEFAULT_CONFIG,
     contention_factor: float = 1.0,
     entry: str | None = None,
-    engine: str = DEFAULT_MEASUREMENT_ENGINE,
+    engine: str = ENGINE_COMPILED,
 ) -> ProfileResult:
     """Execute *program* once under *plan* and return its profile.
 
     *engine* selects the execution engine (``"compiled"`` by default —
-    the measurement hot path; ``"tree"`` for the tree-walker).  Both
-    yield bit-identical profiles.
+    the scalar hot path; ``"tree"`` for the tree-walker).  Both yield
+    bit-identical profiles.
     """
     listener = ScorePListener(plan)
     interp = make_engine(
@@ -442,7 +442,7 @@ def profile_run_batch(
     exec_config: ExecConfig = DEFAULT_CONFIG,
     contention_factors: Sequence[float] | None = None,
     entry: str | None = None,
-    engine: str = "vectorized",
+    engine: str = ENGINE_VECTORIZED,
 ) -> list[ProfileResult]:
     """Profile a whole batch of configurations in one tensor pass.
 
@@ -486,7 +486,7 @@ def profile_run_batch(
                 exec_config=exec_config,
                 contention_factor=contention_factors[lane],
                 entry=entry,
-                engine=DEFAULT_MEASUREMENT_ENGINE,
+                engine=ENGINE_COMPILED,
             )
             for lane in range(batch)
         ]

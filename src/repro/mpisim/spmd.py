@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..interp import (
-    DEFAULT_MEASUREMENT_ENGINE,
     DEFAULT_TAINT_ENGINE,
+    ENGINE_COMPILED,
     make_engine,
 )
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
@@ -85,8 +85,8 @@ class SPMDSimulator:
     network: NetworkModel = DEFAULT_NETWORK
     exec_config: ExecConfig = DEFAULT_CONFIG
     #: Execution engine for the per-rank runs ("compiled" | "tree").
-    #: Taint runs (:meth:`taint_merged`) always use the tree-walker.
-    engine: str = DEFAULT_MEASUREMENT_ENGINE
+    #: Taint runs (:meth:`taint_merged`) take their own ``taint_engine``.
+    engine: str = ENGINE_COMPILED
 
     def _runtime_for(self, rank: int) -> MPIRuntime:
         return MPIRuntime(

@@ -270,6 +270,9 @@ class Broker:
         self._draining = False
         self._lock = threading.Lock()
         self._jobs: dict[str, MeasureJob] = {}
+        #: Jobs whose result a waiter has collected, reduced to their
+        #: ``(executed, cached, recovered)`` counts.
+        self._collected: dict[str, tuple[int, int, int]] = {}
         self._active: dict[str, Lease] = {}
         self._workers: dict[str, _WorkerState] = {}
         self._lease_log: "OrderedDict[str, dict]" = OrderedDict()
@@ -633,8 +636,13 @@ class Broker:
         to_publish: list[tuple[str, ConfigRunResult]] = []
         with self._lock:
             lease = self._active.pop(str(lease_id), None)
-            job = self._jobs.get(lease.job_id) if lease else None
+            if lease is None:
+                return
+            job = self._jobs.get(lease.job_id)
             if job is None:
+                # The job was collected while this copy ran (a straggler
+                # split's slower half): every slot is already filled.
+                self._record_completion_locked(lease)
                 return
             for entry in results:
                 if not isinstance(entry, Mapping):
@@ -843,11 +851,21 @@ class Broker:
         configuration exhausted its attempts, and
         :class:`~repro.errors.ServiceError` on an unknown job or a wait
         timeout.
+
+        A finished job is *collected* by its wait: the broker drops its
+        workload, configurations, results and task, and keeps only the
+        counts :meth:`job_stats` and :meth:`job_recovery` report — so a
+        long-running broker does not grow with every measure stage.
         """
         with self._lock:
             job = self._jobs.get(job_id)
+            collected = job_id in self._collected
         if job is None:
-            raise ServiceError(f"unknown measure job '{job_id}'")
+            raise ServiceError(
+                f"measure job '{job_id}' was already collected"
+                if collected
+                else f"unknown measure job '{job_id}'"
+            )
         start = time.monotonic()
         while not job.done.wait(poll):
             with self._lock:
@@ -859,26 +877,33 @@ class Broker:
                     f"{len(job.results)} configurations outstanding — "
                     "are any workers connected?)"
                 )
+        with self._lock:
+            self._jobs.pop(job_id, None)
+            self._collected[job_id] = (job.executed, job.cached, job.recovered)
         if job.error is not None:
             raise job.error
         return merge_results(job.parameters, job.results)
 
-    def job_stats(self, job_id: str) -> RunStats:
-        """Executed/cached provenance of a finished (or running) job."""
+    def _counts(self, job_id: str) -> tuple[int, int, int]:
+        """``(executed, cached, recovered)`` of a live or collected job."""
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None:
-                raise ServiceError(f"unknown measure job '{job_id}'")
-            return RunStats(executed=job.executed, cached=job.cached)
+            if job is not None:
+                return job.executed, job.cached, job.recovered
+            counts = self._collected.get(job_id)
+        if counts is None:
+            raise ServiceError(f"unknown measure job '{job_id}'")
+        return counts
+
+    def job_stats(self, job_id: str) -> RunStats:
+        """Executed/cached provenance of a finished (or running) job."""
+        executed, cached, _ = self._counts(job_id)
+        return RunStats(executed=executed, cached=cached)
 
     def job_recovery(self, job_id: str) -> int:
         """Lanes of *job_id* recovered from a prior incarnation's
         checkpoint (a subset of its ``cached`` count)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise ServiceError(f"unknown measure job '{job_id}'")
-            return job.recovered
+        return self._counts(job_id)[2]
 
     def queue_depth(self) -> int:
         """Pending (unleased) configurations, after reaping expired

@@ -100,9 +100,10 @@ class _CampaignRecord:
 
     Lives in two flavours: a *live* record wrapping a running
     :class:`~repro.core.stages.Campaign`, and a *snapshot* record
-    (``campaign is None``) rebuilt from the journal for campaigns that
-    finished before a restart — status and artifacts keep working,
-    there is just nothing left to run.
+    (``campaign is None``) for a finished campaign — rebuilt from the
+    journal after a restart, or frozen by :meth:`release` when this
+    server's run ends.  Status and artifacts keep working; there is just
+    nothing left to run, and no stage outputs are held in memory.
     """
 
     def __init__(
@@ -151,6 +152,22 @@ class _CampaignRecord:
         record.error = history.error
         return record
 
+    def release(self) -> None:
+        """Freeze a finished live record into its snapshot form.
+
+        Keeps the fingerprints and stats line that ``status`` and
+        ``artifact`` read and drops the campaign with its artifacts.
+        The caller holds ``self.lock``.
+        """
+        campaign = self.campaign
+        if campaign is None:
+            return
+        # Snapshot fields first: ``artifact`` reads them without the lock.
+        self.fingerprints = dict(campaign.fingerprints)
+        if self.state == "done":
+            self.stats_line_text = campaign.stats_line()
+        self.campaign = None
+
     def stage_fingerprints(self) -> dict:
         if self.campaign is not None:
             return dict(self.campaign.fingerprints)
@@ -172,11 +189,7 @@ class _CampaignRecord:
             if self.error is not None:
                 body["error"] = self.error
             if self.state == "done":
-                body["stats_line"] = (
-                    self.campaign.stats_line()
-                    if self.campaign is not None
-                    else self.stats_line_text
-                )
+                body["stats_line"] = self.stats_line_text
             return body
 
 
@@ -360,6 +373,7 @@ class CampaignService:
                 else:
                     record.profile_executions = 0
                 record.state = "done"
+                record.release()
             self._journal(
                 record.campaign_id,
                 "done",
@@ -376,6 +390,7 @@ class CampaignService:
                         record.stage_states[name] = "failed"
                 record.error = f"{type(exc).__name__}: {exc}"
                 record.state = "failed"
+                record.release()
             try:
                 self._journal(
                     record.campaign_id, "failed", {"error": record.error}

@@ -50,8 +50,10 @@ attempt budgets.
 
 from __future__ import annotations
 
+import json
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -81,6 +83,8 @@ FAULT_ENV = "REPRO_SERVICE_FAULT"
 #: Seconds a ``slow:<n>`` worker stalls before executing each lease.
 SLOW_ENV = "REPRO_SERVICE_SLOW_SECONDS"
 DEFAULT_SLOW_SECONDS = 1.0
+#: Built workloads a worker keeps for reuse across leases and jobs.
+WORKLOAD_MEMO_LIMIT = 4
 
 
 def _parse_fault(spec: "str | None") -> "tuple[str, int] | None":
@@ -245,8 +249,11 @@ class Worker:
         #: Self-measured lanes/sec (EWMA over executed leases), sent
         #: with every claim so a fresh broker can size the first lease.
         self.lanes_per_sec: "float | None" = None
-        #: Per-job workload memo: rebuild once, reuse for every lease.
-        self._workloads: dict[str, object] = {}
+        #: Built workloads keyed by their wire spec, least recently used
+        #: first: each is built once and reused by every lease and job
+        #: that names it, and the memo never outgrows
+        #: ``WORKLOAD_MEMO_LIMIT`` however many jobs the worker serves.
+        self._workloads: "OrderedDict[str, object]" = OrderedDict()
         load_builtin_components()
 
     def capability(self) -> dict:
@@ -381,11 +388,14 @@ class Worker:
 
     # -- lease execution ---------------------------------------------------
 
-    def _workload_for(self, job_id: str, spec: WorkloadSpec):
-        workload = self._workloads.get(job_id)
+    def _workload_for(self, wire: Mapping, spec: WorkloadSpec):
+        key = json.dumps(wire, sort_keys=True)
+        workload = self._workloads.pop(key, None)
         if workload is None:
             workload = spec.build()
-            self._workloads[job_id] = workload
+        self._workloads[key] = workload  # most recently used last
+        if len(self._workloads) > WORKLOAD_MEMO_LIMIT:
+            self._workloads.popitem(last=False)
         return workload
 
     def execute(self, lease: Mapping) -> list[dict]:
@@ -394,7 +404,6 @@ class Worker:
             task = measure_task_from_wire(lease["task"])
             configs = configs_from_wire(lease["configs"])
             indices = [int(i) for i in lease["indices"]]
-            job_id = str(lease["job"])
         except (ProtocolVersionMismatch, ServiceError):
             raise
         except Exception as exc:
@@ -404,7 +413,9 @@ class Worker:
             raise ServiceError(
                 f"lease {lease.get('lease')!r} does not decode: {exc!r}"
             ) from exc
-        workload = self._workload_for(job_id, task.workload_spec)
+        workload = self._workload_for(
+            lease["task"]["workload"], task.workload_spec
+        )
         if len(configs) != len(indices):
             raise ServiceError(
                 f"malformed lease {lease.get('lease')!r}: "

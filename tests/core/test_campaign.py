@@ -19,6 +19,7 @@ from repro.core import artifacts as art
 from repro.core.pipeline import PerfTaintPipeline
 from repro.core.stages import STAGES, Campaign
 from repro.errors import CampaignSpecError, RegistryError
+from repro.interp import DEFAULT_MEASUREMENT_ENGINE
 from repro.measure.io import measurements_to_dict, profile_to_dict
 from repro.measure.noise import GaussianNoise, NoNoise
 
@@ -313,7 +314,7 @@ class TestCampaignSpec:
     def test_spec_defaults(self):
         campaign = Campaign.from_spec(self.base_spec())
         assert campaign.design_strategy == "reduced"
-        assert campaign.engine == "compiled"
+        assert campaign.engine == DEFAULT_MEASUREMENT_ENGINE
         assert campaign.n_jobs == 1
         assert campaign.cov_threshold == 0.1
 

@@ -213,6 +213,10 @@ class TestServiceRestartRecovery:
             lambda: first.status(campaign_id)["stages"]["design"]
             == "computed"
         )
+        # The plan stage still runs before measure: wait for the measure
+        # job to be queued, or the idle-stopping worker below may find
+        # nothing to claim and exit with no lease completed.
+        assert wait_for(lambda: first.broker.queue_depth() > 0)
         # One worker completes exactly one single-configuration lease,
         # then the server "crashes".
         stats = drain_with_worker(first.broker, max_leases=1)
