@@ -576,7 +576,8 @@ class ArtifactStore:
             "payload": payload,
         }
         try:
-            text = json.dumps(envelope, indent=1)
+            # Compact: ``indent`` would force json's pure-Python encoder.
+            text = json.dumps(envelope, separators=(",", ":"))
         except (TypeError, ValueError) as exc:
             raise ArtifactError(
                 f"artifact of stage '{stage}' is not JSON-serializable: "

@@ -63,10 +63,9 @@ class HybridModeler:
     """Fits per-function models under taint priors.
 
     *backend*, when set, overrides the wrapped modeler's model-search
-    backend (``loop`` | ``batched``); the per-function fits share that
-    backend's term-column and factorization caches, so every function
-    measured at the same configuration matrix reuses one set of
-    factorized hypothesis classes.
+    backend (``loop`` | ``batched``).  :meth:`model_all` searches every
+    function in one call, so all functions measured at the same
+    configuration matrix share one set of factorized hypothesis classes.
     """
 
     modeler: Modeler = field(default_factory=Modeler)
@@ -126,29 +125,6 @@ class HybridModeler:
 
     # ------------------------------------------------------------------
 
-    def model_function(
-        self,
-        function: str,
-        measurements: Measurements,
-        taint: TaintReport,
-        volumes: VolumeReport | None = None,
-        compare_black_box: bool = False,
-    ) -> ModelComparison:
-        """Fit the hybrid (and optionally black-box) model of one function."""
-        X, y = measurements.points(function)
-        parameters = measurements.parameters
-        if function == APP_KEY:
-            prior = self.app_prior(taint, volumes)
-        else:
-            prior = self.prior_for(function, taint, volumes)
-        hybrid = self.modeler.model(X, y, parameters, prior)
-        black_box = (
-            self.modeler.model(X, y, parameters, SearchPrior.black_box())
-            if compare_black_box
-            else None
-        )
-        return ModelComparison(function, hybrid, black_box, prior)
-
     def model_all(
         self,
         measurements: Measurements,
@@ -162,22 +138,39 @@ class HybridModeler:
         """Fit models for all (reliable) measured functions.
 
         ``cov_threshold`` applies the paper's B1 screening; pass None to
-        model everything.
+        model everything.  Every function's hybrid (and black-box) search
+        goes into one :meth:`Modeler.model_many` call, so functions
+        measured at the same configuration matrix share each hypothesis
+        class's factorization.
         """
         if functions is None:
             if cov_threshold is not None:
                 functions = measurements.reliable_functions(cov_threshold)
             else:
                 functions = measurements.functions()
-        out: dict[str, ModelComparison] = {}
-        for fn in functions:
-            out[fn] = self.model_function(
-                fn, measurements, taint, volumes, compare_black_box
-            )
+        names = list(functions)
         if include_app and APP_KEY in measurements.data:
-            out[APP_KEY] = self.model_function(
-                APP_KEY, measurements, taint, volumes, compare_black_box
-            )
+            names.append(APP_KEY)
+        names = list(dict.fromkeys(names))
+        parameters = measurements.parameters
+        priors: list[SearchPrior] = []
+        requests: list[tuple] = []
+        for fn in names:
+            X, y = measurements.points(fn)
+            if fn == APP_KEY:
+                prior = self.app_prior(taint, volumes)
+            else:
+                prior = self.prior_for(fn, taint, volumes)
+            priors.append(prior)
+            requests.append((X, y, parameters, prior))
+            if compare_black_box:
+                requests.append((X, y, parameters, SearchPrior.black_box()))
+        models = iter(self.modeler.model_many(requests))
+        out: dict[str, ModelComparison] = {}
+        for fn, prior in zip(names, priors):
+            hybrid = next(models)
+            black_box = next(models) if compare_black_box else None
+            out[fn] = ModelComparison(fn, hybrid, black_box, prior)
         return out
 
     # ------------------------------------------------------------------

@@ -155,7 +155,13 @@ class Measurements:
         per_fn = self.data.get(function, {})
         keys = sorted(per_fn)
         X = np.array(keys, dtype=float).reshape(len(keys), len(self.parameters))
-        y = np.array([float(np.mean(per_fn[k])) for k in keys])
+        values = [per_fn[k] for k in keys]
+        if len({len(v) for v in values}) == 1:
+            # Row means of one C-contiguous matrix reduce exactly like
+            # np.mean of each configuration's list.
+            y = np.asarray(values, dtype=float).mean(axis=1)
+        else:
+            y = np.array([float(np.mean(v)) for v in values])
         return X, y
 
     def repetitions(self, function: str, key: ConfigKey) -> list[float]:

@@ -280,7 +280,10 @@ class RunCache:
     def put(self, fingerprint: str, result: ConfigRunResult) -> None:
         """Store *result* atomically under *fingerprint*."""
         path = self._path(fingerprint)
-        payload = json.dumps(config_run_result_to_dict(result), indent=1)
+        # Compact: ``indent`` would force json's pure-Python encoder.
+        payload = json.dumps(
+            config_run_result_to_dict(result), separators=(",", ":")
+        )
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"
         )

@@ -22,12 +22,7 @@ from .hypothesis import (
 )
 from .crossval import compare_models, kfold_smape, loocv_smape
 from .modeler import Modeler, SearchPrior
-from .multiparam import (
-    NO_RESTRICTIONS,
-    TermRestrictions,
-    generate_hypotheses,
-    search_multi_parameter,
-)
+from .multiparam import NO_RESTRICTIONS, TermRestrictions, generate_hypotheses
 from .search import (
     DEFAULT_SEARCH,
     SearchConfig,
@@ -74,7 +69,6 @@ __all__ = [
     "loocv_smape",
     "make_model_backend",
     "product_term",
-    "search_multi_parameter",
     "search_single_parameter",
     "single_param_term",
     "smape",

@@ -24,10 +24,22 @@ now a registered component (``repro.registry.MODEL_BACKEND_REGISTRY``):
   one factorization serves every function fitted at the same
   configuration matrix as additional right-hand sides.
 
+Both implement one call, :meth:`ModelSearchBackend.score_pairs`: score
+the requested (right-hand side, hypothesis) pairs of one design, so the
+model stage scores every function's hypotheses in one call per design
+(:func:`repro.modeling.search.search_models`) and builds a
+:class:`Model` only for each function's winner.  The batched backend
+keeps every per-pair reduction in the order of a one-function solve
+(gathered ``einsum`` contractions, broadcast ``solve``; ``matmul`` sums
+in a different order), so a function's fit is bit for bit the same
+whatever else is scored beside it, and the same as a one-function
+search's.
+
 **Decision identity.**  Both backends reject hypotheses through the same
 rules evaluated on the same term columns: ``n < k``, non-finite columns
 (``np.isfinite``), intercept-duplicating constant columns
-(``np.allclose(col, col[0])``), the shared
+(``np.allclose(col, col[0])``, evaluated for all columns at once in the
+batched backend), the shared
 :func:`~repro.modeling.hypothesis.rank_guard` conditioning test standing
 in for ``lstsq``'s rank, and the non-positive-coefficient rule.  Fitted
 statistics agree to float tolerance (QR on the equilibrated design vs
@@ -40,7 +52,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -69,11 +81,61 @@ DEFAULT_MODEL_BACKEND = "batched"
 #: implementations can never disagree where degeneracy is in play.
 CLOSED_FORM_MIN_SLACK = 1e-6
 
+#: The closed form and the refit loop agree only to ~cond * eps: the
+#: refit's ``lstsq`` on the raw design loses that much.  Designs whose
+#: 2-norm condition number exceeds this bound delegate to the refit loop
+#: like near-degenerate folds, so the two agree to ~1e-10 relative
+#: wherever the closed form runs.
+CLOSED_FORM_MAX_COND = 1e6
+
+#: Pairs solved per gathered block: bounds the (pairs, n, k) copies of
+#: the Q factors on large stages.  Per-pair reductions do not depend on
+#: the block, so neither do the results.
+PAIR_BLOCK = 4096
+
+
+@dataclass
+class PairScores:
+    """Verdicts of (right-hand side, hypothesis) pairs on one design.
+
+    ``accepted[p]`` and ``rss[p]`` are all the selection fold reads;
+    ``model(p)`` builds the fitted :class:`Model` of an accepted pair,
+    which the search does only for each function's winner.
+    """
+
+    accepted: np.ndarray  # (P,) bool
+    rss: np.ndarray  # (P,) residual sum of squares where accepted
+    model: "Callable[[int], Model]"
+
 
 class ModelSearchBackend(Protocol):
     """What the search functions need from a fitting strategy."""
 
     name: str
+
+    def score_pairs(
+        self,
+        X: np.ndarray,
+        Y: np.ndarray,
+        parameters: "tuple[str, ...]",
+        hypotheses: "Sequence[tuple[TermSpec, ...]]",
+        rows: np.ndarray,
+        hyps: np.ndarray,
+        require_nonnegative: bool = True,
+    ) -> PairScores:
+        """Fit hypothesis ``hypotheses[hyps[p]]`` to right-hand side
+        ``Y[rows[p]]`` on design *X*, for every pair *p*."""
+        ...
+
+    def loocv_smape(
+        self, X: np.ndarray, y: np.ndarray, model: Model
+    ) -> float:
+        """Leave-one-out CV error of *model*'s term structure."""
+        ...
+
+
+class _PairScoring:
+    """The convenience calls both backends derive from ``score_pairs``."""
 
     def fit_batch(
         self,
@@ -83,14 +145,26 @@ class ModelSearchBackend(Protocol):
         hypotheses: "Sequence[tuple[TermSpec, ...]]",
         require_nonnegative: bool = True,
     ) -> "list[Model | None]":
-        """Fit every hypothesis on ``(X, y)``; None marks a rejection."""
-        ...
+        """Fit every hypothesis on ``(X, y)``; None marks a rejection.
 
-    def loocv_smape(
-        self, X: np.ndarray, y: np.ndarray, model: Model
-    ) -> float:
-        """Leave-one-out CV error of *model*'s term structure."""
-        ...
+        The width-1 case of :meth:`score_pairs`: one right-hand side
+        paired with every hypothesis."""
+        hypotheses = [tuple(terms) for terms in hypotheses]
+        y = np.asarray(y, dtype=float)
+        idx = np.arange(len(hypotheses))
+        scores = self.score_pairs(
+            X,
+            y[None, :],
+            parameters,
+            hypotheses,
+            np.zeros_like(idx),
+            idx,
+            require_nonnegative,
+        )
+        return [
+            scores.model(p) if ok else None
+            for p, ok in enumerate(scores.accepted.tolist())
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -135,27 +209,37 @@ def refit_loocv_smape(X: np.ndarray, y: np.ndarray, model: Model) -> float:
     return float(np.mean(errors))
 
 
-class LoopModelBackend:
+class LoopModelBackend(_PairScoring):
     """One ``lstsq`` per hypothesis, one refit per CV fold (the oracle)."""
 
     name = "loop"
 
-    def fit_batch(
+    def score_pairs(
         self,
         X: np.ndarray,
-        y: np.ndarray,
+        Y: np.ndarray,
         parameters: "tuple[str, ...]",
         hypotheses: "Sequence[tuple[TermSpec, ...]]",
+        rows: np.ndarray,
+        hyps: np.ndarray,
         require_nonnegative: bool = True,
-    ) -> "list[Model | None]":
+    ) -> PairScores:
         X = _as_design_matrix(X, parameters)
-        y = np.asarray(y, dtype=float)
-        return [
+        Y = np.asarray(Y, dtype=float)
+        pairs = zip(np.asarray(rows).tolist(), np.asarray(hyps).tolist())
+        models = [
             fit_hypothesis(
-                X, y, parameters, tuple(terms), require_nonnegative
+                X, Y[f], parameters, hypotheses[h], require_nonnegative
             )
-            for terms in hypotheses
+            for f, h in pairs
         ]
+        return PairScores(
+            accepted=np.array([m is not None for m in models], dtype=bool),
+            rss=np.array(
+                [np.nan if m is None else m.stats.rss for m in models]
+            ),
+            model=models.__getitem__,
+        )
 
     def loocv_smape(
         self, X: np.ndarray, y: np.ndarray, model: Model
@@ -186,13 +270,10 @@ class _PreparedClass:
     """
 
     k: int
-    n_hypotheses: int
     order: np.ndarray  # (V,) int indices of the surviving hypotheses
     scales: np.ndarray  # (V, k) column norms of the surviving designs
     q: np.ndarray  # (V, n, k) orthonormal factors
     r: np.ndarray  # (V, k, k) triangular factors
-    #: Surviving hypotheses, aligned with ``order`` (Model construction).
-    hypotheses: "tuple[tuple[TermSpec, ...], ...]"
 
 
 _EMPTY = np.empty(0, dtype=int)
@@ -227,14 +308,29 @@ class _Fitter:
     def column_usable(self, term: TermSpec) -> bool:
         """Same screens the loop backend applies to this term's column:
         finite everywhere, not an intercept-duplicating constant."""
-        usable = self._usable.get(term.exponents)
-        if usable is None:
-            col = self.column(term)
-            usable = bool(np.all(np.isfinite(col))) and not bool(
-                np.allclose(col, col[0])
+        self._screen((term,))
+        return self._usable[term.exponents]
+
+    def _screen(self, terms: "Sequence[TermSpec]") -> None:
+        """Screen every not-yet-screened term in one pass over the
+        stacked columns.  For finite columns the elementwise test is
+        ``np.allclose(col, col[0])`` exactly (same operations, same
+        default tolerances); non-finite columns are unusable anyway."""
+        fresh = {
+            term.exponents: term
+            for term in terms
+            if term.exponents not in self._usable
+        }
+        if not fresh:
+            return
+        cols = np.stack([self.column(t) for t in fresh.values()], axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            constant = np.all(
+                np.abs(cols - cols[0]) <= 1e-8 + 1e-5 * np.abs(cols[0]),
+                axis=0,
             )
-            self._usable[term.exponents] = usable
-        return usable
+        usable = np.all(np.isfinite(cols), axis=0) & ~constant
+        self._usable.update(zip(fresh, usable.tolist()))
 
     # -- hypothesis classes ----------------------------------------------
 
@@ -258,28 +354,29 @@ class _Fitter:
         n = self.n
         empty = _PreparedClass(
             k=k,
-            n_hypotheses=len(hypotheses),
             order=_EMPTY,
             scales=np.empty((0, k)),
             q=np.empty((0, n, k)),
             r=np.empty((0, k, k)),
-            hypotheses=(),
         )
         if n < k or not hypotheses:
             return empty
-        usable = np.fromiter(
-            (
-                all(self.column_usable(term) for term in terms)
-                for terms in hypotheses
-            ),
-            dtype=bool,
-            count=len(hypotheses),
+        self._screen([term for terms in hypotheses for term in terms])
+        usable = self._usable
+        order = np.flatnonzero(
+            np.fromiter(
+                (
+                    all(usable[term.exponents] for term in terms)
+                    for terms in hypotheses
+                ),
+                dtype=bool,
+                count=len(hypotheses),
+            )
         )
-        order = np.flatnonzero(usable)
         if order.size == 0:
             return empty
         design = np.ones((order.size, n, k))
-        for v, h in enumerate(order):
+        for v, h in enumerate(order.tolist()):
             for idx, term in enumerate(hypotheses[h]):
                 design[v, :, idx + 1] = self.column(term)
         # One stacked QR factorizes the whole class; the guard's verdict
@@ -290,13 +387,7 @@ class _Fitter:
         if order.size == 0:
             return empty
         return _PreparedClass(
-            k=k,
-            n_hypotheses=len(hypotheses),
-            order=order,
-            scales=scales[keep],
-            q=q[keep],
-            r=r[keep],
-            hypotheses=tuple(hypotheses[h] for h in order),
+            k=k, order=order, scales=scales[keep], q=q[keep], r=r[keep]
         )
 
 
@@ -318,15 +409,15 @@ def _pointwise_smape(
 
 
 def _batched_smape(y: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """Rowwise :func:`~repro.modeling.hypothesis.smape` of (V, n) *pred*."""
-    values, mask = _pointwise_smape(y[None, :], pred)
+    """Rowwise :func:`~repro.modeling.hypothesis.smape` of (P, n) rows."""
+    values, mask = _pointwise_smape(y, pred)
     counts = mask.sum(axis=1)
     return np.where(
         counts > 0, values.sum(axis=1) / np.maximum(counts, 1), 0.0
     )
 
 
-class BatchedModelBackend:
+class BatchedModelBackend(_PairScoring):
     """Stacked-LAPACK fitting: one QR per hypothesis class.
 
     Keeps an LRU of :class:`_Fitter` objects keyed by configuration
@@ -358,90 +449,81 @@ class BatchedModelBackend:
 
     # ------------------------------------------------------------------
 
-    def fit_batch(
+    def score_pairs(
         self,
         X: np.ndarray,
-        y: np.ndarray,
+        Y: np.ndarray,
         parameters: "tuple[str, ...]",
         hypotheses: "Sequence[tuple[TermSpec, ...]]",
+        rows: np.ndarray,
+        hyps: np.ndarray,
         require_nonnegative: bool = True,
-    ) -> "list[Model | None]":
+    ) -> PairScores:
+        """Per class *k*: one factorization of every hypothesis of the
+        class, then one gathered solve of exactly the requested pairs.
+
+        Every reduction runs per pair in the order a one-function solve
+        uses (``einsum`` contractions, broadcast ``solve``), so a pair's
+        fit does not depend on which other pairs share the call."""
         X = _as_design_matrix(X, parameters)
-        y = np.asarray(y, dtype=float)
-        out: "list[Model | None]" = [None] * len(hypotheses)
-        if not hypotheses or X.shape[0] == 0:
-            return out
-        fitter = self._fitter(X)
-        tss = float(np.sum((y - y.mean()) ** 2)) if y.size else 0.0
+        Y = np.asarray(Y, dtype=float)
+        rows = np.asarray(rows, dtype=np.intp)
+        hyps = np.asarray(hyps, dtype=np.intp)
+        n = X.shape[0]
+        sizes = np.array([len(terms) + 1 for terms in hypotheses], dtype=int)
+        accepted = np.zeros(rows.size, dtype=bool)
+        rss = np.full(rows.size, np.nan)
+        smapes = np.zeros(rows.size)
+        coef = np.zeros((rows.size, int(sizes.max(initial=1))))
 
-        by_k: "dict[int, list[int]]" = {}
-        for idx, terms in enumerate(hypotheses):
-            by_k.setdefault(len(terms) + 1, []).append(idx)
+        if rows.size and n:
+            fitter = self._fitter(X)
+            pair_k = sizes[hyps]
+            slot = np.full(len(hypotheses), -1, dtype=np.intp)
+            for k in np.unique(sizes).tolist():
+                members = np.flatnonzero(sizes == k)
+                prepared = fitter.prepared(
+                    k, tuple(hypotheses[i] for i in members.tolist())
+                )
+                slot[members[prepared.order]] = np.arange(prepared.order.size)
+                sel = np.flatnonzero((pair_k == k) & (slot[hyps] >= 0))
+                for start in range(0, sel.size, PAIR_BLOCK):
+                    part = sel[start : start + PAIR_BLOCK]
+                    v = slot[hyps[part]]
+                    q = prepared.q[v]
+                    y = Y[rows[part]]
+                    # Q^T y and the projection Q (Q^T y) of every pair.
+                    b = np.einsum("pnk,pn->pk", q, y)
+                    coef_k = (
+                        np.linalg.solve(prepared.r[v], b[..., None])[..., 0]
+                        / prepared.scales[v]
+                    )
+                    pred = np.einsum("pnk,pk->pn", q, b)
+                    resid = y - pred
+                    rss[part] = np.einsum("pn,pn->p", resid, resid)
+                    smapes[part] = _batched_smape(y, pred)
+                    coef[part, :k] = coef_k
+                    if require_nonnegative and k > 1:
+                        accepted[part] = ~np.any(coef_k[:, 1:] <= 0, axis=1)
+                    else:
+                        accepted[part] = True
 
-        for k, idxs in sorted(by_k.items()):
-            group = tuple(tuple(hypotheses[i]) for i in idxs)
-            prepared = fitter.prepared(k, group)
-            if prepared.order.size == 0:
-                continue
-            models = self._solve(
-                X, prepared, y, parameters, require_nonnegative, tss
-            )
-            for v, h in enumerate(prepared.order):
-                out[idxs[h]] = models[v]
-        return out
-
-    def _solve(
-        self,
-        X: np.ndarray,
-        prepared: _PreparedClass,
-        y: np.ndarray,
-        parameters: "tuple[str, ...]",
-        require_nonnegative: bool,
-        tss: float,
-    ) -> "list[Model | None]":
-        n = y.shape[0]
-        k = prepared.k
-        # One matrix-vector product per class: Q^T y for every design.
-        b = np.einsum("vnk,n->vk", prepared.q, y)
-        try:
-            coef_scaled = np.linalg.solve(prepared.r, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # pragma: no cover - guarded by rank
-            return [
-                fit_hypothesis(X, y, parameters, terms, require_nonnegative)
-                for terms in prepared.hypotheses
-            ]
-        coef = coef_scaled / prepared.scales
-        # Projection: Q (Q^T y) is the fitted response of every design.
-        pred = np.einsum("vnk,vk->vn", prepared.q, b)
-        resid = y[None, :] - pred
-        rss = np.einsum("vn,vn->v", resid, resid)
-        smapes = _batched_smape(y, pred)
-        if tss > 0:
-            r2 = 1.0 - rss / tss
-        else:
-            r2 = np.ones_like(rss)
-
-        if require_nonnegative and k > 1:
-            rejected = np.any(coef[:, 1:] <= 0, axis=1)
-        else:
-            rejected = np.zeros(coef.shape[0], dtype=bool)
-
-        models: "list[Model | None]" = []
-        for v, terms in enumerate(prepared.hypotheses):
-            if rejected[v]:
-                models.append(None)
-                continue
+        def model(p: int) -> Model:
+            terms = tuple(hypotheses[hyps[p]])
+            k = len(terms) + 1
+            y = Y[rows[p]]
+            tss = float(np.sum((y - y.mean()) ** 2))
+            fit_rss = float(rss[p])
             stats = ModelStats(
-                rss=float(rss[v]),
-                smape=float(smapes[v]),
-                r_squared=float(r2[v]),
+                rss=fit_rss,
+                smape=float(smapes[p]),
+                r_squared=1.0 - fit_rss / tss if tss > 0 else 1.0,
                 n_points=n,
                 n_coefficients=k,
             )
-            models.append(
-                Model(parameters, terms, coef[v].copy(), stats)
-            )
-        return models
+            return Model(parameters, terms, coef[p, :k].copy(), stats)
+
+        return PairScores(accepted=accepted, rss=rss, model=model)
 
     # ------------------------------------------------------------------
 
@@ -454,12 +536,14 @@ class BatchedModelBackend:
         diagonal — the rowwise squared norms of the already-computed Q
         factor.  The closed form runs only when every fold is
         comfortably non-degenerate (leverage slack above
-        :data:`CLOSED_FORM_MIN_SLACK`); near-degenerate folds — and
-        designs the column screens reject outright — delegate the whole
-        computation to the reference refit loop, whose per-fold verdicts
-        are authoritative.  The two implementations therefore agree
-        exactly wherever they could differ, and to float tolerance
-        everywhere else.
+        :data:`CLOSED_FORM_MIN_SLACK`) on a well-conditioned design
+        (condition number at most :data:`CLOSED_FORM_MAX_COND`);
+        near-degenerate folds, ill-conditioned designs, and designs the
+        column screens reject outright delegate the whole computation to
+        the reference refit loop, whose per-fold verdicts are
+        authoritative.  The two implementations therefore agree exactly
+        wherever they could differ, and to ~1e-10 relative everywhere
+        else.
         """
         X = _as_design_matrix(X, model.parameters)
         y = np.asarray(y, dtype=float)
@@ -472,6 +556,11 @@ class BatchedModelBackend:
             # The full design is rank-deficient: so is every fold's, and
             # the refit loop scores every fold the maximal 2.0.
             return 2.0
+        design = np.column_stack(
+            [np.ones(fitter.n)] + [fitter.column(term) for term in terms]
+        )
+        if np.linalg.cond(design) > CLOSED_FORM_MAX_COND:
+            return refit_loocv_smape(X, y, model)
         q = prepared.q[0]
         slack = 1.0 - np.einsum("nk,nk->n", q, q)
         if float(np.min(slack)) <= CLOSED_FORM_MIN_SLACK:
@@ -517,10 +606,12 @@ def default_model_backend(
 
 __all__ = [
     "BatchedModelBackend",
+    "CLOSED_FORM_MAX_COND",
     "CLOSED_FORM_MIN_SLACK",
     "DEFAULT_MODEL_BACKEND",
     "LoopModelBackend",
     "ModelSearchBackend",
+    "PairScores",
     "default_model_backend",
     "make_model_backend",
     "refit_fold_model",

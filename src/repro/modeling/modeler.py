@@ -19,6 +19,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,12 +30,8 @@ from .backends import (
     make_model_backend,
 )
 from .hypothesis import Model, fit_constant
-from .multiparam import (
-    NO_RESTRICTIONS,
-    TermRestrictions,
-    search_multi_parameter,
-)
-from .search import DEFAULT_SEARCH, SearchConfig, search_single_parameter
+from .multiparam import TermRestrictions
+from .search import DEFAULT_SEARCH, SearchConfig, SearchRequest, search_models
 
 
 @dataclass(frozen=True)
@@ -96,60 +93,62 @@ class Modeler:
         """Fit the best model of measurements ``y(X)``.
 
         *X* is an (n_points x n_parameters) configuration matrix aligned
-        with *parameters*; *y* are mean measured times.
+        with *parameters*; *y* are mean measured times.  The one-request
+        case of :meth:`model_many`.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if X.shape[1] != len(parameters):
-            raise ModelingError(
-                f"X has {X.shape[1]} columns but {len(parameters)} "
-                "parameters were named"
-            )
-        if X.shape[0] != y.shape[0]:
-            raise ModelingError("X and y disagree on the number of points")
-        if y.size == 0:
-            raise ModelingError("cannot model zero measurements")
+        return self.model_many([(X, y, parameters, prior)])[0]
 
-        prior = prior or SearchPrior.black_box()
-        if prior.forced_constant:
-            model = fit_constant(X, y, parameters)
-            model.metadata["prior"] = "constant"
-            return model
+    def model_many(self, requests: "Sequence[tuple]") -> "list[Model]":
+        """Fit the best model of every ``(X, y, parameters, prior)``.
 
-        restrictions = prior.restrictions()
-        if restrictions.allowed_params is not None:
-            usable = [
-                p for p in parameters if p in restrictions.allowed_params
-            ]
-            if not usable:
+        All searches run in one :func:`~repro.modeling.search.search_models`
+        call, so requests measured at the same configuration matrix share
+        every factorization; each result equals what :meth:`model`
+        returns for that request alone.
+        """
+        out: "list[Model | None]" = [None] * len(requests)
+        searches: "list[SearchRequest]" = []
+        labels: "list[tuple[int, str]]" = []
+        for idx, (X, y, parameters, prior) in enumerate(requests):
+            X, y = _checked_points(X, y, parameters)
+            prior = prior or SearchPrior.black_box()
+            restrictions = prior.restrictions()
+            if prior.forced_constant or (
+                restrictions.allowed_params is not None
+                and not any(map(restrictions.param_allowed, parameters))
+            ):
                 model = fit_constant(X, y, parameters)
                 model.metadata["prior"] = "constant"
-                return model
+                out[idx] = model
+                continue
+            searches.append(
+                SearchRequest(X, y, tuple(parameters), restrictions)
+            )
+            black_box = prior == SearchPrior.black_box()
+            labels.append((idx, "black-box" if black_box else "taint"))
+        found = search_models(searches, self.config, self.search_backend())
+        for (idx, label), model in zip(labels, found):
+            model.metadata["prior"] = label
+            out[idx] = model
+        return out  # type: ignore[return-value]
 
-        if len(parameters) == 1:
-            if restrictions.allowed_params is not None and not restrictions.param_allowed(parameters[0]):
-                model = fit_constant(X, y, parameters)
-                model.metadata["prior"] = "constant"
-                return model
-            model = search_single_parameter(
-                X[:, 0],
-                y,
-                parameters[0],
-                self.config,
-                backend=self.search_backend(),
-            )
-        else:
-            model = search_multi_parameter(
-                X,
-                y,
-                parameters,
-                self.config,
-                restrictions,
-                backend=self.search_backend(),
-            )
-        model.metadata["prior"] = (
-            "black-box" if prior == SearchPrior.black_box() else "taint"
+
+def _checked_points(
+    X: np.ndarray, y: np.ndarray, parameters: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """*X* as an (n_points x n_parameters) float matrix, *y* as floats;
+    :class:`ModelingError` when they do not fit together."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    if X.shape[1] != len(parameters):
+        raise ModelingError(
+            f"X has {X.shape[1]} columns but {len(parameters)} "
+            "parameters were named"
         )
-        return model
+    if X.shape[0] != y.shape[0]:
+        raise ModelingError("X and y disagree on the number of points")
+    if y.size == 0:
+        raise ModelingError("cannot model zero measurements")
+    return X, y

@@ -1,4 +1,4 @@
-"""Multi-parameter modeling heuristic.
+"""Multi-parameter modeling heuristic: hypothesis generation.
 
 The full multi-parameter PMNF search space explodes ("with as few as three
 parameters, the model search space contains more than 10^14 candidates",
@@ -15,6 +15,10 @@ billions of models to under a thousand".  We implement that scheme:
    normal form's term budget;
 3. fit every combined hypothesis on the full data set and select the best.
 
+This module holds the design-side pieces (slices, lifting, enumeration);
+:func:`repro.modeling.search.search_models` runs the three steps for a
+whole model stage at once.
+
 Hypothesis generation accepts *restrictions* — the hook the hybrid modeler
 (paper section 4.5 "Hybrid modeler") uses to encode taint knowledge:
 excluded parameters never appear, and product terms are only generated for
@@ -28,15 +32,6 @@ from itertools import combinations, product as iproduct
 
 import numpy as np
 
-from .backends import ModelSearchBackend, default_model_backend
-from .hypothesis import Model, fit_constant
-from .search import (
-    DEFAULT_SEARCH,
-    SearchConfig,
-    _better,
-    _rss_floor,
-    best_terms_for_parameter,
-)
 from .terms import TermSpec, product_term, single_param_term
 
 
@@ -65,23 +60,34 @@ NO_RESTRICTIONS = TermRestrictions()
 
 
 def _slice_for_parameter(
-    X: np.ndarray, y: np.ndarray, index: int
+    X: np.ndarray, Y: np.ndarray, index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Data slice exposing parameter *index*: rows where all other
-    parameters sit at their minimum; falls back to marginal means."""
+    """Data slice exposing parameter *index* for every row of *Y*.
+
+    The slice keeps the configurations where all other parameters sit at
+    their minimum, so its design is the same for every function measured
+    on *X*; when fewer than three distinct values remain it falls back to
+    marginal means (average y per distinct value of x_index).  Returns
+    ``(xs, Ys)`` with one row of *Ys* per row of *Y*.
+    """
     others = [l for l in range(X.shape[1]) if l != index]
     if not others:
-        return X[:, index], y
+        return X[:, index], Y
     mask = np.ones(X.shape[0], dtype=bool)
     for l in others:
         mask &= X[:, l] == X[:, l].min()
     xs = X[mask, index]
     if len(np.unique(xs)) >= 3:
-        return xs, y[mask]
-    # Marginal means: average y per distinct value of x_index.
+        return xs, np.ascontiguousarray(Y[:, mask])
     values = np.unique(X[:, index])
-    means = np.array(
-        [y[X[:, index] == v].mean() for v in values], dtype=float
+    # Row means of a C-contiguous block reduce exactly like np.mean of
+    # each row on its own.
+    means = np.stack(
+        [
+            np.ascontiguousarray(Y[:, X[:, index] == v]).mean(axis=1)
+            for v in values
+        ],
+        axis=1,
     )
     return values, means
 
@@ -137,49 +143,3 @@ def generate_hypotheses(
                                 key=lambda t: t.exponents,
                             )))
     return sorted(hypotheses, key=lambda h: (len(h), [t.exponents for t in h]))
-
-
-def search_multi_parameter(
-    X: np.ndarray,
-    y: np.ndarray,
-    parameters: tuple[str, ...],
-    config: SearchConfig = DEFAULT_SEARCH,
-    restrictions: TermRestrictions = NO_RESTRICTIONS,
-    top_k: int = 3,
-    backend: "ModelSearchBackend | None" = None,
-) -> Model:
-    """Best multi-parameter PMNF model under *restrictions*."""
-    backend = backend or default_model_backend()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, len(parameters))
-    n_params = X.shape[1]
-    floor = _rss_floor(y)
-
-    best = fit_constant(X, y, parameters)
-
-    per_param: dict[int, list[TermSpec]] = {}
-    for l in range(n_params):
-        if not restrictions.param_allowed(parameters[l]):
-            continue
-        xs, ys = _slice_for_parameter(X, y, l)
-        lifted = [
-            _lift(t, l, n_params)
-            for t in best_terms_for_parameter(
-                xs, ys, parameters[l], config, top_k, backend=backend
-            )
-        ]
-        per_param[l] = lifted
-
-    hypotheses = generate_hypotheses(
-        per_param, n_params, parameters, restrictions, config.n_terms
-    )
-    for model in backend.fit_batch(
-        X, y, parameters, hypotheses, config.require_nonnegative
-    ):
-        if model is not None and _better(
-            model, best, config.improvement_threshold, floor
-        ):
-            best = model
-    return best

@@ -1,17 +1,32 @@
-"""Single-parameter model search.
+"""PMNF model search: enumerate hypotheses, score them, select the best.
 
-Enumerates PMNF hypotheses over one parameter (constant, one-term, and
-two-term combinations of the I x J candidate terms) and selects the best
-by residual error with a mild parsimony bias — close to Extra-P 3.0's
-behaviour, which is deliberately permissive: under noise it will happily
-prefer a spurious parametric model over the true constant, which is the
-failure mode the paper's taint prior eliminates (section B1).
+A one-parameter search enumerates constant, one-term, and two-term
+combinations of the I x J candidate terms; a multi-parameter search
+combines each parameter's strongest terms (:mod:`.multiparam`).  The best
+hypothesis is selected by residual error with a mild parsimony bias —
+close to Extra-P 3.0's behaviour, which is deliberately permissive: under
+noise it will happily prefer a spurious parametric model over the true
+constant, which is the failure mode the paper's taint prior eliminates
+(section B1).
 
-Hypotheses are fitted through a pluggable
-:class:`~repro.modeling.backends.ModelSearchBackend` (``loop`` reference
-vs ``batched`` stacked-LAPACK); selection — the fold over
-:func:`_better` in enumeration order — is backend-independent, which is
-what makes the backends decision-identical.
+:func:`search_models` searches a whole model stage in one call.  Requests
+sharing a configuration matrix run in phases:
+
+1. per parameter, one slice fit of every candidate term for all requests
+   (the slice design is the same for every function);
+2. per request, the term ranking and hypothesis enumeration;
+3. one :meth:`~repro.modeling.backends.ModelSearchBackend.score_pairs`
+   call over exactly the (request, hypothesis) pairs the requests
+   enumerate — the ``batched`` backend factorizes each hypothesis class
+   once for all of them;
+4. per request, the fold over :func:`_better` on its scores in its own
+   enumeration order; a :class:`~repro.modeling.hypothesis.Model` is
+   built only for the winner.
+
+The fold is backend-independent, which is what makes the backends
+decision-identical; and a pair's score does not depend on the other pairs
+scored beside it, so a request's model is the same whatever else is in
+the call.
 """
 
 from __future__ import annotations
@@ -19,11 +34,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from .backends import ModelSearchBackend, default_model_backend
 from .hypothesis import Model, fit_constant
+from .multiparam import (
+    NO_RESTRICTIONS,
+    TermRestrictions,
+    _lift,
+    _slice_for_parameter,
+    generate_hypotheses,
+)
 from .terms import (
     DEFAULT_I,
     DEFAULT_J,
@@ -48,6 +71,24 @@ class SearchConfig:
 
 
 DEFAULT_SEARCH = SearchConfig()
+
+#: Single terms a one-parameter search pairs up, so the search stays near
+#: Extra-P's "under a thousand" hypotheses.
+SHORTLIST_LIMIT = 16
+#: Terms per parameter the multi-parameter heuristic combines.
+TOP_K = 3
+
+
+@dataclass(frozen=True, eq=False)
+class SearchRequest:
+    """One function's search: mean times *y* over the configuration
+    matrix *X* (columns aligned with *parameters*), and the prior's
+    restrictions on hypothesis generation."""
+
+    X: np.ndarray
+    y: np.ndarray
+    parameters: tuple[str, ...]
+    restrictions: TermRestrictions = NO_RESTRICTIONS
 
 
 def _rss_floor(y: np.ndarray) -> float:
@@ -77,9 +118,15 @@ RSS_TIE_REL_TOL = 1e-10
 
 
 def _better(
-    candidate: Model, incumbent: Model, threshold: float, floor: float = 0.0
+    c_rss: float,
+    c_k: int,
+    i_rss: float,
+    i_k: int,
+    threshold: float,
+    floor: float = 0.0,
 ) -> bool:
-    """Does *candidate* beat *incumbent* under the parsimony rule?
+    """Does a candidate (RSS *c_rss*, *c_k* coefficients) beat the
+    incumbent (*i_rss*, *i_k*) under the parsimony rule?
 
     Smaller RSS wins; a hypothesis with more coefficients must improve RSS
     by at least *threshold* relatively to displace a smaller one.  RSS at
@@ -87,14 +134,14 @@ def _better(
     same-size displacement needs a genuine improvement
     (:data:`RSS_TIE_REL_TOL`), keeping selection backend-independent.
     """
-    c_rss = candidate.stats.rss if candidate.stats.rss > floor else 0.0
-    i_rss = incumbent.stats.rss if incumbent.stats.rss > floor else 0.0
-    if candidate.stats.n_coefficients > incumbent.stats.n_coefficients:
+    c_rss = c_rss if c_rss > floor else 0.0
+    i_rss = i_rss if i_rss > floor else 0.0
+    if c_k > i_k:
         if i_rss <= 0:
             return False
         gain = (i_rss - c_rss) / i_rss
         return gain > threshold
-    if candidate.stats.n_coefficients < incumbent.stats.n_coefficients:
+    if c_k < i_k:
         if c_rss <= 0:
             return True
         loss = (c_rss - i_rss) / c_rss
@@ -118,25 +165,194 @@ def _rank_rss(rss: float, floor: float) -> float:
 
 
 def _shortlist(
-    fitted_single: "list[tuple[TermSpec, Model]]",
-    limit: int = 16,
+    scored: "list[tuple[TermSpec, float]]",
+    limit: int = SHORTLIST_LIMIT,
     floor: float = 0.0,
 ) -> "list[TermSpec]":
-    """The most promising single terms for pair enumeration.
+    """The *limit* strongest of the ``(term, rss)`` pairs.
 
     Ordered by (quantized RSS, exponents): the exponent tuple breaks RSS
-    ties deterministically, so the shortlist — and hence the pair
-    search — does not depend on candidate enumeration order or on the
-    fitting backend.
+    ties deterministically, so the result does not depend on candidate
+    enumeration order or on the fitting backend.
     """
     ranked = sorted(
-        fitted_single,
-        key=lambda tm: (
-            _rank_rss(tm[1].stats.rss, floor),
-            tm[0].exponents,
-        ),
+        scored, key=lambda tr: (_rank_rss(tr[1], floor), tr[0].exponents)
     )
-    return [term for term, _model in ranked[:limit]]
+    return [term for term, _rss in ranked[:limit]]
+
+
+def _rank_terms(
+    backend: ModelSearchBackend,
+    xs: np.ndarray,
+    Ys: np.ndarray,
+    parameter: str,
+    config: SearchConfig,
+    limit: int,
+) -> "list[list[TermSpec]]":
+    """Phase 1: the *limit* strongest single terms of *parameter* for
+    every row of *Ys*, from one fit of every candidate on design *xs*."""
+    candidates = candidate_terms(1, 0, config.i_set, config.j_set)
+    F, H = Ys.shape[0], len(candidates)
+    if not H or limit < 1:
+        return [[] for _ in range(F)]
+    scores = backend.score_pairs(
+        xs.reshape(-1, 1),
+        Ys,
+        (parameter,),
+        [(term,) for term in candidates],
+        np.repeat(np.arange(F), H),
+        np.tile(np.arange(H), F),
+        config.require_nonnegative,
+    )
+    rss = np.where(
+        scores.accepted.reshape(F, H), scores.rss.reshape(F, H), np.inf
+    )
+    floors = [_rss_floor(Ys[f]) for f in range(F)]
+    # Only terms within a 1e-6 relative margin of the limit-th smallest
+    # RSS (or at the floor) can rank in the top *limit*: the quantized key
+    # moves RSS by under 1e-9 relative.  The exact ranking runs on those.
+    kth = np.sort(rss, axis=1)[:, min(limit, H) - 1]
+    cutoff = np.maximum(kth * (1.0 + 1e-6), floors)
+    contenders = np.isfinite(rss) & (rss <= cutoff[:, None])
+    return [
+        _shortlist(
+            [
+                (candidates[h], value)
+                for h, value in zip(
+                    np.flatnonzero(contenders[f]).tolist(),
+                    rss[f, contenders[f]].tolist(),
+                )
+            ],
+            limit,
+            floors[f],
+        )
+        for f in range(F)
+    ]
+
+
+def _search_design(
+    backend: ModelSearchBackend,
+    X: np.ndarray,
+    requests: "Sequence[SearchRequest]",
+    config: SearchConfig,
+) -> "list[Model]":
+    """Phases 1-4 for requests sharing configuration matrix *X*."""
+    parameters = requests[0].parameters
+    n_params = len(parameters)
+    Y = np.stack([np.asarray(r.y, dtype=float) for r in requests])
+
+    # Phase 1: per parameter, one slice fit for every request using it.
+    ranked: "list[dict[int, list[TermSpec]]]" = [{} for _ in requests]
+    limit = SHORTLIST_LIMIT if n_params == 1 else TOP_K
+    for l, name in enumerate(parameters):
+        users = [
+            f
+            for f, r in enumerate(requests)
+            if r.restrictions.param_allowed(name)
+        ]
+        if not users:
+            continue
+        xs, Ys = _slice_for_parameter(X, Y[users], l)
+        for f, terms in zip(
+            users, _rank_terms(backend, xs, Ys, name, config, limit)
+        ):
+            ranked[f][l] = terms
+
+    # Phase 2: every request's hypotheses, in its enumeration order.
+    singles = [
+        (term,) for term in candidate_terms(1, 0, config.i_set, config.j_set)
+    ]
+    enumerated: "list[list[tuple[TermSpec, ...]]]" = []
+    for f, request in enumerate(requests):
+        if n_params > 1:
+            hyps = generate_hypotheses(
+                {
+                    l: [_lift(t, l, n_params) for t in terms]
+                    for l, terms in ranked[f].items()
+                },
+                n_params,
+                parameters,
+                request.restrictions,
+                config.n_terms,
+            )
+        elif 0 in ranked[f]:
+            hyps = list(singles)
+            if config.n_terms >= 2:
+                hyps += combinations(ranked[f][0], 2)
+        else:
+            hyps = []
+        enumerated.append(hyps)
+
+    # Phase 3: score exactly the enumerated pairs, in one call.
+    index: "dict[tuple[TermSpec, ...], int]" = {}
+    hypotheses: "list[tuple[TermSpec, ...]]" = []
+    pair_hyps: "list[int]" = []
+    bounds = [0]
+    for hyps in enumerated:
+        for terms in hyps:
+            h = index.get(terms)
+            if h is None:
+                h = index[terms] = len(hypotheses)
+                hypotheses.append(terms)
+            pair_hyps.append(h)
+        bounds.append(len(pair_hyps))
+    scores = backend.score_pairs(
+        X,
+        Y,
+        parameters,
+        hypotheses,
+        np.repeat(np.arange(len(requests)), np.diff(bounds)),
+        np.array(pair_hyps, dtype=np.intp),
+        config.require_nonnegative,
+    )
+
+    # Phase 4: per request, the selection fold; build only the winner.
+    accepted = scores.accepted.tolist()
+    rss = scores.rss.tolist()
+    sizes = [len(terms) + 1 for terms in hypotheses]
+    models: "list[Model]" = []
+    for f in range(len(requests)):
+        constant = fit_constant(X, Y[f], parameters)
+        floor = _rss_floor(Y[f])
+        best, best_rss, best_k = None, constant.stats.rss, 1
+        for p in range(bounds[f], bounds[f + 1]):
+            if not accepted[p]:
+                continue
+            k = sizes[pair_hyps[p]]
+            if _better(
+                rss[p], k, best_rss, best_k,
+                config.improvement_threshold, floor,
+            ):
+                best, best_rss, best_k = p, rss[p], k
+        models.append(constant if best is None else scores.model(best))
+    return models
+
+
+def search_models(
+    requests: "Sequence[SearchRequest]",
+    config: SearchConfig = DEFAULT_SEARCH,
+    backend: "ModelSearchBackend | None" = None,
+) -> "list[Model]":
+    """Best PMNF model of every request, searched as one stage.
+
+    Requests are grouped by configuration matrix and parameter names (a
+    function missing from some configurations has its own matrix); each
+    group runs the four phases of this module's docstring.
+    """
+    backend = backend or default_model_backend()
+    groups: "dict[tuple, tuple[np.ndarray, list[int]]]" = {}
+    for idx, request in enumerate(requests):
+        X = np.ascontiguousarray(request.X, dtype=float)
+        key = (tuple(request.parameters), X.shape, X.tobytes())
+        groups.setdefault(key, (X, []))[1].append(idx)
+    out: "list[Model | None]" = [None] * len(requests)
+    for X, idxs in groups.values():
+        group = [requests[i] for i in idxs]
+        for idx, model in zip(
+            idxs, _search_design(backend, X, group, config)
+        ):
+            out[idx] = model
+    return out  # type: ignore[return-value]
 
 
 def search_single_parameter(
@@ -147,40 +363,12 @@ def search_single_parameter(
     backend: "ModelSearchBackend | None" = None,
 ) -> Model:
     """Best single-parameter PMNF model of measurements ``y(x)``."""
-    backend = backend or default_model_backend()
-    X = np.asarray(x, dtype=float).reshape(-1, 1)
-    y = np.asarray(y, dtype=float)
-    params = (parameter,)
-    floor = _rss_floor(y)
-    best = fit_constant(X, y, params)
-    candidates = candidate_terms(1, 0, config.i_set, config.j_set)
-    fitted = backend.fit_batch(
-        X,
-        y,
-        params,
-        [(term,) for term in candidates],
-        config.require_nonnegative,
+    request = SearchRequest(
+        np.asarray(x, dtype=float).reshape(-1, 1),
+        np.asarray(y, dtype=float),
+        (parameter,),
     )
-    fitted_single: list[tuple[TermSpec, Model]] = []
-    for term, model in zip(candidates, fitted):
-        if model is None:
-            continue
-        fitted_single.append((term, model))
-        if _better(model, best, config.improvement_threshold, floor):
-            best = model
-    if config.n_terms >= 2:
-        # Restrict pair enumeration to the most promising single terms so
-        # the search stays near Extra-P's "under a thousand" hypotheses.
-        shortlist = _shortlist(fitted_single, floor=floor)
-        pairs = list(combinations(shortlist, 2))
-        for model in backend.fit_batch(
-            X, y, params, pairs, config.require_nonnegative
-        ):
-            if model is not None and _better(
-                model, best, config.improvement_threshold, floor
-            ):
-                best = model
-    return best
+    return search_models([request], config, backend)[0]
 
 
 def best_terms_for_parameter(
@@ -188,29 +376,17 @@ def best_terms_for_parameter(
     y: np.ndarray,
     parameter: str,
     config: SearchConfig = DEFAULT_SEARCH,
-    top_k: int = 3,
+    top_k: int = TOP_K,
     backend: "ModelSearchBackend | None" = None,
 ) -> list[TermSpec]:
-    """The strongest single-parameter candidate terms (for the
-    multi-parameter heuristic).  Always includes the best model's terms.
+    """The strongest single-parameter candidate terms of ``y(x)`` (the
+    multi-parameter heuristic's per-parameter step, for one function).
     Ranked by (RSS, exponents) so ties resolve deterministically."""
-    backend = backend or default_model_backend()
-    X = np.asarray(x, dtype=float).reshape(-1, 1)
-    y = np.asarray(y, dtype=float)
-    params = (parameter,)
-    candidates = candidate_terms(1, 0, config.i_set, config.j_set)
-    fitted = backend.fit_batch(
-        X,
-        y,
-        params,
-        [(term,) for term in candidates],
-        config.require_nonnegative,
-    )
-    floor = _rss_floor(y)
-    scored = [
-        (_rank_rss(model.stats.rss, floor), term.exponents, term)
-        for term, model in zip(candidates, fitted)
-        if model is not None
-    ]
-    scored.sort(key=lambda ste: (ste[0], ste[1]))
-    return [term for _rss, _exp, term in scored[:top_k]]
+    return _rank_terms(
+        backend or default_model_backend(),
+        np.asarray(x, dtype=float),
+        np.asarray(y, dtype=float)[None, :],
+        parameter,
+        config,
+        top_k,
+    )[0]

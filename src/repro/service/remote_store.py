@@ -167,7 +167,8 @@ class LocalStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"version": STORE_VERSION, "key": key, "payload": payload}
         try:
-            text = json.dumps(entry, indent=1)
+            # Compact: ``indent`` would force json's pure-Python encoder.
+            text = json.dumps(entry, separators=(",", ":"))
         except (TypeError, ValueError) as exc:
             raise ServiceError(
                 f"store payload for '{namespace}/{key}' is not "

@@ -738,6 +738,10 @@ def serve(
     ``delay:<n>``); it defaults to the ``REPRO_SERVICE_NET_FAULT``
     environment variable.
     """
+    # Validate the fault spec before anything holds a socket or a store.
+    fault = _parse_net_fault(
+        os.environ.get(NET_FAULT_ENV) if net_fault is None else net_fault
+    )
     service = CampaignService(
         store_root,
         lease_ttl=lease_ttl,
@@ -746,13 +750,11 @@ def serve(
         target_lease_seconds=target_lease_seconds,
         journal=journal,
     )
-    if net_fault is None:
-        net_fault = os.environ.get(NET_FAULT_ENV)
     httpd = ThreadingHTTPServer((host, port), _Handler)
     httpd.daemon_threads = True
     httpd.service = service  # type: ignore[attr-defined]
     httpd.verbose = verbose  # type: ignore[attr-defined]
-    httpd.net_fault = _parse_net_fault(net_fault)  # type: ignore[attr-defined]
+    httpd.net_fault = fault  # type: ignore[attr-defined]
     httpd.net_fault_lock = threading.Lock()  # type: ignore[attr-defined]
     httpd.net_requests = 0  # type: ignore[attr-defined]
     return httpd

@@ -11,7 +11,7 @@ pipeline measurements.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.lulesh import LuleshWorkload
@@ -117,6 +117,9 @@ class TestRandomDesignsDifferential:
         sigma=st.sampled_from([0.5, 8.0]),
         seed=st.integers(0, 2**16),
     )
+    # Condition number 2.6e7: the refit drifts 3.6e-8 relative here, so
+    # this design must take the delegated path.
+    @example(truth=4, sigma=0.5, seed=254)
     @settings(max_examples=25, deadline=None)
     def test_loocv_closed_form_equals_refit(self, truth, sigma, seed):
         rng = np.random.default_rng(seed)
@@ -128,11 +131,10 @@ class TestRandomDesignsDifferential:
         loop_cv = loocv_smape(X, y, model, backend=LoopModelBackend())
         fast_cv = loocv_smape(X, y, model, backend=BatchedModelBackend())
         # The closed-form/refit identity is exact only in exact
-        # arithmetic; when the selected terms span a large dynamic
-        # range (e.g. p^3 * log^2 s over this grid) the two float64
-        # paths diverge by ~condition * eps, which can reach the 1e-7
-        # relative range on accepted-but-ill-conditioned designs.
-        assert fast_cv == pytest.approx(loop_cv, rel=1e-6, abs=1e-9)
+        # arithmetic; the refit's lstsq drifts by ~condition * eps.
+        # Designs above CLOSED_FORM_MAX_COND delegate to the refit, so
+        # the closed form only runs where that drift stays ~1e-10.
+        assert fast_cv == pytest.approx(loop_cv, rel=1e-8, abs=1e-10)
 
 
 def _models_for(pipeline, values, backend):

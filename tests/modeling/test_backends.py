@@ -294,14 +294,8 @@ class TestKFoldDegenerateFolds:
 
 class TestDeterministicShortlist:
     def _tied_models(self, rss=1.0):
-        terms = [_term(i) for i in (3.0, 1.0, 2.0)]
-        stats = ModelStats(
-            rss=rss, smape=0.1, r_squared=0.5, n_points=5, n_coefficients=2
-        )
-        return [
-            (t, Model(PARAMS, (t,), np.array([1.0, 1.0]), stats))
-            for t in terms
-        ]
+        """(term, rss) scores tied on RSS."""
+        return [(_term(i), rss) for i in (3.0, 1.0, 2.0)]
 
     def test_ties_break_by_exponents(self):
         ranked = _shortlist(self._tied_models())
