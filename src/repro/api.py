@@ -23,7 +23,7 @@ bundled component, so the registries are always fully populated.
 
 from __future__ import annotations
 
-from .core.artifacts import ArtifactStore, artifact_fingerprint
+from .core.artifacts import artifact_fingerprint
 from .core.pipeline import PerfTaintPipeline, PerfTaintResult
 from .core.stages import (
     STAGES,
@@ -54,13 +54,12 @@ from .service import (
     Broker,
     BrokerScheduler,
     CampaignService,
-    LocalStore,
     RemoteStore,
     ServiceClient,
-    SharedWorkspace,
     Worker,
     serve,
 )
+from .store import LocalStore
 from .interp import AnalysisDomain, make_engine
 from .modeling import (
     DEFAULT_MODEL_BACKEND,
@@ -97,7 +96,6 @@ load_builtin_components()
 __all__ = [
     "AnalysisDomain",
     "ArtifactError",
-    "ArtifactStore",
     "Broker",
     "BrokerScheduler",
     "CONTENTION_REGISTRY",
@@ -127,7 +125,6 @@ __all__ = [
     "STAGES",
     "ServiceClient",
     "ServiceError",
-    "SharedWorkspace",
     "Stage",
     "TaintDomain",
     "TaintEngine",

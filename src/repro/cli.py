@@ -15,7 +15,7 @@ Commands mirror the pipeline stages on the registered workloads:
 * ``segments <app> --p 4,8,32`` — branch-direction validation (C2);
 * ``sweep <app> --values p=2,4 s=4,8 --jobs 4`` — measurement stage only,
   fanned out over worker processes with an optional on-disk run cache;
-* ``serve --store DIR`` / ``worker --server URL`` / ``submit <spec.toml>
+* ``serve --state-dir DIR`` / ``worker --server URL`` / ``submit <spec.toml>
   --server URL`` / ``status <id> --server URL`` — the distributed
   campaign service: a long-lived server owning the shared artifact
   store, workers pulling measure-stage leases over HTTP, and clients
@@ -464,15 +464,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import serve
 
-    store = args.state_dir if args.state_dir is not None else args.store
-    if store is None:
-        raise SystemExit(
-            "error: repro serve needs --state-dir DIR (or the legacy "
-            "--store DIR) — the directory holding the shared store and "
-            "crash-recovery journal"
-        )
     httpd = serve(
-        store,
+        args.state_dir,
         host=args.host,
         port=args.port,
         lease_ttl=args.lease_ttl,
@@ -484,10 +477,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     host, port = httpd.server_address[:2]
     restarts = getattr(httpd.service, "restarts", 0)
-    print(f"campaign server on http://{host}:{port} (state: {store})")
+    print(f"campaign server on http://{host}:{port} (state: {args.state_dir})")
     if restarts:
         print(
-            f"recovered state from {store} "
+            f"recovered state from {args.state_dir} "
             f"(restart #{restarts} on this state directory)"
         )
     print("submit campaigns with: repro submit <spec> --server "
@@ -826,16 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-dir",
         type=_cache_dir,
-        default=None,
+        required=True,
         help="server state directory: shared store (stage artifacts + "
         "run results) plus the crash-recovery journal — restarting "
         "with the same directory recovers in-flight campaigns",
-    )
-    p.add_argument(
-        "--store",
-        type=_cache_dir,
-        default=None,
-        help="legacy alias for --state-dir",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8642)

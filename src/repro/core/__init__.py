@@ -1,7 +1,7 @@
 """Perf-Taint core: the hybrid tainted-performance-modeling pipeline."""
 
 from .annotations import register_parameters, registered_parameters
-from .artifacts import ArtifactStore, artifact_fingerprint
+from .artifacts import artifact_fingerprint
 from .classify import Classification, classify_functions, table3_counts
 from .experiment_design import (
     DesignDecision,
@@ -28,7 +28,6 @@ from .validation import (
 )
 
 __all__ = [
-    "ArtifactStore",
     "Campaign",
     "Classification",
     "ContentionFinding",

@@ -1,31 +1,25 @@
-"""Persistent, fingerprinted stage artifacts (the campaign workspace).
+"""Serialization of the stage artifacts a campaign workspace persists.
 
 Generalizes the run cache of :mod:`repro.measure.io` from single
 measurements to **every** pipeline stage: each stage's output (static
 report, taint report, volumes, classification, design, plan, measurements,
 models, findings) serializes to JSON, round-trips bit-identically, and is
-stored under a workspace directory keyed by a content fingerprint of
-everything that produced it.  A campaign rerun whose upstream fingerprints
-are unchanged loads artifacts instead of recomputing — editing only
-modeling parameters re-fits models without re-measuring.
+stored keyed by a content fingerprint of everything that produced it.  A
+campaign rerun whose upstream fingerprints are unchanged loads artifacts
+instead of recomputing — editing only modeling parameters re-fits models
+without re-measuring.
 
-Layout: one file per (stage, fingerprint) named ``<stage>-<fp>.json``
-holding ``{"stage", "fingerprint", "version", "payload"}``.  Writes are
-atomic (temp file + rename), so concurrent campaigns can share a
-workspace; the worst case is the same artifact being computed twice,
-never a torn read.
+Storage is the one store (:mod:`repro.store`): a stage payload is the
+entry itself, at key :func:`~repro.store.stage_key` ``<stage>-<fp>`` in
+the ``stage`` namespace of the campaign's workspace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pathlib
-import tempfile
 from typing import Mapping, Sequence
 
-from ..errors import ArtifactError
 from ..measure.experiment import ConfigKey, Measurements
 from ..measure.instrumentation import InstrumentationMode, InstrumentationPlan
 from ..measure.io import (
@@ -49,7 +43,7 @@ from .hybrid import ModelComparison
 from .validation import ContentionFinding
 
 #: Version of the artifact payload format; bump to invalidate workspaces.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 
 def artifact_fingerprint(payload: object) -> str:
@@ -525,87 +519,3 @@ def findings_from_dict(payload: Sequence) -> list[ContentionFinding]:
         )
         for entry in payload
     ]
-
-
-# ----------------------------------------------------------------------
-# the workspace store
-
-
-class ArtifactStore:
-    """On-disk store of fingerprinted stage artifacts (the *workspace*).
-
-    The RunCache pattern of :mod:`repro.measure.io` applied to whole
-    stages: content-addressed JSON files, atomic writes, corrupt entries
-    treated as misses.
-    """
-
-    def __init__(self, root: "str | pathlib.Path") -> None:
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, stage: str, fingerprint: str) -> pathlib.Path:
-        return self.root / f"{stage}-{fingerprint}.json"
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        stage, fingerprint = key
-        return self._path(stage, fingerprint).exists()
-
-    def get(self, stage: str, fingerprint: str) -> object | None:
-        """The stored payload, or None on a miss or a corrupt entry."""
-        path = self._path(stage, fingerprint)
-        try:
-            envelope = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("version") != ARTIFACT_VERSION
-            or envelope.get("stage") != stage
-            or envelope.get("fingerprint") != fingerprint
-            or "payload" not in envelope
-        ):
-            return None
-        return envelope["payload"]
-
-    def put(self, stage: str, fingerprint: str, payload: object) -> None:
-        """Store *payload* atomically under (*stage*, *fingerprint*)."""
-        envelope = {
-            "version": ARTIFACT_VERSION,
-            "stage": stage,
-            "fingerprint": fingerprint,
-            "payload": payload,
-        }
-        try:
-            # Compact: ``indent`` would force json's pure-Python encoder.
-            text = json.dumps(envelope, separators=(",", ":"))
-        except (TypeError, ValueError) as exc:
-            raise ArtifactError(
-                f"artifact of stage '{stage}' is not JSON-serializable: "
-                f"{exc}"
-            ) from exc
-        path = self._path(stage, fingerprint)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def stages(self) -> dict[str, list[str]]:
-        """stage name -> stored fingerprints (for inspection/tests)."""
-        out: dict[str, list[str]] = {}
-        for path in sorted(self.root.glob("*-*.json")):
-            stage, _, fingerprint = path.stem.rpartition("-")
-            if stage:
-                out.setdefault(stage, []).append(fingerprint)
-        return out
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*-*.json"))

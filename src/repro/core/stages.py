@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from ..errors import CampaignSpecError, PipelineError
 from ..interp import (
@@ -51,7 +51,7 @@ from ..measure.instrumentation import (
     taint_filter_plan,
 )
 from ..measure.batched import BatchedExperimentRunner
-from ..measure.io import program_hash
+from ..measure.io import DECODE_ERRORS, program_hash
 from ..measure.noise import GaussianNoise, NoiseModel
 from ..measure.parallel import ParallelExperimentRunner, workload_repr
 from ..measure.profiler import ProfileResult
@@ -68,6 +68,7 @@ from ..registry import (
     load_builtin_components,
 )
 from ..staticanalysis.prune import StaticReport, analyze_program
+from ..store import STAGE_NAMESPACE, LocalStore, stage_key
 from ..taint.engine import TaintEngine
 from ..taint.policy import FULL_POLICY, PropagationPolicy
 from ..taint.report import TaintReport
@@ -78,6 +79,9 @@ from .classify import Classification, classify_functions
 from .experiment_design import DesignDecision
 from .hybrid import HybridModeler, ModelComparison
 from .validation import ContentionFinding, detect_contention
+
+if TYPE_CHECKING:
+    from ..service.remote_store import RemoteStore
 
 
 # ----------------------------------------------------------------------
@@ -598,8 +602,10 @@ class Campaign:
     model_backend: "str | None" = None
     compare_black_box: bool = False
     cov_threshold: "float | None" = 0.1
-    #: Stage-artifact workspace; None disables persistence and resume.
-    workspace: "art.ArtifactStore | str | pathlib.Path | None" = None
+    #: Stage-artifact workspace: a store (:class:`~repro.store.LocalStore`
+    #: or :class:`~repro.service.remote_store.RemoteStore`) or a directory
+    #: opened as a ``LocalStore``; None disables persistence and resume.
+    workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None
     #: Measure-stage executor override (e.g. the campaign service's
     #: ``BrokerScheduler``); None keeps the built-in runner routing.
     #: Schedulers are bit-identical by contract, so this field is not
@@ -611,7 +617,7 @@ class Campaign:
         if isinstance(self.mode, str):
             self.mode = InstrumentationMode(self.mode)
         if isinstance(self.workspace, (str, pathlib.Path)):
-            self.workspace = art.ArtifactStore(self.workspace)
+            self.workspace = LocalStore(self.workspace)
         self._program = None
         self._program_fp: "str | None" = None
         #: Artifacts of the most recent :meth:`run`, keyed by stage name.
@@ -660,20 +666,23 @@ class Campaign:
         """Run (or resume) one stage, artifacts of its inputs being ready."""
         fingerprint = self.stage_fingerprint(stage, self.fingerprints)
         self.fingerprints[stage.name] = fingerprint
+        key = stage_key(stage.name, fingerprint)
         if self.workspace is not None:
-            payload = self.workspace.get(stage.name, fingerprint)
+            payload = self.workspace.get(STAGE_NAMESPACE, key)
             if payload is not None:
-                value = stage.from_payload(payload)
-                self.artifacts[stage.name] = value
-                self.stage_stats[stage.name] = "resumed"
-                return value
+                try:
+                    value = stage.from_payload(payload)
+                except DECODE_ERRORS:
+                    pass  # a miss: recomputed, and overwritten below
+                else:
+                    self.artifacts[stage.name] = value
+                    self.stage_stats[stage.name] = "resumed"
+                    return value
         value = stage.compute(self, self.artifacts)
         self.artifacts[stage.name] = value
         self.stage_stats[stage.name] = "computed"
         if self.workspace is not None:
-            self.workspace.put(
-                stage.name, fingerprint, stage.to_payload(value)
-            )
+            self.workspace.put(STAGE_NAMESPACE, key, stage.to_payload(value))
         return value
 
     def run(self):
@@ -774,7 +783,7 @@ class Campaign:
     def from_spec(
         cls,
         spec: Mapping,
-        workspace: "art.ArtifactStore | str | pathlib.Path | None" = None,
+        workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None,
     ) -> "Campaign":
         """Build a campaign from a plain mapping (a parsed TOML spec).
 
@@ -900,7 +909,7 @@ class Campaign:
     def from_toml(
         cls,
         path: "str | pathlib.Path",
-        workspace: "art.ArtifactStore | str | pathlib.Path | None" = None,
+        workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None,
     ) -> "Campaign":
         """Build a campaign from a TOML spec file (see :meth:`from_spec`)."""
         try:

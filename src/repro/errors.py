@@ -125,7 +125,7 @@ class CampaignSpecError(ReproError):
 
 
 class ArtifactError(ReproError):
-    """A persisted stage artifact could not be decoded."""
+    """A store payload (a stage artifact or run result) is not JSON."""
 
 
 class ServiceError(ReproError):

@@ -35,6 +35,7 @@ from ..errors import RegistryError
 from ..interp import ENGINE_VECTORIZED, batch_capable_engines
 from ..mpisim.contention import ContentionModel, NoContention
 from ..registry import ENGINE_REGISTRY
+from ..store import LocalStore
 from .experiment import (
     ConfigKey,
     ConfigRunResult,
@@ -45,14 +46,13 @@ from .experiment import (
     merge_results_dense,
 )
 from .instrumentation import InstrumentationPlan
-from .io import RunCache, program_hash
+from .io import cached_runs, store_run
 from .noise import GaussianNoise, NoiseModel, perturb_block
 from .parallel import (
     RunStats,
     _workload_for,
-    configuration_fingerprint,
+    configuration_fingerprints,
     spec_of,
-    workload_repr,
 )
 from .profiler import APP_KEY, ProfileNode, ProfileResult, profile_run_batch
 
@@ -358,36 +358,11 @@ class BatchedExperimentRunner:
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
         require_batch_engine(self.engine)
-        self._cache = (
-            RunCache(self.cache_dir) if self.cache_dir is not None else None
+        self._store = (
+            LocalStore(self.cache_dir) if self.cache_dir is not None else None
         )
         self.last_stats = RunStats()
         self.last_lane_stats = LaneStats()
-
-    # -- cache keys --------------------------------------------------------
-
-    def _fingerprint(
-        self,
-        program_digest: str,
-        config: Mapping[str, float],
-        setup: RunSetup,
-        workload_repr: str,
-    ) -> str:
-        # The engine name participates, so caches populated by scalar
-        # engines are never served to batched runs or vice versa (results
-        # are bit-identical, but provenance must stay honest).
-        return configuration_fingerprint(
-            program_digest,
-            config,
-            setup,
-            self.plan,
-            self.noise,
-            self.contention,
-            self.repetitions,
-            self.seed,
-            workload_repr,
-            self.engine,
-        )
 
     # -- execution ---------------------------------------------------------
 
@@ -402,21 +377,25 @@ class BatchedExperimentRunner:
         setups = [self.workload.setup(c) for c in configs]
 
         results: list[ConfigRunResult | None] = [None] * len(configs)
-        pending: list[int] = []
-        fingerprints: list[str | None] = [None] * len(configs)
-        if self._cache is not None:
-            digest = program_hash(program)
-            wl_repr = workload_repr(self.workload)
-        for index in range(len(configs)):
-            if self._cache is not None:
-                fingerprints[index] = self._fingerprint(
-                    digest, configs[index], setups[index], wl_repr
-                )
-                hit = self._cache.get(fingerprints[index])
-                if hit is not None:
-                    results[index] = hit
-                    continue
-            pending.append(index)
+        if self._store is not None:
+            # The engine name participates, so caches populated by scalar
+            # engines are never served to batched runs or vice versa
+            # (results are bit-identical, but provenance must stay honest).
+            fingerprints = configuration_fingerprints(
+                self.workload,
+                program,
+                configs,
+                setups,
+                self.plan,
+                self.noise,
+                self.contention,
+                self.repetitions,
+                self.seed,
+                self.engine,
+            )
+            hits = cached_runs(self._store, fingerprints)
+            results = [hits.get(fp) for fp in fingerprints]
+        pending = [i for i, result in enumerate(results) if result is None]
 
         lane_stats = LaneStats()
         if pending:
@@ -453,9 +432,11 @@ class BatchedExperimentRunner:
                         results[i] = result
             else:
                 self._run_pool(configs, keys, chunks, results)
-            if self._cache is not None:
+            if self._store is not None:
                 for index in pending:
-                    self._cache.put(fingerprints[index], results[index])
+                    store_run(
+                        self._store, fingerprints[index], results[index]
+                    )
 
         self.last_stats = RunStats(
             executed=sum(1 for r in results if not r.cached),

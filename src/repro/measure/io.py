@@ -10,9 +10,12 @@ can be measured once, stored, and re-modeled offline:
   models (terms, coefficients, statistics);
 * :func:`profile_to_dict` / :func:`profile_from_dict` — JSON-able
   :class:`~repro.measure.profiler.ProfileResult`;
-* :class:`RunCache` — a content-addressed store of per-configuration
-  run results keyed by (program hash, configuration, execution config,
-  noise/seed, ...), so repeated sweeps and benchmark reruns skip
+* :func:`cached_runs` / :func:`store_run` — the run cache:
+  per-configuration run results in the ``runs`` namespace of a store
+  (:class:`~repro.store.LocalStore` or
+  :class:`~repro.service.remote_store.RemoteStore`), keyed by
+  :func:`run_fingerprint` over (program hash, configuration, execution
+  config, noise/seed, ...), so repeated sweeps and benchmark reruns skip
   already-measured configurations entirely.
 """
 
@@ -20,18 +23,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import MeasurementError
+from ..errors import MeasurementError, ReproError
 from ..ir.printer import format_program
 from ..ir.program import Program
 from ..modeling.hypothesis import Model, ModelStats
 from ..modeling.terms import TermSpec
+from ..store import RUNS_NAMESPACE
 from .experiment import ConfigRunResult, Measurements
 from .instrumentation import InstrumentationMode, InstrumentationPlan
 from .profiler import ProfileNode, ProfileResult
@@ -40,6 +42,10 @@ FORMAT_VERSION = 1
 
 #: Version of the run-cache entry format; bump to invalidate old caches.
 CACHE_VERSION = 1
+
+#: What decoding a malformed stored payload raises.  A store entry that
+#: fails with one of these reads as a miss and is recomputed.
+DECODE_ERRORS = (ReproError, AttributeError, KeyError, TypeError, ValueError)
 
 
 def measurements_to_dict(measurements: Measurements) -> dict:
@@ -243,63 +249,34 @@ def run_fingerprint(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-class RunCache:
-    """On-disk content-addressed cache of per-configuration run results.
+def cached_runs(
+    store, fingerprints: Sequence[str]
+) -> dict[str, ConfigRunResult]:
+    """The run results of *fingerprints* that *store* holds, by fingerprint.
 
-    One JSON file per entry under *root*, named by the run fingerprint.
-    Writes are atomic (temp file + rename), so concurrent workers and
-    concurrent experiment processes can share a cache directory safely:
-    the worst case is the same entry being computed twice, never a torn
-    read.
+    One ``has_many`` call (one round trip on a remote store) narrows the
+    set, then each present entry is fetched.  An entry that does not
+    decode is a miss; every hit is marked ``cached``.
     """
-
-    def __init__(self, root: "str | pathlib.Path") -> None:
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, fingerprint: str) -> pathlib.Path:
-        return self.root / f"{fingerprint}.json"
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self._path(fingerprint).exists()
-
-    def get(self, fingerprint: str) -> ConfigRunResult | None:
-        """The cached result, or None on a miss (or a corrupt entry)."""
-        path = self._path(fingerprint)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
+    unique = list(dict.fromkeys(fingerprints))
+    present = store.has_many(RUNS_NAMESPACE, unique)
+    hits: dict[str, ConfigRunResult] = {}
+    for fingerprint, there in zip(unique, present):
+        payload = store.get(RUNS_NAMESPACE, fingerprint) if there else None
+        if payload is None:
+            continue
         try:
             result = config_run_result_from_dict(payload)
-        except (MeasurementError, KeyError, TypeError, ValueError):
-            return None
+        except DECODE_ERRORS:
+            continue
         result.cached = True
-        return result
+        hits[fingerprint] = result
+    return hits
 
-    def put(self, fingerprint: str, result: ConfigRunResult) -> None:
-        """Store *result* atomically under *fingerprint*."""
-        path = self._path(fingerprint)
-        # Compact: ``indent`` would force json's pure-Python encoder.
-        payload = json.dumps(
-            config_run_result_to_dict(result), separators=(",", ":")
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+def store_run(store, fingerprint: str, result: ConfigRunResult) -> None:
+    """Publish one configuration's run result under *fingerprint*."""
+    store.put(RUNS_NAMESPACE, fingerprint, config_run_result_to_dict(result))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ they rebuild the workload from a :class:`WorkloadSpec` — a picklable
 process so the program is constructed once per worker, not once per
 configuration.
 
-An optional on-disk :class:`~repro.measure.io.RunCache` short-circuits
+An optional ``cache_dir`` — a :class:`~repro.store.LocalStore`, probed
+with :func:`~repro.measure.io.cached_runs` — short-circuits
 configurations that were already measured with identical inputs (program
 content, configuration, instrumentation plan, execution config, noise
 model, seed, ...), making repeated sweeps and benchmark reruns nearly
@@ -32,7 +33,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..interp import ENGINE_COMPILED
+from ..ir.program import Program
 from ..mpisim.contention import ContentionModel, NoContention
+from ..store import LocalStore
 from .experiment import (
     ConfigKey,
     ConfigRunResult,
@@ -44,7 +47,7 @@ from .experiment import (
     run_configuration,
 )
 from .instrumentation import InstrumentationPlan
-from .io import RunCache, program_hash, run_fingerprint
+from .io import cached_runs, program_hash, run_fingerprint, store_run
 from .noise import GaussianNoise, NoiseModel
 from .profiler import ProfileResult
 
@@ -91,48 +94,52 @@ def workload_repr(workload: Workload) -> str:
     return ";".join(parts)
 
 
-def configuration_fingerprint(
-    program_digest: str,
-    config: Mapping[str, float],
-    setup: RunSetup,
+def configuration_fingerprints(
+    workload: Workload,
+    program: Program,
+    configs: Sequence[Mapping[str, float]],
+    setups: Sequence[RunSetup],
     plan: InstrumentationPlan,
     noise: NoiseModel,
     contention: ContentionModel,
     repetitions: int,
     seed: int,
-    workload_repr: str,
     engine: str,
-) -> str:
-    """Run-cache key of one configuration, shared by every scheduler.
+) -> list[str]:
+    """Run-cache keys of a design, one per configuration, in order.
 
-    The setup carries everything the workload derives from the
+    Each setup carries everything the workload derives from its
     configuration point (entry args, exec config, runtime/network
     parameters) — fingerprint the derived state, not just the point.
     The parallel runner, the batched runner, and the campaign-service
-    broker all key their caches with this function, so a configuration
-    measured by any of them is a hit for all of them.
+    broker all key the ``runs`` namespace with this function, so a
+    configuration measured by any of them is a hit for all of them.
     """
-    exec_repr = ";".join(
-        [
-            f"args={sorted(setup.args.items())}",
-            f"ranks_per_node={setup.ranks_per_node}",
-            f"exec={setup.exec_config!r}",
-            f"runtime={getattr(setup.runtime, 'config', None)!r}",
-            f"entry={setup.entry!r}",
-        ]
-    )
-    return run_fingerprint(
-        program_digest,
-        config,
-        plan,
-        exec_repr=exec_repr,
-        noise_repr=repr(noise),
-        contention_repr=repr(contention),
-        repetitions=repetitions,
-        seed=seed,
-        workload_repr=workload_repr,
-        engine=engine,
-    )
+    digest = program_hash(program)
+    identity = workload_repr(workload)
+    return [
+        run_fingerprint(
+            digest,
+            config,
+            plan,
+            exec_repr=";".join(
+                [
+                    f"args={sorted(setup.args.items())}",
+                    f"ranks_per_node={setup.ranks_per_node}",
+                    f"exec={setup.exec_config!r}",
+                    f"runtime={getattr(setup.runtime, 'config', None)!r}",
+                    f"entry={setup.entry!r}",
+                ]
+            ),
+            noise_repr=repr(noise),
+            contention_repr=repr(contention),
+            repetitions=repetitions,
+            seed=seed,
+            workload_repr=identity,
+            engine=engine,
+        )
+        for config, setup in zip(configs, setups)
+    ]
 
 
 def _identity_workload(workload: Workload) -> Workload:
@@ -247,38 +254,11 @@ class ParallelExperimentRunner:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        self._cache = (
-            RunCache(self.cache_dir) if self.cache_dir is not None else None
+        self._store = (
+            LocalStore(self.cache_dir) if self.cache_dir is not None else None
         )
         #: Execution/cache counters of the most recent :meth:`run`.
         self.last_stats = RunStats()
-
-    # -- cache keys --------------------------------------------------------
-
-    def _workload_repr(self) -> str:
-        """See :func:`workload_repr` (module-level for reuse by the
-        campaign stage fingerprints)."""
-        return workload_repr(self.workload)
-
-    def _fingerprint(
-        self,
-        program_digest: str,
-        config: Mapping[str, float],
-        setup: RunSetup,
-        workload_repr: str,
-    ) -> str:
-        return configuration_fingerprint(
-            program_digest,
-            config,
-            setup,
-            self.plan,
-            self.noise,
-            self.contention,
-            self.repetitions,
-            self.seed,
-            workload_repr,
-            self.engine,
-        )
 
     # -- execution ---------------------------------------------------------
 
@@ -289,25 +269,26 @@ class ParallelExperimentRunner:
         configs = [dict(c) for c in design]
         parameters = tuple(self.workload.parameters)
         program = self.workload.program()
-        digest = program_hash(program) if self._cache is not None else ""
-        workload_repr = self._workload_repr() if self._cache is not None else ""
 
         results: list[ConfigRunResult | None] = [None] * len(configs)
-        pending: list[int] = []
-        fingerprints: list[str | None] = [None] * len(configs)
         setups: list[RunSetup | None] = [None] * len(configs)
-
-        for index, config in enumerate(configs):
-            if self._cache is not None:
-                setups[index] = self.workload.setup(config)
-                fingerprints[index] = self._fingerprint(
-                    digest, config, setups[index], workload_repr
-                )
-                hit = self._cache.get(fingerprints[index])
-                if hit is not None:
-                    results[index] = hit
-                    continue
-            pending.append(index)
+        if self._store is not None:
+            setups = [self.workload.setup(c) for c in configs]
+            fingerprints = configuration_fingerprints(
+                self.workload,
+                program,
+                configs,
+                setups,
+                self.plan,
+                self.noise,
+                self.contention,
+                self.repetitions,
+                self.seed,
+                self.engine,
+            )
+            hits = cached_runs(self._store, fingerprints)
+            results = [hits.get(fp) for fp in fingerprints]
+        pending = [i for i, result in enumerate(results) if result is None]
 
         if pending:
             if self.n_jobs == 1:
@@ -326,9 +307,11 @@ class ParallelExperimentRunner:
                     )
             else:
                 self._run_pool(parameters, configs, pending, results)
-            if self._cache is not None:
+            if self._store is not None:
                 for index in pending:
-                    self._cache.put(fingerprints[index], results[index])
+                    store_run(
+                        self._store, fingerprints[index], results[index]
+                    )
 
         self.last_stats = RunStats(
             executed=sum(1 for r in results if not r.cached),

@@ -14,9 +14,10 @@ This package promotes those two facts into a service:
   single-process runners for any worker count or failure schedule);
 * :mod:`~repro.service.worker` — pulls leases and executes them, routing
   batch-capable engines to whole-chunk tensor passes;
-* :mod:`~repro.service.remote_store` — the content-addressed artifact
-  store and run cache behind ``get``/``put``/``has`` HTTP endpoints, so
-  concurrent campaigns from many clients dedupe work fleet-wide;
+* :mod:`~repro.service.remote_store` — the one store
+  (:class:`~repro.store.LocalStore`: stage artifacts, run results and
+  the server's journal) behind ``get``/``put``/``has`` HTTP endpoints,
+  so concurrent campaigns from many clients dedupe work fleet-wide;
 * :mod:`~repro.service.server` — the long-lived campaign server
   (stdlib ``http.server`` + threads): submit a spec, poll per-stage
   status and provenance, fetch artifacts;
@@ -33,6 +34,7 @@ front doors are ``repro serve``, ``repro worker``, ``repro submit``, and
 ``repro status``.
 """
 
+from ..store import LocalStore
 from .broker import Broker, BrokerScheduler, Lease, MeasureJob, measure_job_key
 from .journal import CampaignHistory, ServiceJournal
 from .protocol import (
@@ -48,12 +50,7 @@ from .protocol import (
     workload_spec_from_wire,
     workload_spec_to_wire,
 )
-from .remote_store import (
-    LocalStore,
-    RemoteRunCache,
-    RemoteStore,
-    SharedWorkspace,
-)
+from .remote_store import RemoteStore
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
 from .server import CampaignService, ServiceClient, serve
 from .worker import HttpBrokerTransport, LocalBrokerTransport, Worker
@@ -70,12 +67,10 @@ __all__ = [
     "LocalBrokerTransport",
     "LocalStore",
     "MeasureJob",
-    "RemoteRunCache",
     "RemoteStore",
     "RetryPolicy",
     "ServiceClient",
     "ServiceJournal",
-    "SharedWorkspace",
     "Worker",
     "measure_job_key",
     "retry_call",

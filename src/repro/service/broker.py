@@ -38,14 +38,16 @@ configuration** (they follow the work across re-leases); after
 :class:`~repro.errors.LeaseTimeout` naming the lease, the job, and the
 affected fingerprints.
 
-Fleet-wide dedupe: given a store, the broker checks the ``runs``
+Fleet-wide dedupe: given a store, the broker probes the ``runs``
 namespace (keyed by
-:func:`~repro.measure.parallel.configuration_fingerprint`) before
-pooling — one batched ``has_many`` round trip when the store supports
-it — and publishes completed results back, so two campaigns sharing
-configurations execute each profiled run once between them.  Within a
-job, design indices sharing a fingerprint lease only their first
-occurrence; the result is broadcast to the duplicates on arrival.
+:func:`~repro.measure.parallel.configuration_fingerprints`) with
+:func:`~repro.measure.io.cached_runs` before pooling — one batched
+``has_many`` round trip — and publishes completed results back with
+:func:`~repro.measure.io.store_run`, exactly as the local runners do,
+so two campaigns sharing configurations execute each profiled run once
+between them.  Within a job, design indices sharing a fingerprint lease
+only their first occurrence; the result is broadcast to the duplicates
+on arrival.
 
 Crash safety: given a :class:`~repro.service.journal.ServiceJournal`,
 every job checkpoints its merge progress under a **content fingerprint**
@@ -81,22 +83,13 @@ from ..measure.experiment import (
     merge_results,
 )
 from ..measure.instrumentation import InstrumentationPlan
-from ..measure.io import (
-    config_run_result_from_dict,
-    config_run_result_to_dict,
-    program_hash,
-)
-from ..measure.parallel import (
-    RunStats,
-    configuration_fingerprint,
-    workload_repr,
-)
+from ..measure.io import cached_runs, config_run_result_from_dict, store_run
+from ..measure.parallel import RunStats, configuration_fingerprints
 from ..mpisim.contention import ContentionModel
 from ..measure.noise import NoiseModel
 from ..measure.profiler import ProfileResult
 from ..registry import ENGINE_REGISTRY, load_builtin_components
 from .protocol import configs_to_wire, measure_task_to_wire
-from .remote_store import RUNS_NAMESPACE
 
 #: Default seconds a claimed lease may stay unreported before reaping.
 DEFAULT_LEASE_TTL = 30.0
@@ -302,28 +295,26 @@ class Broker:
         """
         configs = [dict(c) for c in design]
         parameters = tuple(workload.parameters)
-        program = workload.program()
-        digest = program_hash(program)
-        wl_repr = workload_repr(workload)
         keys = [config_key(parameters, c) for c in configs]
         setups = [workload.setup(c) for c in configs]
-        fingerprints = [
-            configuration_fingerprint(
-                digest,
-                configs[i],
-                setups[i],
-                plan,
-                noise,
-                contention,
-                repetitions,
-                seed,
-                wl_repr,
-                engine,
-            )
-            for i in range(len(configs))
-        ]
+        fingerprints = configuration_fingerprints(
+            workload,
+            workload.program(),
+            configs,
+            setups,
+            plan,
+            noise,
+            contention,
+            repetitions,
+            seed,
+            engine,
+        )
 
-        hits = self._store_hits(fingerprints)
+        hits = (
+            cached_runs(self.store, fingerprints)
+            if self.store is not None
+            else {}
+        )
         results: "list[ConfigRunResult | None]" = [None] * len(configs)
         pending: list[int] = []
         duplicates: dict[int, list[int]] = {}
@@ -430,53 +421,6 @@ class Broker:
                 "recovered": job.recovered,
             }
         self.journal.checkpoint_job(job.journal_key, state)
-
-    def _store_hits(
-        self, fingerprints: Sequence[str]
-    ) -> dict[str, ConfigRunResult]:
-        """Adoptable store results, keyed by fingerprint.
-
-        One ``has_many`` round trip narrows the candidate set when the
-        store supports it (a remote store pays one HTTP call instead of
-        one per configuration); only reported hits are fetched.  A miss
-        on fetch after a hit on ``has_many`` simply stays pending.
-        """
-        if self.store is None or not fingerprints:
-            return {}
-        unique = list(dict.fromkeys(fingerprints))
-        has_many = getattr(self.store, "has_many", None)
-        if callable(has_many):
-            try:
-                present = has_many(RUNS_NAMESPACE, unique)
-                unique = [
-                    fp for fp, hit in zip(unique, present) if hit
-                ]
-            except Exception:
-                pass  # fall back to fetching every fingerprint
-        hits: dict[str, ConfigRunResult] = {}
-        for fingerprint in unique:
-            result = self._store_get(fingerprint)
-            if result is not None:
-                result.cached = True
-                hits[fingerprint] = result
-        return hits
-
-    def _store_get(self, fingerprint: str) -> "ConfigRunResult | None":
-        if self.store is None:
-            return None
-        payload = self.store.get(RUNS_NAMESPACE, fingerprint)
-        if payload is None:
-            return None
-        try:
-            return config_run_result_from_dict(payload)
-        except Exception:
-            return None
-
-    def _store_put(self, fingerprint: str, result: ConfigRunResult) -> None:
-        if self.store is not None:
-            self.store.put(
-                RUNS_NAMESPACE, fingerprint, config_run_result_to_dict(result)
-            )
 
     # -- the worker surface ------------------------------------------------
 
@@ -678,8 +622,9 @@ class Broker:
             if job.remaining == 0 and job.error is None:
                 job.done.set()
             self._record_completion_locked(lease)
-        for fingerprint, result in to_publish:
-            self._store_put(fingerprint, result)
+        if self.store is not None:
+            for fingerprint, result in to_publish:
+                store_run(self.store, fingerprint, result)
         self._checkpoint_job(job)
 
     def _record_completion_locked(self, lease: Lease) -> None:

@@ -10,9 +10,10 @@ leases were outstanding.  This module persists exactly that intent, so
 recovery is a **replay** (resubmit the journaled specs and let store
 resume skip everything already computed), not a loss.
 
-Layout — all entries live in a :class:`~repro.service.remote_store.LocalStore`
+Layout — all entries live in the server's :class:`~repro.store.LocalStore`
 (atomic temp-file + rename writes; corrupt entries are quarantined, not
-re-read), under three namespaces:
+re-read), beside the ``stage`` and ``runs`` namespaces, under three
+namespaces of their own:
 
 * ``campaigns`` — append-only, hash-chained per-campaign entries.  Each
   :class:`_CampaignRecord <repro.service.server._CampaignRecord>`
@@ -41,7 +42,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .remote_store import LocalStore
+from ..store import LocalStore
 
 #: Store namespace holding the append-only campaign journal entries.
 CAMPAIGN_NAMESPACE = "campaigns"

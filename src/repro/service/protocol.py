@@ -18,7 +18,7 @@ Message bodies are built from two existing content-addressed currencies:
   enums, tuples, and module-level callables workload specs are made of;
 * sha256 fingerprints — the per-stage artifact fingerprints of
   :mod:`repro.core.stages` and the per-configuration run fingerprints of
-  :func:`repro.measure.parallel.configuration_fingerprint` — which name
+  :func:`repro.measure.parallel.configuration_fingerprints` — which name
   every piece of work and every cache entry fleet-wide.
 
 JSON round trips are exact: Python floats serialize via ``repr`` (the

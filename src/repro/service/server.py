@@ -59,16 +59,11 @@ from typing import Mapping
 
 from ..core.stages import STAGES, Campaign
 from ..errors import ReproError, ServiceError
+from ..store import STAGE_NAMESPACE, LocalStore, stage_key
 from .broker import Broker, BrokerScheduler
 from .journal import CampaignHistory, ServiceJournal
 from .protocol import capability_from_wire, envelope, open_envelope
-from .remote_store import (
-    STAGE_NAMESPACE,
-    LocalStore,
-    SharedWorkspace,
-    http_json,
-    raise_for_error,
-)
+from .remote_store import http_json, raise_for_error
 from .retry import RetryPolicy, retry_call
 
 #: Environment variable carrying a server-side network fault spec
@@ -278,9 +273,7 @@ class CampaignService:
         with self._lock:
             self._campaigns[campaign_id] = record
         try:
-            campaign = Campaign.from_spec(
-                history.spec, workspace=SharedWorkspace(self.store)
-            )
+            campaign = Campaign.from_spec(history.spec, workspace=self.store)
             campaign.scheduler = BrokerScheduler(
                 self.broker, timeout=self.measure_timeout
             )
@@ -312,9 +305,7 @@ class CampaignService:
                 "(the same keys as a TOML campaign file)"
             )
         spec = {k: v for k, v in spec.items() if k != "workspace"}
-        campaign = Campaign.from_spec(
-            spec, workspace=SharedWorkspace(self.store)
-        )
+        campaign = Campaign.from_spec(spec, workspace=self.store)
         campaign.scheduler = BrokerScheduler(
             self.broker, timeout=self.measure_timeout
         )
@@ -426,13 +417,18 @@ class CampaignService:
                 f"campaign '{campaign_id}' has no fingerprint for stage "
                 f"'{stage}' yet — poll status until the stage has run"
             )
-        entry = self.store.get(STAGE_NAMESPACE, f"{stage}-{fingerprint}")
-        if entry is None:
+        key = stage_key(stage, fingerprint)
+        payload = self.store.get(STAGE_NAMESPACE, key)
+        if payload is None:
             raise ServiceError(
                 f"stage '{stage}' of campaign '{campaign_id}' "
                 f"(fingerprint {fingerprint[:12]}) is not in the store yet"
             )
-        return entry
+        return {
+            "stage": stage,
+            "fingerprint": fingerprint,
+            "payload": payload,
+        }
 
     def health(self) -> dict:
         with self._lock:

@@ -22,6 +22,7 @@ from repro.errors import CampaignSpecError, RegistryError
 from repro.interp import DEFAULT_MEASUREMENT_ENGINE
 from repro.measure.io import measurements_to_dict, profile_to_dict
 from repro.measure.noise import GaussianNoise, NoNoise
+from repro.store import STAGE_NAMESPACE, LocalStore, stage_key
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
@@ -204,12 +205,37 @@ class TestWorkspaceResume:
         ws = tmp_path / "ws"
         first = synthetic_campaign(workspace=ws)
         first.run()
-        for path in ws.glob("measure-*.json"):
+        paths = list((ws / STAGE_NAMESPACE).glob("measure-*.json"))
+        assert paths  # a layout change must fail here, not pass vacuously
+        for path in paths:
             path.write_text("{not json")
         second = synthetic_campaign(workspace=ws)
         result = second.run()
         assert "measure" in second.computed_stages
         assert result_canon(result) == result_canon(first.result())
+        # Quarantined aside, as on a server, not re-read as a miss forever.
+        quarantined = list((ws / LocalStore.CORRUPT_DIR).iterdir())
+        assert len(quarantined) == len(paths)
+
+    def test_undecodable_stage_payload_recomputes(self, tmp_path):
+        # A valid store entry whose payload the stage cannot decode is a
+        # miss: the stage recomputes and overwrites the entry.
+        ws = tmp_path / "ws"
+        first = synthetic_campaign(workspace=ws)
+        first.run()
+        store = LocalStore(ws)
+        key = stage_key("design", first.fingerprints["design"])
+        store.put(STAGE_NAMESPACE, key, {"bogus": 1})
+        second = synthetic_campaign(workspace=ws)
+        result = second.run()
+        assert second.computed_stages == ("design",)
+        assert result_canon(result) == result_canon(first.result())
+        rewritten = STAGES["design"].from_payload(
+            store.get(STAGE_NAMESPACE, key)
+        )
+        assert art.design_to_dict(rewritten) == art.design_to_dict(
+            first.artifacts["design"]
+        )
 
     def test_jobs_count_does_not_change_fingerprints(self, tmp_path):
         ws = tmp_path / "ws"

@@ -1,4 +1,4 @@
-"""Concurrent-writer safety of the content-addressed stores.
+"""Concurrent-writer safety of the content-addressed store.
 
 The campaign service lets many processes race on the same fingerprint —
 two workers finishing identical leases, two campaigns sharing a
@@ -19,18 +19,18 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.apps.synthetic import SyntheticWorkload, build_foo_example
-from repro.core.artifacts import ArtifactStore
 from repro.measure import (
     ParallelExperimentRunner,
-    RunCache,
+    cached_runs,
     full_plan,
     measurements_to_dict,
+    store_run,
 )
 from repro.measure.experiment import run_configuration
 from repro.measure.io import config_run_result_to_dict
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
-from repro.service.remote_store import LocalStore
+from repro.store import LocalStore
 
 WRITES_PER_PROCESS = 40
 
@@ -55,18 +55,10 @@ def make_result():
 
 
 def hammer_run_cache(root: str) -> int:
-    cache = RunCache(root)
+    store = LocalStore(root)
     result = make_result()
     for _ in range(WRITES_PER_PROCESS):
-        cache.put("racefp", result)
-    return WRITES_PER_PROCESS
-
-
-def hammer_artifact_store(root: str) -> int:
-    store = ArtifactStore(root)
-    payload = {"data": list(range(200)), "tag": "race"}
-    for _ in range(WRITES_PER_PROCESS):
-        store.put("measure", "racefp", payload)
+        store_run(store, "racefp", result)
     return WRITES_PER_PROCESS
 
 
@@ -101,10 +93,10 @@ class TestConcurrentWriters:
         expected = json.dumps(
             config_run_result_to_dict(make_result()), sort_keys=True
         )
-        cache = RunCache(root)
+        store = LocalStore(root)
 
         def reader():
-            hit = cache.get("racefp")
+            hit = cached_runs(store, ["racefp"]).get("racefp")
             if hit is None:
                 return None
             got = json.dumps(
@@ -113,24 +105,14 @@ class TestConcurrentWriters:
             return got, got == expected
 
         race(hammer_run_cache, root, reader)
-        final = cache.get("racefp")
+        final = cached_runs(store, ["racefp"]).get("racefp")
         assert final is not None and final.cached
         assert (
             json.dumps(config_run_result_to_dict(final), sort_keys=True)
             == expected
         )
-
-    def test_artifact_store_same_fingerprint(self, tmp_path):
-        root = tmp_path / "ws"
-        expected = {"data": list(range(200)), "tag": "race"}
-        store = ArtifactStore(root)
-
-        def reader():
-            hit = store.get("measure", "racefp")
-            return None if hit is None else (hit, hit == expected)
-
-        race(hammer_artifact_store, root, reader)
-        assert store.get("measure", "racefp") == expected
+        # A torn read would have been quarantined and read as a miss.
+        assert store.corrupt_stats()["corrupt_entries"] == 0
 
     def test_local_store_same_fingerprint(self, tmp_path):
         root = tmp_path / "store"
@@ -143,6 +125,7 @@ class TestConcurrentWriters:
 
         race(hammer_local_store, root, reader)
         assert store.get("runs", "racefp") == expected
+        assert store.corrupt_stats()["corrupt_entries"] == 0
 
     def test_local_store_has_many_preserves_order(self, tmp_path):
         store = LocalStore(tmp_path / "store")

@@ -31,7 +31,6 @@ from repro.libdb import MPI_DATABASE
 from repro.measure import (
     ExperimentRunner,
     ParallelExperimentRunner,
-    RunCache,
     WorkloadSpec,
     config_run_result_from_dict,
     config_run_result_to_dict,
@@ -45,6 +44,7 @@ from repro.measure import (
 from repro.measure.parallel import _run_task, _ConfigTask
 from repro.mpisim.contention import LogQuadraticContention
 from repro.mpisim.network import DEFAULT_NETWORK
+from repro.store import RUNS_NAMESPACE, LocalStore
 
 
 def canonical(measurements) -> str:
@@ -204,7 +204,9 @@ class TestRunCache:
         design = [{"p": 2.0, "s": 3.0}]
         runner = self._runner(tmp_path / "c")
         runner.run(design)
-        for entry in (tmp_path / "c").glob("*.json"):
+        entries = list((tmp_path / "c" / RUNS_NAMESPACE).glob("*.json"))
+        assert entries  # a layout change must fail here, not pass vacuously
+        for entry in entries:
             entry.write_text("{not json")
         again = self._runner(tmp_path / "c")
         again.run(design)
@@ -229,9 +231,12 @@ class TestRunCache:
         ) == profile_to_dict(result.profile)
 
     def test_cache_len_and_contains(self, tmp_path):
-        cache = RunCache(tmp_path / "c")
-        assert len(cache) == 0
-        assert "deadbeef" not in cache
+        store = LocalStore(tmp_path / "c")
+        assert len(store) == 0
+        assert not store.has(RUNS_NAMESPACE, "deadbeef")
+        self._runner(tmp_path / "c").run([{"p": 2.0, "s": 3.0}])
+        (key,) = store.keys(RUNS_NAMESPACE)
+        assert len(store) == 1 and store.has(RUNS_NAMESPACE, key)
 
 
 class TestWorkloadSpec:

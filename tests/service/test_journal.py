@@ -12,7 +12,7 @@ from repro.service.journal import (
     CampaignHistory,
     ServiceJournal,
 )
-from repro.service.remote_store import LocalStore
+from repro.store import LocalStore
 
 
 @pytest.fixture()

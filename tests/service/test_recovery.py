@@ -54,7 +54,7 @@ from repro.service import (
     Worker,
     serve,
 )
-from repro.service.remote_store import RUNS_NAMESPACE, STAGE_NAMESPACE
+from repro.store import RUNS_NAMESPACE, STAGE_NAMESPACE
 
 SPEC = {
     "app": "lulesh",

@@ -12,12 +12,11 @@ import threading
 
 import pytest
 
-from repro.core.stages import Campaign
+from repro.core.stages import STAGES, Campaign
 from repro.errors import ServiceError
-from repro.measure import measurements_to_dict
+from repro.measure import cached_runs, measurements_to_dict, store_run
 from repro.service import (
     HttpBrokerTransport,
-    RemoteRunCache,
     RemoteStore,
     ServiceClient,
     Worker,
@@ -25,6 +24,7 @@ from repro.service import (
 )
 from repro.service.protocol import PROTOCOL_VERSION, envelope
 from repro.service.remote_store import http_json
+from repro.store import STAGE_NAMESPACE
 
 SPEC = {
     "app": "lulesh",
@@ -222,11 +222,12 @@ class TestRemoteStore:
             0,
             (2.0, 3.0),
         )
-        cache = RemoteRunCache(RemoteStore(url))
-        assert cache.get("fp0") is None
-        cache.put("fp0", result)
-        loaded = cache.get("fp0")
-        assert loaded is not None
+        store = RemoteStore(url)
+        assert cached_runs(store, ["fp0"]) == {}
+        store_run(store, "fp0", result)
+        hits = cached_runs(store, ["fp0", "fp1"])
+        assert list(hits) == ["fp0"]
+        loaded = hits["fp0"]
         assert loaded.cached is True
         assert loaded.key == result.key
         assert loaded.samples == result.samples
@@ -242,11 +243,19 @@ class TestRemoteStore:
             True,
         ]
         assert store.has_many("runs", []) == []
-        # Same order-preserving answers through the RunCache adapter.
-        assert RemoteRunCache(store).has_many(["fp-b", "fp-a"]) == [
-            False,
-            True,
-        ]
+
+    def test_remote_store_is_a_campaign_workspace(self, server):
+        url, httpd = server
+        spec = {
+            "app": "synthetic",
+            "parameters": {"p": [2.0, 4.0], "s": [3.0, 5.0]},
+            "repetitions": 2,
+        }
+        Campaign.from_spec(spec, workspace=RemoteStore(url)).run()
+        again = Campaign.from_spec(spec, workspace=RemoteStore(url))
+        again.run()
+        assert again.resumed_stages == tuple(STAGES)
+        assert len(httpd.service.store.keys(STAGE_NAMESPACE)) == len(STAGES)
 
     def test_has_many_rejects_malformed_body(self, server):
         url, _httpd = server
