@@ -130,6 +130,7 @@ def test_batch_speedup():
             "lanes_planned": lanes.planned,
             "lanes_executed": lanes.executed,
             "lanes_deduped": lanes.deduped,
+            "host_cores": os.cpu_count(),
         },
     )
 

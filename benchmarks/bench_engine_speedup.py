@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.interp import make_engine
+from repro.interp import ExecConfig, FastPathPlanner, make_engine
 from repro.ir.builder import ProgramBuilder, add, load, mod, mul, sub, var
 
 from conftest import report
@@ -70,6 +70,12 @@ def test_engine_speedup():
     n = int(os.environ.get("REPRO_BENCH_ENGINE_N", "300"))
     min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
     program = _engine_bench_program()
+    # Both loops must stay outside the closed-form planner, or this
+    # would time the fast path instead of dispatch.
+    planner = FastPathPlanner(program, ExecConfig())
+    loops = program.function("main").loops()
+    assert len(loops) == 2
+    assert all(planner.plan("main", loop) is None for loop in loops)
 
     tree_time, tree_result = _time_engine(program, "tree", n)
     compiled_time, compiled_result = _time_engine(program, "compiled", n)

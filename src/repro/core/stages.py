@@ -134,7 +134,10 @@ def run_taint_stage(
         library_taint=library,
         engine=engine,
     )
-    result = taint.analyze(setup.args, workload.sources(), entry=setup.entry)
+    try:
+        result = taint.analyze(setup.args, workload.sources(), entry=setup.entry)
+    finally:
+        taint.close()
     return result.report
 
 

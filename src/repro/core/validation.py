@@ -227,7 +227,10 @@ def detect_segmented_behavior(
             library_taint=library_taint,
             engine=taint_engine,
         )
-        result = engine.analyze(setup.args, dict(sources), entry=setup.entry)
+        try:
+            result = engine.analyze(setup.args, dict(sources), entry=setup.entry)
+        finally:
+            engine.close()
         key_cfg = tuple(sorted((k, float(v)) for k, v in config.items()))
         for (_cp, fn, bid), rec in result.report.branch_records.items():
             if not rec.params:

@@ -55,6 +55,12 @@ class ArityError(InterpreterError):
         )
 
 
+class ArrayIndexError(InterpreterError, IndexError):
+    """An array load or store indexed outside ``[0, len)``.  Subclasses
+    :class:`IndexError` so callers that guarded array access with
+    ``except IndexError`` keep working."""
+
+
 class ExecutionLimitError(InterpreterError):
     """An execution engine exceeded a configured limit (likely a hang).
 

@@ -19,7 +19,15 @@ over one shared semantics core (:mod:`repro.interp.semantics`):
 
 Construct engines through :func:`make_engine` rather than instantiating
 any class directly — callers then inherit new engines (and the
-"which engine for which job" defaults) automatically.  Passing a
+"which engine for which job" defaults) automatically.
+
+Every engine provides ``run(args, entry=None)`` and ``close()``.
+``close()`` releases the lowered program: the compiled and vectorized
+engines' closures refer back to the engine, a reference cycle that only a
+full garbage collection would free, so a caller that builds an engine for
+one run closes it in ``try``/``finally`` and the engine is then freed by
+reference counting.  An engine cannot run after ``close()``; on the
+tree-walkers it releases nothing.  Passing a
 shadow-tracking :class:`~repro.interp.domain.AnalysisDomain` selects an
 engine's shadow variant; engines declare domain support via the
 ``supports_taint`` registry metadata.

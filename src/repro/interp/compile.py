@@ -53,7 +53,7 @@ from ..ir.stmt import (
 )
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, ExecutionListener, NullListener
-from .fastpath import FastPathPlanner, LoopPlan
+from .fastpath import FastPathPlanner, LoopPlan, apply_array_updates
 from .metrics import MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -564,10 +564,12 @@ class _FunctionCompiler:
         # the tree-walker does.
         plan: LoopPlan | None = None
         pure_tbl: dict[int, object] = {}
+        out_slots: dict[str, int] = {}
         if engine.config.fast_loops:
             plan = engine._planner.plan(fn_name, stmt)
             if plan is not None:
                 self._collect_plan_exprs(plan, pure_tbl)
+                out_slots = {name: self._slot(name) for name in plan.outputs}
         planner = engine._planner
         start_key = id(stmt.start)
         step_key = id(stmt.step)
@@ -589,12 +591,16 @@ class _FunctionCompiler:
                         on_iters(lfn, lid, iters)
                     for callee, (count, unit) in result.calls.items():
                         on_aggregate(callee, count, unit.compute, unit.memory)
-                    # Loop variable's final value: start + trips * step.
+                    apply_array_updates(result.arrays)
+                    for name, value in result.scalars.items():
+                        frame[out_slots[name]] = value
+                    # Loop variable's final value: start + trips * step
+                    # (just start when no trip ran, as genuinely).
                     trips = result.loop_iterations.get(loop_key, 0)
-                    frame[var_idx] = (
-                        pure_tbl[start_key](frame)
-                        + trips * pure_tbl[step_key](frame)
-                    )
+                    start = pure_tbl[start_key](frame)
+                    if trips:
+                        start = start + trips * pure_tbl[step_key](frame)
+                    frame[var_idx] = start
                     return _NORMAL
             # Genuine iteration.  Bounds are evaluated once at entry
             # (language semantics; matches the fast path).
@@ -634,9 +640,9 @@ class _FunctionCompiler:
         for expr in (loop.start, loop.stop, loop.step):
             if id(expr) not in table:
                 table[id(expr)] = self._compile_expr(expr)
-        for _name, arg in plan.intrinsics:
-            if id(arg) not in table:
-                table[id(arg)] = self._compile_expr(arg)
+        for expr in [arg for _, arg in plan.intrinsics] + list(plan.refs.values()):
+            if id(expr) not in table:
+                table[id(expr)] = self._compile_expr(expr)
         for sub in plan.nested:
             self._collect_plan_exprs(sub, table)
 
@@ -784,6 +790,20 @@ class CompiledEngine:
         self._on_exit = on_exit
         self._on_loop_iterations = on_loop_iterations
         self._on_aggregate_calls = on_aggregate_calls
+
+    def close(self) -> None:
+        """Release the lowered program.
+
+        Every function's closures refer back to this engine, so an
+        engine is a reference cycle that only a full garbage collection
+        would free.  Clearing each function's body and engine reference
+        breaks the cycle: the engine is freed by reference counting as
+        soon as the caller drops it.  The engine cannot run afterwards.
+        """
+        for fn in self._functions.values():
+            fn._body = None
+            fn.engine = None
+        self._functions.clear()
 
     # ------------------------------------------------------------------
     # entry point

@@ -1,40 +1,86 @@
-"""O(1) execution of pure-cost counted loop nests.
+"""Closed-form execution of counted loop nests.
 
 Interpreting a LULESH-sized element loop (``size**3`` iterations, dozens of
 kernels, hundreds of measurement configurations) statement-by-statement in
 Python would dominate the whole reproduction.  Following the optimization
 guidance for numerical Python (vectorize the hot loop; compute aggregates in
-closed form), the metered interpreter recognizes loop nests whose execution
-affects *only* simulated cost — no program state — and executes them in
-closed form:
+closed form), the metered engines recognize counted loop nests whose effect
+can be summarised and execute them in closed form.  A summary is the
+per-iteration cost, plus per-slot integer deltas of counter arrays, plus the
+final values of index temporaries; a pure-cost nest is the summary with no
+deltas.
 
-* a counted ``For`` loop whose bounds and step are invariant within the
-  nest, and whose body consists solely of
+A counted ``For`` loop qualifies when its bounds and step are invariant
+within the nest and its body consists solely of
 
-  - cost intrinsics (``work``/``mem_work``) with nest-invariant arguments,
-  - calls to *leaf constant-cost* functions (no loops, branches, calls or
-    stores — the C++ getters/setters of the paper's LULESH discussion), and
-  - nested ``For`` loops satisfying the same conditions,
+* cost intrinsics (``work``/``mem_work``) with nest-invariant arguments,
+* calls to *leaf constant-cost* functions (no loops, branches, calls or
+  stores — the C++ getters/setters of the paper's LULESH discussion),
+* nested ``For`` loops satisfying the same conditions, and, in the
+  outermost loop only (a *counting loop*),
+* **index temporaries** ``t = e``, where ``e`` combines the loop's own
+  variable, nest-invariant names and integer constants with ``+ - * %``,
+  and ``t`` is assigned once in the nest and read only as the index of
+  counter updates, and
+* **counter updates** ``a[t] = a[t] ± c`` (same index in the store and its
+  load) with a non-zero integer constant ``c``, where the nest reads or
+  writes ``a`` nowhere else.  A counting nest may hold no other ``Load``
+  at all, so an aliased array cannot change a summarised value.
 
-  executes as ``trip_count × per-iteration cost`` with aggregated call and
-  loop-iteration events.
+The paper's section 5.2 loop (LULESH ``SetupRegionSizes``,
+``regElemSize[i % regions] += 1``) is the counting loop of the workloads.
+A pure nest executes as ``trip_count × per-iteration cost`` with aggregated
+call and loop-iteration events.  A counting loop additionally adds, per
+array slot, ``c × (how often the index hits the slot)``, counted by one
+``np.bincount`` over the index sequence.  All arithmetic is exact integer
+arithmetic; runtime checks (integer-valued start, step, operands and
+counter values, every slot inside the array, magnitudes below ``2**53``,
+distinct arrays per counter name) send anything else to genuine iteration —
+including an out-of-range index, which then raises the genuine path's typed
+error after its partial updates.  Scalar counters ``x = x ± c`` and
+counters in nested loops run genuinely: no workload has one.
 
-The taint engine never uses this path (taint runs use tiny representative
-configurations, paper section 6: LULESH ``size=5, p=8``), so taint semantics
-are unaffected.  Equivalence of fast and slow paths is property-tested in
-``tests/interp/test_fastpath.py``.
+:class:`FastPathPlanner` plans each loop once and computes every summary
+(:func:`trip_counts`, :func:`summarize`); the tree, compiled and vectorized
+engines only apply it, so they stay bit-identical to each other.  The taint
+engine never uses this path (taint runs use tiny representative
+configurations, paper section 6: LULESH ``size=5, p=8``), so taint
+semantics are unaffected.  Equivalence of fast and slow paths is
+property-tested in ``tests/interp/test_fastpath.py``.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..ir.expr import Call, Const, Expr, Intrinsic
+import numpy as np
+
+from ..errors import ReproError
+from ..ir.expr import BinOp, Call, Const, Expr, Intrinsic, Load, Var
 from ..ir.program import Function, Program
-from ..ir.stmt import Assign, ExprStmt, For, Return
+from ..ir.stmt import Assign, ExprStmt, For, Return, Store
 from .config import ExecConfig
+from .semantics import BINOP_FUNCS
+from .values import Array, Value
+
+#: Magnitude from which float64 no longer holds every integer: summarised
+#: values, loop variables and counts must stay below it.
+EXACT_LIMIT = 2**53
+
+#: Longest index sequence :func:`slot_counts` materializes; longer counting
+#: loops run genuinely.
+MAX_SEQUENCE = 1 << 20
+
+#: Operators of index expressions (exact on integers below ``2**53`` in
+#: float64, with Python's floor semantics for ``%``).
+_INDEX_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "%": np.mod,
+}
 
 
 @dataclass(frozen=True)
@@ -81,6 +127,17 @@ def leaf_unit_cost(fn: Function, config: ExecConfig) -> LeafCost | None:
     return LeafCost(compute, memory)
 
 
+@dataclass(frozen=True)
+class CounterUpdate:
+    """``name[index] = name[index] + delta``.  ``index`` has every
+    temporary substituted, so it reads only the loop's variable,
+    invariant names and constants."""
+
+    name: str
+    delta: int
+    index: Expr
+
+
 @dataclass
 class LoopPlan:
     """Static shape of a fast-executable loop nest rooted at one ``For``."""
@@ -95,6 +152,27 @@ class LoopPlan:
     nested: list["LoopPlan"] = field(default_factory=list)
     #: Number of body statements (for stmt_cost charging).
     stmt_count: int = 0
+    #: Counting loop (outermost level only): (name, expression) of each
+    #: index temporary, in body order.
+    temps: list[tuple[str, Expr]] = field(default_factory=list)
+    #: Counting loop: its counter updates.
+    counters: list[CounterUpdate] = field(default_factory=list)
+    #: Counting loop: every name its summary reads at run time (index
+    #: operands and counter arrays), as a ``Var`` the engines evaluate.
+    refs: dict[str, Var] = field(default_factory=dict)
+    #: Root only: scalar names a result may assign (nested loop variables
+    #: and temporaries).
+    outputs: tuple[str, ...] = ()
+
+    def levels(self):
+        """This plan and every nested plan, outermost first."""
+        yield self
+        for sub in self.nested:
+            yield from sub.levels()
+
+
+#: Summarised array updates: (array, touched slots, delta per slot).
+ArrayUpdates = list
 
 
 @dataclass
@@ -107,6 +185,11 @@ class FastResult:
     loop_iterations: dict[tuple[str, int], int] = field(default_factory=dict)
     #: callee -> (count, unit LeafCost)
     calls: dict[str, tuple[int, LeafCost]] = field(default_factory=dict)
+    #: Array counter updates, applied with :func:`apply_array_updates`.
+    arrays: ArrayUpdates = field(default_factory=list)
+    #: Final values of nested loop variables and index temporaries (the
+    #: root's variable is the engines' to set).
+    scalars: dict[str, Value] = field(default_factory=dict)
 
 
 class FastPathPlanner:
@@ -142,24 +225,27 @@ class FastPathPlanner:
         return self._plan_cache[key]
 
     def _build(self, fn_name: str, loop: For) -> LoopPlan | None:
-        plan = self._build_rec(fn_name, loop)
-        if plan is None:
-            return None
-        # Invariance: no expression in the nest may read a name assigned in
-        # the nest (the only assigned names are the loop variables).
-        loop_vars = self._collect_loop_vars(plan)
-        if not self._check_invariance(plan, loop_vars, outermost=True):
+        plan = self._build_rec(fn_name, loop, root=True)
+        if plan is None or not _check_nest(plan):
             return None
         return plan
 
-    def _build_rec(self, fn_name: str, loop: For) -> LoopPlan | None:
+    def _build_rec(self, fn_name: str, loop: For, root: bool) -> LoopPlan | None:
         for bound in (loop.start, loop.stop, loop.step):
             if not _pure_arith(bound):
                 return None
         plan = LoopPlan(loop=loop, function=fn_name)
+        temps: dict[str, Expr] = {}
+        used: set[str] = set()
         for stmt in loop.body:
+            if isinstance(stmt, For):
+                sub = self._build_rec(fn_name, stmt, root=False)
+                if sub is None:
+                    return None
+                plan.nested.append(sub)
+                continue
+            plan.stmt_count += 1
             if isinstance(stmt, ExprStmt):
-                plan.stmt_count += 1
                 expr = stmt.expr
                 if isinstance(expr, Intrinsic) and expr.is_cost:
                     if len(expr.args) != 1 or not _pure_arith(expr.args[0]):
@@ -175,82 +261,81 @@ class FastPathPlanner:
                     plan.calls.append((expr.callee, unit))
                     continue
                 return None
-            if isinstance(stmt, For):
-                sub = self._build_rec(fn_name, stmt)
-                if sub is None:
+            if not root:
+                return None  # counting happens in the outermost loop only
+            if (
+                isinstance(stmt, Assign)
+                and stmt.name not in temps
+                and _index_expr(stmt.value)
+            ):
+                temps[stmt.name] = stmt.value
+                plan.temps.append((stmt.name, stmt.value))
+                continue
+            if isinstance(stmt, Store):
+                update = _array_update(stmt, temps, used)
+                if update is None:
                     return None
-                plan.nested.append(sub)
+                plan.counters.append(update)
                 continue
             return None
+        if used != set(temps):  # a temporary that indexes no counter
+            return None
         return plan
-
-    @staticmethod
-    def _collect_loop_vars(plan: LoopPlan) -> frozenset[str]:
-        out = {plan.loop.var}
-        stack = list(plan.nested)
-        while stack:
-            sub = stack.pop()
-            out.add(sub.loop.var)
-            stack.extend(sub.nested)
-        return frozenset(out)
-
-    def _check_invariance(
-        self, plan: LoopPlan, loop_vars: frozenset[str], outermost: bool
-    ) -> bool:
-        loop = plan.loop
-        # Bounds of the outermost loop may not read any nest loop var; bounds
-        # of inner loops may not either (so trip counts are nest-invariant).
-        # The outermost start is evaluated before the loop var exists, but a
-        # reference to a nest var would still be a different (outer) binding
-        # we cannot reason about — reject uniformly.
-        for bound in (loop.start, loop.stop, loop.step):
-            if bound.free_vars() & loop_vars:
-                return False
-        for _, arg in plan.intrinsics:
-            if arg.free_vars() & loop_vars:
-                return False
-        for sub in plan.nested:
-            if not self._check_invariance(sub, loop_vars, outermost=False):
-                return False
-        return True
 
     # -- execution -----------------------------------------------------------
 
     def execute(
         self,
         plan: LoopPlan,
-        eval_expr: Callable[[Expr], float],
+        eval_expr: Callable[[Expr], Value],
     ) -> FastResult | None:
         """Execute *plan* in closed form using *eval_expr* for bound/arg
         evaluation.  Returns None if runtime values make the plan invalid
-        (non-positive step, non-numeric bounds)."""
+        (see :func:`trip_counts`, non-numeric values, or a failed
+        :func:`summarize` check)."""
         result = FastResult()
-        if self._execute_into(plan, eval_expr, result, multiplier=1) is None:
+        root = self._execute_into(plan, eval_expr, result, 1)
+        if root is None:
             return None
+        start, step, trips = root
+        if plan.counters and trips:
+            summary = summarize(
+                plan, start, step, trips, lambda name: eval_expr(plan.refs[name])
+            )
+            if summary is None:
+                return None
+            result.arrays, temps = summary
+            result.scalars.update(temps)
         return result
 
     def _execute_into(
         self,
         plan: LoopPlan,
-        eval_expr: Callable[[Expr], float],
+        eval_expr: Callable[[Expr], Value],
         result: FastResult,
         multiplier: int,
-    ) -> bool | None:
+        nested: bool = False,
+    ) -> tuple[Value, Value, int] | None:
+        """Accumulate one level; returns its (start, step, trips) as
+        evaluated, or None when the plan is invalid."""
         cfg = self._config
         loop = plan.loop
         try:
-            start = float(eval_expr(loop.start))
-            stop = float(eval_expr(loop.stop))
-            step = float(eval_expr(loop.step))
-        except (TypeError, ValueError):
+            start_v = eval_expr(loop.start)
+            stop_v = eval_expr(loop.stop)
+            step_v = eval_expr(loop.step)
+            trip = trip_count(float(start_v), float(stop_v), float(step_v))
+        except (TypeError, ValueError, OverflowError):
             return None
-        if not step > 0:
+        if trip is None:
             return None
-        trip = max(0, math.ceil((stop - start) / step)) if stop > start else 0
-
+        if nested:
+            # A nested loop leaves its variable at its final value (just
+            # start when no trip ran), as the genuine last pass does.
+            result.scalars[loop.var] = start_v + trip * step_v if trip else start_v
         total_trips = trip * multiplier
         if total_trips == 0:
-            return True
+            return start_v, step_v, trip
         key = (plan.function, loop.loop_id)
         result.loop_iterations[key] = (
             result.loop_iterations.get(key, 0) + total_trips
@@ -273,9 +358,66 @@ class FastPathPlanner:
         result.memory += total_trips * per_iter_memory
 
         for sub in plan.nested:
-            if self._execute_into(sub, eval_expr, result, total_trips) is None:
+            if (
+                self._execute_into(sub, eval_expr, result, total_trips, True)
+                is None
+            ):
                 return None
-        return True
+        return start_v, step_v, trip
+
+
+def trip_counts(
+    start: np.ndarray, stop: np.ndarray, step: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trips of the genuine loop ``var = start; while var < stop: ...;
+    var += step``, element by element of float64 arrays, and where that
+    closed form is exact (trips are 0 elsewhere).
+
+    Exact means: finite bounds, a positive integer-valued step, an
+    integer-valued start, and magnitudes below ``2**53``, so every value
+    the genuine loop variable takes is exact; and ``ceil((stop - start)
+    / step)`` equals the integer count ``-((start - ceil(stop)) // step)``.
+    A fractional step (``0.1`` added ten times is not ``1.0``) or a
+    non-finite bound therefore runs genuinely.  This is the one copy of
+    the rule: the vectorized engine applies it to lane vectors and
+    :func:`trip_count` to one loop.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        ok = (
+            np.isfinite(start)
+            & np.isfinite(stop)
+            & np.isfinite(step)
+            & (step > 0)
+            & (start == np.floor(start))
+            & (step == np.floor(step))
+            & (np.abs(start) < EXACT_LIMIT)
+            & (np.abs(stop - start) < EXACT_LIMIT)
+        )
+        trips = np.where(
+            stop > start, np.maximum(0.0, np.ceil((stop - start) / step)), 0.0
+        )
+        ok &= trips == np.maximum(
+            0.0, -np.floor_divide(start - np.ceil(stop), step)
+        )
+        ok &= np.abs(start + trips * step) < EXACT_LIMIT
+    return np.where(ok, trips, 0.0), ok
+
+
+@functools.lru_cache(maxsize=4096)
+def trip_count(start: float, stop: float, step: float) -> int | None:
+    """:func:`trip_counts` of one loop: its trips, or None unless exact.
+
+    Cached: a loop runs with the same bounds over and over (per call of
+    its function, per configuration), and a width-1 numpy evaluation
+    costs a hundred times more than the lookup."""
+    trips, ok = trip_counts(
+        np.array([start]), np.array([stop]), np.array([step])
+    )
+    return int(trips[0]) if ok[0] else None
+
+
+# ----------------------------------------------------------------------
+# static eligibility
 
 
 def _pure_arith(expr: Expr) -> bool:
@@ -287,3 +429,248 @@ def _pure_arith(expr: Expr) -> bool:
         if isinstance(node, Intrinsic) and (node.is_cost or node.name == "alloc"):
             return False
     return True
+
+
+def _index_expr(expr: Expr) -> bool:
+    """Names and integer constants combined with ``+ - * %``.  Which
+    names may appear is checked per nest (:func:`_check_nest`)."""
+    if isinstance(expr, Var):
+        return True
+    if isinstance(expr, Const):
+        return type(expr.value) is int
+    if isinstance(expr, BinOp) and expr.op in _INDEX_OPS:
+        return _index_expr(expr.lhs) and _index_expr(expr.rhs)
+    return False
+
+
+def _array_update(
+    stmt: Store, temps: dict[str, Expr], used: set[str]
+) -> CounterUpdate | None:
+    """The update of ``a[index] = a[index] + c`` / ``- c`` for an integer
+    constant ``c`` other than zero (``x - 0`` would map ``-0.0`` to
+    ``-0.0`` where ``x + 0`` gives ``0.0``), else None."""
+    value = stmt.value
+    if not (
+        isinstance(value, BinOp)
+        and value.op in ("+", "-")
+        and value.lhs == Load(stmt.array, stmt.index)
+        and isinstance(value.rhs, Const)
+        and type(value.rhs.value) is int
+        and value.rhs.value != 0
+    ):
+        return None
+    delta = value.rhs.value if value.op == "+" else -value.rhs.value
+    index = stmt.index
+    if isinstance(index, Var) and index.name in temps:
+        used.add(index.name)
+        index = temps[index.name]
+    elif not _index_expr(index):
+        return None
+    return CounterUpdate(stmt.array, delta, index)
+
+
+def _check_nest(plan: LoopPlan) -> bool:
+    """Nest-wide eligibility; fills the root's ``refs`` and ``outputs``.
+
+    Bounds and cost arguments may not read any name the nest assigns
+    (loop variables, temporaries) or counts in, so trip counts and
+    per-iteration costs are nest-invariant.  Counter arrays appear nowhere
+    but in their own updates, temporaries nowhere but (substituted) in
+    counter indices, and an index reads no name the nest assigns except
+    the counting loop's variable.
+    """
+    levels = list(plan.levels())
+    loop_vars = {p.loop.var for p in levels}
+    temps = {name for name, _ in plan.temps}
+    arrays = {u.name for u in plan.counters}
+    assigned = loop_vars | temps
+    if temps & loop_vars or arrays & assigned or _rebinds(plan, frozenset()):
+        return False  # a name with two roles, or a loop variable reused
+    # Whatever the nest evaluates besides the counter updates themselves.
+    other: list[Expr] = []
+    for p in levels:
+        other += [p.loop.start, p.loop.stop, p.loop.step]
+        other += [arg for _, arg in p.intrinsics]
+    if _free_vars(other) & (assigned | arrays):
+        return False
+    plan.outputs = tuple(dict.fromkeys(p.loop.var for p in levels[1:])) + tuple(
+        name for name, _ in plan.temps
+    )
+    if not plan.counters:
+        return True  # pure-cost nest
+    for p in levels:
+        for stmt in p.loop.body:
+            if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call):
+                other += stmt.expr.args
+    if any(isinstance(n, Load) for e in other for n in e.walk()):
+        return False
+    if _free_vars(other) & (temps | arrays):
+        return False
+    operands = _free_vars(u.index for u in plan.counters) - {plan.loop.var}
+    if operands & (assigned | arrays):
+        return False
+    plan.refs = {name: Var(name) for name in sorted(operands | arrays)}
+    return True
+
+
+def _free_vars(exprs) -> set[str]:
+    names: set[str] = set()
+    for expr in exprs:
+        names |= expr.free_vars()
+    return names
+
+
+def _rebinds(plan: LoopPlan, enclosing: frozenset[str]) -> bool:
+    """True when a nested loop reuses an enclosing loop's variable (the
+    genuine inner loop would then move the outer one)."""
+    if plan.loop.var in enclosing:
+        return True
+    inner = enclosing | {plan.loop.var}
+    return any(_rebinds(sub, inner) for sub in plan.nested)
+
+
+# ----------------------------------------------------------------------
+# summaries
+
+
+def _integral(value) -> bool:
+    """An ``int`` or an integer-valued finite ``float`` (bools count as
+    ints): decided by value, so float64 lanes decide like exact ints."""
+    if isinstance(value, int):
+        return True
+    return isinstance(value, float) and value.is_integer()
+
+
+def _sequence(expr: Expr, var: str, seq, values: dict):
+    """*expr* evaluated in float64 with *var* bound to *seq* (an array) and
+    every other name to ``values``; None on a zero divisor or a value not
+    exactly representable (so float64 equals exact integer arithmetic)."""
+    if isinstance(expr, Var):
+        if expr.name == var:
+            return seq
+        out = float(values[expr.name])
+    elif isinstance(expr, Const):
+        out = float(expr.value)
+    else:
+        lhs = _sequence(expr.lhs, var, seq, values)
+        rhs = _sequence(expr.rhs, var, seq, values)
+        if lhs is None or rhs is None:
+            return None
+        if expr.op == "%" and np.any(rhs == 0):
+            return None
+        out = _INDEX_OPS[expr.op](lhs, rhs)
+    if not np.all(np.abs(out) < EXACT_LIMIT):
+        return None
+    return out
+
+
+def slot_counts(
+    index: Expr, var: str, start, step, trips: int, values: dict, size: int
+) -> np.ndarray | None:
+    """How often ``a[index]`` hits each slot of a *size*-element array over
+    *trips* iterations of loop variable *var* (``start``, ``start + step``,
+    ...), as an int64 array from one ``np.bincount`` over the index
+    sequence; None when the sequence is longer than :data:`MAX_SEQUENCE`,
+    an index leaves ``[0, size)`` or is not exactly computable.  The caller
+    guarantees integer-valued *start*, *step* and *values* with every
+    loop-variable value below ``2**53``.
+    """
+    if trips > MAX_SEQUENCE:
+        return None
+    seq = float(start) + float(step) * np.arange(trips, dtype=np.float64)
+    hits = _sequence(index, var, seq, values)
+    if hits is None:
+        return None
+    hits = np.broadcast_to(hits, (trips,))
+    if hits.min() < 0 or hits.max() >= size:
+        return None
+    return np.bincount(hits.astype(np.int64), minlength=size)
+
+
+def _value_at(expr: Expr, var: str, value, values: dict) -> Value:
+    """*expr* with Python semantics, *var* bound to *value* — exactly what
+    the genuine path computes for a temporary on that iteration."""
+    if isinstance(expr, Var):
+        return value if expr.name == var else values[expr.name]
+    if isinstance(expr, Const):
+        return expr.value
+    return BINOP_FUNCS[expr.op](
+        _value_at(expr.lhs, var, value, values),
+        _value_at(expr.rhs, var, value, values),
+    )
+
+
+def summarize(
+    plan: LoopPlan, start, step, trips: int, lookup: Callable[[str], Value]
+) -> tuple[ArrayUpdates, dict[str, Value]] | None:
+    """State effects of one closed-form execution of counting loop *plan*.
+
+    *start*, *step* and *trips* (> 0) are as the engine evaluated them and
+    :func:`trip_counts` vetted them; *lookup* resolves a name of the
+    plan's ``refs`` to its current value.  Returns the array updates and
+    the final values of the temporaries, or None when a runtime check
+    fails and the loop must run genuinely.  This is the one place
+    summaries are computed: every engine calls it (the vectorized one once
+    per lane) and only applies the result.
+    """
+    var = plan.loop.var
+    try:
+        values = {name: lookup(name) for name in plan.refs}
+    except ReproError:
+        return None  # an undefined name: the genuine path raises it
+    # trip_counts vetted start and step; the index sequence start + k*step
+    # must be exact too.
+    if abs(trips * step) >= EXACT_LIMIT:
+        return None
+    counters = {u.name for u in plan.counters}
+    if not all(_integral(v) for n, v in values.items() if n not in counters):
+        return None
+    counts: dict[str, list] = {}  # name -> [array, abs counts, deltas]
+    try:
+        for update in plan.counters:
+            array = values[update.name]
+            if not isinstance(array, Array):
+                return None
+            hits = slot_counts(
+                update.index, var, start, step, trips, values, len(array)
+            )
+            if hits is None or abs(update.delta) * int(hits.max()) >= EXACT_LIMIT:
+                return None
+            entry = counts.setdefault(
+                update.name,
+                [array, np.zeros(len(array), np.int64),
+                 np.zeros(len(array), np.int64)],
+            )
+            entry[1] += hits * abs(update.delta)
+            entry[2] += hits * update.delta
+        last = start if trips == 1 else start + (trips - 1) * step
+        temps = {
+            name: _value_at(expr, var, last, values) for name, expr in plan.temps
+        }
+    except ArithmeticError:
+        return None  # an int too large for float64: left to the genuine path
+
+    if len({id(entry[0]) for entry in counts.values()}) != len(counts):
+        return None  # two counter names alias one array
+    updates: ArrayUpdates = []
+    for array, touched, deltas in counts.values():
+        slots = np.flatnonzero(touched)
+        old = np.array([array.data[s] for s in slots], dtype=np.float64)
+        if not (
+            np.isfinite(old).all()
+            and (old == np.floor(old)).all()
+            and (np.abs(old) + touched[slots] < EXACT_LIMIT).all()
+        ):
+            return None
+        updates.append((array, slots, deltas[slots]))
+    return updates, temps
+
+
+def apply_array_updates(updates: ArrayUpdates) -> None:
+    """Write summarised array updates: every touched slot takes the
+    genuine ``Store``'s ``float(old + delta)`` (a net delta of zero still
+    turns ``-0.0`` into ``0.0``, as the genuine adds do)."""
+    for array, slots, deltas in updates:
+        data = array.data
+        for slot, delta in zip(slots.tolist(), deltas.tolist()):
+            data[slot] = float(data[slot] + delta)

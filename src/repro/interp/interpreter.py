@@ -39,7 +39,7 @@ from ..ir.stmt import (
 )
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, ExecutionListener, NullListener
-from .fastpath import FastPathPlanner
+from .fastpath import FastPathPlanner, apply_array_updates
 from .metrics import MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -116,6 +116,10 @@ class Interpreter:
         name, _fn, argvals = resolve_entry_args(self.program, args, entry)
         value = self._call_function(name, argvals)
         return RunResult(value=value, metrics=self.metrics, steps=self._steps)
+
+    def close(self) -> None:
+        """Engine protocol: release lowered state.  The tree-walker holds
+        no reference cycle, so there is nothing to release."""
 
     # ------------------------------------------------------------------
     # cost / step accounting
@@ -217,7 +221,7 @@ class Interpreter:
         return self._exec_block(stmt.else_body, env)
 
     def _exec_for(self, stmt: For, env: dict[str, Value]) -> tuple[int, Value]:
-        # Fast path: closed-form execution of pure-cost loop nests.
+        # Fast path: closed-form execution of pure-cost and counting nests.
         if self.config.fast_loops:
             plan = self._planner.plan(self.current_function, stmt)
             if plan is not None:
@@ -239,13 +243,17 @@ class Interpreter:
                         self.listener.on_aggregate_calls(
                             callee, count, unit.compute, unit.memory
                         )
-                    # Loop variable's final value: start + trips * step.
+                    apply_array_updates(result.arrays)
+                    env.update(result.scalars)
+                    # Loop variable's final value: start + trips * step
+                    # (just start when no trip ran, as genuinely).
                     trips = result.loop_iterations.get(
                         (self.current_function, stmt.loop_id), 0
                     )
                     start = self._eval_pure(stmt.start, env)
-                    step = self._eval_pure(stmt.step, env)
-                    env[stmt.var] = start + trips * step
+                    if trips:
+                        start = start + trips * self._eval_pure(stmt.step, env)
+                    env[stmt.var] = start
                     return FLOW_NORMAL, None
 
         # Slow path: genuine iteration.  Loop bounds are evaluated once at

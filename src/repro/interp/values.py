@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Union
 
+from ..errors import ArrayIndexError
+
 Scalar = Union[int, float, bool]
 
 
@@ -36,7 +38,7 @@ class Array:
     def _check(self, index: Scalar) -> int:
         idx = int(index)
         if not 0 <= idx < len(self.data):
-            raise IndexError(
+            raise ArrayIndexError(
                 f"array index {idx} out of range [0, {len(self.data)})"
             )
         return idx

@@ -62,7 +62,14 @@ from ..ir.stmt import (
 )
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, NullListener
-from .fastpath import FastPathPlanner, LoopPlan, _pure_arith
+from .fastpath import (
+    FastPathPlanner,
+    LoopPlan,
+    _pure_arith,
+    apply_array_updates,
+    summarize,
+    trip_counts,
+)
 from .metrics import FunctionMetrics, MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -121,6 +128,12 @@ class BatchedArray:
     def lane(self, lane: int) -> Array:
         arr = Array(self.data.shape[1])
         arr.data = [float(v) for v in self.data[lane]]
+        return arr
+
+    def row(self, lane: int) -> Array:
+        """Lane *lane*'s array as a view: writes land in this batch."""
+        arr = Array(0)
+        arr.data = self.data[lane]
         return arr
 
 
@@ -407,13 +420,23 @@ class _PlanAcc:
     """Per-lane accumulators for the vectorized fast-path mirror
     (compressed to the context's lane count ``n``)."""
 
-    __slots__ = ("compute", "memory", "iters", "calls")
+    __slots__ = ("compute", "memory", "iters", "calls", "counting", "vars")
 
     def __init__(self, n: int) -> None:
         self.compute = np.zeros(n)
         self.memory = np.zeros(n)
         self.iters: dict[tuple[str, int], np.ndarray] = {}
         self.calls: dict[str, list] = {}  # callee -> [counts (n,), LeafCost]
+        # counting loop: (start, step, trips (n,)), bounds as evaluated
+        # (uniform Python values or vectors), trips 0 on idle lanes
+        self.counting: tuple | None = None
+        # loop variables: (name, start, step, trips (n,), entered (n,))
+        self.vars: list[tuple] = []
+
+
+def _lane_scalar(value, pos: int):
+    """Lane *pos*'s value of a uniform scalar or compressed vector."""
+    return float(value[pos]) if _is_vec(value) else value
 
 
 def _collect_plan_exprs(plan: LoopPlan, out: list) -> None:
@@ -723,7 +746,7 @@ class _VecCompiler:
             if plan is None:
                 run_genuine(frame, idx)
                 return
-            outcome = engine._plan_exec(plan, tbl, frame, idx, var)
+            outcome = engine._plan_exec(plan, tbl, frame, idx)
             if outcome is None:  # conversion failure: all lanes invalid
                 run_genuine(frame, idx)
                 return
@@ -1013,6 +1036,15 @@ class VectorizedEngine:
 
     # -- public API ----------------------------------------------------
 
+    def close(self) -> None:
+        """Release the lowered functions (see ``CompiledEngine.close``):
+        breaks the engine -> function -> engine cycle so the engine is
+        freed by reference counting.  The engine cannot run afterwards."""
+        for fn in self._fns.values():
+            fn._top = None
+            fn.engine = None
+        self._fns.clear()
+
     def run(self, args=(), entry: str | None = None) -> RunResult:
         """Scalar-compatible single run (a batch of width one)."""
         result = self.run_batch(
@@ -1170,6 +1202,8 @@ class VectorizedEngine:
                 if not collect_errors:
                     raise
                 out.append(exc)
+            finally:
+                engine.close()
         return out
 
     # -- per-lane value plumbing ---------------------------------------
@@ -1453,7 +1487,7 @@ class VectorizedEngine:
 
     # -- fast-path mirror ----------------------------------------------
 
-    def _plan_exec(self, plan: LoopPlan, tbl, frame: _Frame, idx, var: str):
+    def _plan_exec(self, plan: LoopPlan, tbl, frame: _Frame, idx):
         """Vector mirror of ``FastPathPlanner.execute`` + the compiled
         engine's plan-result application.
 
@@ -1468,10 +1502,14 @@ class VectorizedEngine:
         )
         if ok is None and not valid.any():
             return None
+        lanes = idx if idx is not None else self._all
+        summaries = (
+            self._plan_summaries(plan, *acc.counting, frame, idx, lanes, valid)
+            if acc.counting is not None
+            else {}
+        )
         if not valid.any():
             return valid
-        lanes = idx if idx is not None else self._all
-        all_valid = valid.all()
         # Emission order mirrors the scalar plan application exactly:
         # compute charge, memory charge, loop iterations, aggregate
         # calls, loop-variable assignment — each only where nonzero.
@@ -1522,29 +1560,92 @@ class VectorizedEngine:
                         unit.memory,
                         lanes[emit],
                     )
-        # frame[var] = start + trips * step (re-evaluated, pure)
-        key = (plan.function, plan.loop.loop_id)
-        trips = acc.iters.get(key)
-        start_v = tbl[id(plan.loop.start)](frame, idx)
-        step_v = tbl[id(plan.loop.step)](frame, idx)
-        vlanes = idx if all_valid else lanes[valid]
+        self._apply_summaries(summaries, frame, idx, lanes, n)
+        # Loop variables, root then nested in execution order, on the
+        # lanes that entered each loop: start + trips * step.
+        for name, start_v, step_v, trips, entered in acc.vars:
+            mask = valid & entered
+            if mask.any():
+                self._assign_loop_var(
+                    frame, name, start_v, step_v, trips, mask, idx, lanes
+                )
+        return valid
+
+    def _assign_loop_var(
+        self, frame, var, start_v, step_v, trips, mask, idx, lanes
+    ) -> None:
+        sel = idx if mask.all() else lanes[mask]
+        counts = trips[mask]
         if (
             not _is_vec(start_v)
             and not _is_vec(step_v)
-            and (trips is None or (trips == trips[0]).all())
+            and (counts == counts[0]).all()
         ):
-            t = 0 if trips is None else int(trips[0])
-            value = start_v + t * step_v  # exact Python arithmetic
-            self._assign(frame, var, value, vlanes)
-        else:
-            sc = start_v if _is_vec(start_v) else _uniform_float(start_v)
-            pc = step_v if _is_vec(step_v) else _uniform_float(step_v)
-            tc = np.zeros(n) if trips is None else trips
-            vals = self._guard_exact(sc + tc * pc)
-            self._assign(
-                frame, var, vals if all_valid else vals[valid], vlanes
+            t = int(counts[0])
+            # exact Python arithmetic; just start when no trip ran
+            self._assign(frame, var, start_v + t * step_v if t else start_v, sel)
+            return
+        sc = start_v if _is_vec(start_v) else _uniform_float(start_v)
+        pc = step_v if _is_vec(step_v) else _uniform_float(step_v)
+        self._assign(frame, var, self._guard_exact((sc + trips * pc)[mask]), sel)
+
+    def _plan_summaries(
+        self, plan, start, step, trips, frame: _Frame, idx, lanes, valid
+    ):
+        """Per-lane :func:`~repro.interp.fastpath.summarize` of a counting
+        loop (the one shared summary, lane by lane); lanes whose checks
+        fail leave *valid* and run genuinely.  Returns position ->
+        (array updates, temporaries' finals)."""
+        columns: dict[str, object] = {}
+        for name in plan.refs:
+            value = columns[name] = self._read(frame, name, idx)
+            if isinstance(value, Array):
+                # A caller's array: summarising would write it before a
+                # later bail reruns the lanes on it (store/load bail too).
+                _bail(f"counter in non-batched array {name!r}")
+        out = {}
+        for pos in np.flatnonzero(valid & (trips > 0)).tolist():
+            lane = int(lanes[pos])
+            views: dict[int, Array] = {}
+
+            def lookup(name: str):
+                value = columns[name]
+                if isinstance(value, BatchedArray):
+                    view = views.get(id(value))
+                    if view is None:
+                        view = views[id(value)] = value.row(lane)
+                    return view
+                return _lane_scalar(value, pos)
+
+            summary = summarize(
+                plan,
+                _lane_scalar(start, pos),
+                _lane_scalar(step, pos),
+                int(trips[pos]),
+                lookup,
             )
-        return valid
+            if summary is None:
+                valid[pos] = False
+            else:
+                out[pos] = summary
+        return out
+
+    def _apply_summaries(self, summaries, frame: _Frame, idx, lanes, n):
+        """Write per-lane summaries: array rows in place, then each scalar
+        output on the lanes that set it (uniform where lanes agree)."""
+        outputs: dict[str, list] = {}
+        for pos, (arrays, scalars) in summaries.items():
+            apply_array_updates(arrays)
+            for name, value in scalars.items():
+                outputs.setdefault(name, []).append((pos, value))
+        for name, entries in outputs.items():
+            value = self._batch_value([v for _, v in entries])
+            if len(entries) == n:
+                self._assign(frame, name, value, idx)
+            else:
+                self._assign(
+                    frame, name, value, lanes[[pos for pos, _ in entries]]
+                )
 
     def _plan_into(
         self, plan: LoopPlan, tbl, frame, idx, acc: _PlanAcc, multiplier,
@@ -1559,35 +1660,39 @@ class VectorizedEngine:
         loop = plan.loop
         live = multiplier > 0
         try:
-            start = _plan_val(tbl[id(loop.start)](frame, idx))
-            stop = _plan_val(tbl[id(loop.stop)](frame, idx))
-            step = _plan_val(tbl[id(loop.step)](frame, idx))
+            start_v = tbl[id(loop.start)](frame, idx)
+            stop_v = tbl[id(loop.stop)](frame, idx)
+            step_v = tbl[id(loop.step)](frame, idx)
+            start = _plan_val(start_v)
+            stop = _plan_val(stop_v)
+            step = _plan_val(step_v)
         except VectorFallback:
             raise
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             # scalar: float() failed -> plan invalid (live lanes only)
             valid &= ~live
             return None
         n = len(multiplier)
-        step_ok = np.broadcast_to(np.asarray(step) > 0, (n,))
-        valid &= step_ok | ~live
-        live = live & step_ok
+        # the scalar planner's rule, lane by lane: lanes whose closed form
+        # would not be exact run genuinely
+        trip, ok = trip_counts(
+            np.broadcast_to(np.asarray(start, dtype=np.float64), (n,)),
+            np.broadcast_to(np.asarray(stop, dtype=np.float64), (n,)),
+            np.broadcast_to(np.asarray(step, dtype=np.float64), (n,)),
+        )
+        valid &= ok | ~live
+        live = live & ok
         if not live.any():
             return True
-        startb = np.broadcast_to(np.asarray(start, dtype=np.float64), (n,))
-        stopb = np.broadcast_to(np.asarray(stop, dtype=np.float64), (n,))
-        stepb = np.broadcast_to(np.asarray(step, dtype=np.float64), (n,))
-        trip = np.where(
-            stopb > startb,
-            np.maximum(0.0, np.ceil((stopb - startb) / stepb)),
-            0.0,
-        )
+        acc.vars.append((loop.var, start_v, step_v, trip, live))
         total = trip * multiplier
         checked = total[live]
         if not np.isfinite(checked).all() or (checked >= _EXACT).any():
             _bail("trip count outside exact float64 range")
         active = live & (total > 0)
         if active.any():
+            if plan.counters:  # the root: multiplier is 1 on live lanes
+                acc.counting = (start_v, step_v, np.where(active, trip, 0.0))
             key = (plan.function, loop.loop_id)
             counts = acc.iters.get(key)
             if counts is None:

@@ -40,8 +40,9 @@ from .profiler import ProfileNode, ProfileResult
 
 FORMAT_VERSION = 1
 
-#: Version of the run-cache entry format; bump to invalidate old caches.
-CACHE_VERSION = 1
+#: Version of the run-cache entry format; bump to invalidate old caches
+#: (2: entries measured since counting loops run in closed form).
+CACHE_VERSION = 2
 
 #: What decoding a malformed stored payload raises.  A store entry that
 #: fails with one of these reads as a miss and is recomputed.

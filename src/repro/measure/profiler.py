@@ -425,7 +425,10 @@ def profile_run(
         config=exec_config,
         listener=listener,
     )
-    result = interp.run(args, entry=entry)
+    try:
+        result = interp.run(args, entry=entry)
+    finally:
+        interp.close()
     return ProfileResult(
         plan=plan,
         nodes=listener.nodes,
@@ -463,12 +466,12 @@ def profile_run_batch(
     if runtimes is None:
         runtimes = [None] * batch
     interp = _make_engine(program, engine, config=exec_config)
-    if not isinstance(interp, VectorizedEngine) and not hasattr(
-        interp, "run_batch"
-    ):
-        raise TypeError(f"engine '{engine}' cannot run batches")
     listener = BatchedScorePListener(plan, batch)
     try:
+        if not isinstance(interp, VectorizedEngine) and not hasattr(
+            interp, "run_batch"
+        ):
+            raise TypeError(f"engine '{engine}' cannot run batches")
         interp.run_batch(
             args_list,
             entry=entry,
@@ -490,6 +493,8 @@ def profile_run_batch(
             )
             for lane in range(batch)
         ]
+    finally:
+        interp.close()
     return [
         ProfileResult(
             plan=plan,

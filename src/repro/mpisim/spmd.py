@@ -120,7 +120,10 @@ class SPMDSimulator:
                 runtime=self._runtime_for(rank),
                 config=self.exec_config,
             )
-            run = interp.run(args, entry=entry)
+            try:
+                run = interp.run(args, entry=entry)
+            finally:
+                interp.close()
             result.per_rank_time[rank] = run.time
             result.per_rank_value[rank] = run.value
         return result
@@ -152,6 +155,9 @@ class SPMDSimulator:
                 library_taint=library_taint,
                 engine=taint_engine,
             )
-            report = engine.analyze(args, dict(sources), entry=entry).report
+            try:
+                report = engine.analyze(args, dict(sources), entry=entry).report
+            finally:
+                engine.close()
             merged = report if merged is None else merged.merge(report)
         return merged if merged is not None else TaintReport()

@@ -175,6 +175,13 @@ class TaintEngine:
             )
         return self._concrete.run(args, entry=entry)
 
+    def close(self) -> None:
+        """Close the shadow engine and its concrete sibling (see the
+        engine protocol in :mod:`repro.interp`)."""
+        self._engine.close()
+        if self._concrete is not None:
+            self._concrete.close()
+
     @property
     def library_taint(self) -> LibraryTaintModel:
         return self.domain.library_taint

@@ -4,12 +4,15 @@ import pytest
 
 from repro.errors import (
     ArityError,
+    ArrayIndexError,
     ExecutionLimitError,
     InterpreterError,
+    ReproError,
     UndefinedFunctionError,
     UndefinedVariableError,
 )
-from repro.interp import ExecConfig, Interpreter, TableRuntime
+from repro.interp import ExecConfig, Interpreter, TableRuntime, make_engine
+from repro.taint.domain import TaintDomain
 from repro.interp.values import Array, truthy
 from repro.ir import ProgramBuilder, add, call, intrinsic, load, lt, mul, sub, var
 
@@ -190,6 +193,31 @@ class TestArrays:
 
         with pytest.raises(IndexError):
             run(body, {"n": 0})
+
+    @pytest.mark.parametrize(
+        "engine, domain",
+        [
+            ("tree", None),
+            ("compiled", None),
+            ("vectorized", None),
+            ("tree", TaintDomain),
+            ("compiled", TaintDomain),
+        ],
+    )
+    def test_out_of_bounds_is_typed(self, engine, domain):
+        pb = ProgramBuilder()
+        with pb.function("main", ["n"]) as f:
+            f.alloc("a", 3)
+            f.store("a", 5, var("n"))
+        prog = pb.build(entry="main")
+        interp = make_engine(
+            prog, engine, domain=domain() if domain else None
+        )
+        with pytest.raises(ReproError) as exc:
+            interp.run({"n": 1})
+        assert isinstance(exc.value, ArrayIndexError)
+        assert isinstance(exc.value, IndexError)
+        assert "array index 5 out of range [0, 3)" in str(exc.value)
 
     def test_store_to_scalar_rejected(self):
         def body(f):
