@@ -1,11 +1,14 @@
 """Aggregate machine-readable benchmark records into BENCH_SUMMARY.json.
 
 Every benchmark writes a ``benchmarks/out/BENCH_<name>.json`` record (see
-``benchmarks/conftest.report``).  This script collects them into one
-committed top-level ``BENCH_SUMMARY.json``, so the repository's
-performance trajectory — engine, taint, and model-search speedups,
-overhead ratios, design sizes — is visible at the repo root and
+``benchmarks/conftest.report``).  This script overlays the records found
+there onto the committed top-level ``BENCH_SUMMARY.json``, so the
+repository's performance trajectory — engine, taint, and model-search
+speedups, overhead ratios, design sizes — is visible at the repo root and
 comparable across commits without re-running anything.
+``benchmarks/out/`` is gitignored and starts empty, so re-recording one
+benchmark replaces that record and keeps every other committed one; a
+record leaves the summary only by editing the file.
 
 Usage::
 
@@ -59,14 +62,17 @@ DEFAULT_MIN_RATIO = 0.5
 def collect(
     out_dir: pathlib.Path = OUT_DIR, previous: "dict | None" = None
 ) -> dict:
-    """Merge every BENCH_*.json record into one summary mapping.
+    """Overlay every BENCH_*.json record onto one summary mapping.
 
-    *previous* is the committed summary (when one exists): each headline
-    speedup's ``history`` trajectory is carried over and the current
+    *previous* is the committed summary (when one exists): its records
+    are the base the records in *out_dir* replace, and each headline
+    speedup's ``history`` trajectory is carried over with the current
     value appended only when it differs from the last recorded point, so
     unchanged records keep the file byte-identical.
     """
-    benchmarks: dict[str, dict] = {}
+    benchmarks: dict[str, dict] = dict(
+        (previous or {}).get("benchmarks") or {}
+    )
     for path in sorted(out_dir.glob("BENCH_*.json")):
         try:
             payload = json.loads(path.read_text())

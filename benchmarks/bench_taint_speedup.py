@@ -1,14 +1,17 @@
 """Taint-stage speedup of the compiled shadow engine over the tree-walker.
 
-Since the analysis-domain refactor, taint is just another analysis
-domain both engines can execute: the tree-walking ``ShadowInterpreter``
-pays per-node ``isinstance`` dispatch and per-name dict lookups, while
-the ``CompiledShadowEngine`` propagates labels through the same
-pre-resolved frame slots the values use.  This benchmark times the full
-taint stage (engine construction included — a taint run builds a fresh
-engine, so the compiled engine's one-time lowering cost is part of what
-production pays) on the LULESH workload at its paper-style
-representative configuration, and asserts the compiled engine's speedup.
+Taint is an analysis domain both engines execute.  The tree-walking
+``ShadowInterpreter`` is the genuine-iteration oracle: it runs every trip
+of every loop and pays per-node ``isinstance`` dispatch and per-name dict
+lookups.  The ``CompiledShadowEngine`` propagates labels through the same
+pre-resolved frame slots the values use, and it runs the pure-cost nests
+the fast-path planner summarises in closed form, recording each nest's
+loop sinks once.  This benchmark times the full taint stage (engine
+construction included — a taint run builds a fresh engine, so the
+compiled engine's one-time lowering cost is part of what production
+pays) on the LULESH workload at its paper-style representative
+configuration, asserts the two engines' reports are identical, and
+asserts the compiled engine's speedup.
 
 Run with ``pytest benchmarks/bench_taint_speedup.py -s``.
 
@@ -91,6 +94,7 @@ def test_taint_speedup(lulesh_workload):
             "loop_records": len(tree_report.loop_records),
             "report_fingerprint": compiled_fp,
             "reports_identical": True,
+            "host_cores": os.cpu_count(),
         },
     )
 

@@ -162,10 +162,8 @@ def taint_report_from_dict(payload: Mapping) -> TaintReport:
             int(entry["loop_id"]),
             frozenset(entry["params"]),
             int(entry["iterations"]),
+            int(entry["entries"]),
         )
-        report.loop_records[
-            (cp, entry["function"], int(entry["loop_id"]))
-        ].entries = int(entry["entries"])
     for entry in payload["branches"]:
         cp = tuple(entry["callpath"])
         for direction in entry["directions"]:

@@ -89,8 +89,9 @@ register_engine(
 #: ``ENGINE_COMPILED`` instead.
 DEFAULT_MEASUREMENT_ENGINE = ENGINE_VECTORIZED
 #: Engine used by the taint stage unless a caller overrides it.  Both
-#: built-ins produce bit-identical TaintReports; the compiled engine is
-#: ~2-4x faster on real programs (see benchmarks/bench_taint_speedup.py).
+#: built-ins produce bit-identical TaintReports; the compiled engine runs
+#: planned pure-cost nests in closed form and is several times faster on
+#: real programs (see benchmarks/bench_taint_speedup.py).
 DEFAULT_TAINT_ENGINE = ENGINE_COMPILED
 
 

@@ -53,7 +53,12 @@ from ..ir.stmt import (
 )
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, ExecutionListener, NullListener
-from .fastpath import FastPathPlanner, LoopPlan, apply_array_updates
+from .fastpath import (
+    FastPathPlanner,
+    LoopPlan,
+    apply_array_updates,
+    charge_result,
+)
 from .metrics import MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -545,7 +550,6 @@ class _FunctionCompiler:
         charge = engine._charge
         iter_cost = engine.config.loop_iter_cost
         compute = CostKind.COMPUTE
-        memory = CostKind.MEMORY
         fn_name = self.fn_name
         on_iters = engine._on_loop_iterations
         on_aggregate = engine._on_aggregate_calls
@@ -583,14 +587,7 @@ class _FunctionCompiler:
                     plan, lambda e: pure_tbl[id(e)](frame)
                 )
                 if result is not None:
-                    if result.compute:
-                        charge(compute, result.compute)
-                    if result.memory:
-                        charge(memory, result.memory)
-                    for (lfn, lid), iters in result.loop_iterations.items():
-                        on_iters(lfn, lid, iters)
-                    for callee, (count, unit) in result.calls.items():
-                        on_aggregate(callee, count, unit.compute, unit.memory)
+                    charge_result(result, charge, on_iters, on_aggregate)
                     apply_array_updates(result.arrays)
                     for name, value in result.scalars.items():
                         frame[out_slots[name]] = value

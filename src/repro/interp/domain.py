@@ -16,9 +16,13 @@ An :class:`AnalysisDomain` packages the shadow half.  Engines are
 :class:`~repro.interp.shadowtree.ShadowInterpreter` and the
 closure-compiling :class:`~repro.interp.shadowjit.CompiledShadowEngine`
 both execute the same value semantics and call the same domain hooks at
-the same program points, so any domain observes an identical event
-sequence regardless of engine — the property the taint differential
-tests (``tests/interp/test_compiled_differential.py``) enforce.
+the same program points.  The one difference: with
+``ExecConfig.fast_loops`` set, the compiled engine runs pure-cost loop
+nests in closed form and reports each of their loop sinks once per nest
+execution (``on_loop`` with an ``entries`` count) where the tree-walker
+reports every entry.  The analysis results are the same regardless of engine —
+the property the taint differential tests
+(``tests/interp/test_compiled_differential.py``) enforce.
 
 :class:`ConcreteDomain` is the identity domain: no shadow state, every
 hook a no-op.  The plain :class:`~repro.interp.interpreter.Interpreter`
@@ -63,12 +67,6 @@ class AnalysisDomain:
     #: :func:`repro.interp.make_engine` uses the specialized concrete
     #: engines instead of a generic shadow engine.
     tracks_shadow: bool = False
-    #: Whether O(1) closed-form loop execution is sound under this
-    #: domain.  Shadow domains whose sinks need genuine per-iteration
-    #: facts (taint's loop-count sinks) must say False; engines then
-    #: force real iteration even when ``ExecConfig.fast_loops`` is set.
-    supports_fastpath: bool = True
-
     #: The bottom lattice element (the shadow of untainted data).
     clean: object = None
 
@@ -147,8 +145,11 @@ class AnalysisDomain:
         loop_id: int,
         sink_shadow,
         iterations: int,
+        entries: int = 1,
     ) -> None:
-        """A loop exited after *iterations* with exit-condition shadow."""
+        """A loop was entered *entries* times (always one under genuine
+        iteration) and ran *iterations* trips in all, with exit-condition
+        shadow *sink_shadow*."""
 
     def on_implicit_flow(self, cond_shadow, current):
         """Shadow for a value the *not-taken* branch would have assigned."""

@@ -14,8 +14,11 @@ A counted ``For`` loop qualifies when its bounds and step are invariant
 within the nest and its body consists solely of
 
 * cost intrinsics (``work``/``mem_work``) with nest-invariant arguments,
-* calls to *leaf constant-cost* functions (no loops, branches, calls or
-  stores — the C++ getters/setters of the paper's LULESH discussion),
+* calls to *leaf constant-cost* functions (no loops, branches, calls,
+  stores or loads — the C++ getters/setters of the paper's LULESH
+  discussion) with the callee's arity and arguments over the enclosing
+  loop variables and numeric constants, where neither the arguments nor
+  the callee can raise (:func:`_total`),
 * nested ``For`` loops satisfying the same conditions, and, in the
   outermost loop only (a *counting loop*),
 * **index temporaries** ``t = e``, where ``e`` combines the loop's own
@@ -37,33 +40,46 @@ arithmetic; runtime checks (integer-valued start, step, operands and
 counter values, every slot inside the array, magnitudes below ``2**53``,
 distinct arrays per counter name) send anything else to genuine iteration —
 including an out-of-range index, which then raises the genuine path's typed
-error after its partial updates.  Scalar counters ``x = x ± c`` and
-counters in nested loops run genuinely: no workload has one.
+error after its partial updates.  So does a bound or cost amount that fails
+to evaluate, and a negative amount: genuine iteration raises the error
+where it happens, after the sinks and costs that precede it.  Scalar
+counters ``x = x ± c`` and counters in nested loops run genuinely: no
+workload has one.
 
 :class:`FastPathPlanner` plans each loop once and computes every summary
 (:func:`trip_counts`, :func:`summarize`); the tree, compiled and vectorized
-engines only apply it, so they stay bit-identical to each other.  The taint
-engine never uses this path (taint runs use tiny representative
-configurations, paper section 6: LULESH ``size=5, p=8``), so taint
-semantics are unaffected.  Equivalence of fast and slow paths is
-property-tested in ``tests/interp/test_fastpath.py``.
+engines only apply it, so they stay bit-identical to each other.  The
+compiled shadow engine applies pure-cost plans under an analysis domain
+too: a pure nest's loop sinks are the same on every trip, so
+:func:`record_loop_sinks` records each of them once, with its entry and
+iteration counts, and :func:`genuine_steps` charges the steps genuine
+iteration would take.  Counting nests run genuinely there, because their
+stores carry control labels into the shadow heap one slot at a time; the
+tree-walking shadow engine iterates every trip and is the oracle the
+closed form is checked against.  Equivalence of fast and slow paths is
+property-tested in ``tests/interp/test_fastpath.py`` and, under the taint
+domain, in ``tests/interp/test_compiled_differential.py``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..errors import ReproError
-from ..ir.expr import BinOp, Call, Const, Expr, Intrinsic, Load, Var
+from ..ir.expr import BinOp, Call, Const, Expr, Intrinsic, Load, UnOp, Var
 from ..ir.program import Function, Program
 from ..ir.stmt import Assign, ExprStmt, For, Return, Store
 from .config import ExecConfig
+from .events import CostKind
 from .semantics import BINOP_FUNCS
 from .values import Array, Value
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .domain import AnalysisDomain
 
 #: Magnitude from which float64 no longer holds every integer: summarised
 #: values, loop variables and counts must stay below it.
@@ -72,6 +88,10 @@ EXACT_LIMIT = 2**53
 #: Longest index sequence :func:`slot_counts` materializes; longer counting
 #: loops run genuinely.
 MAX_SEQUENCE = 1 << 20
+
+#: Errors evaluating a bound or cost amount can raise.  The closed form
+#: gives up on them, and genuine iteration raises them where they happen.
+EVAL_ERRORS = (ReproError, ArithmeticError, TypeError, ValueError)
 
 #: Operators of index expressions (exact on integers below ``2**53`` in
 #: float64, with Python's floor semantics for ``%``).
@@ -89,42 +109,56 @@ class LeafCost:
 
     compute: float
     memory: float
+    #: Statements one call executes (through its first ``Return``).
+    steps: int = 0
 
 
 def leaf_unit_cost(fn: Function, config: ExecConfig) -> LeafCost | None:
     """Constant per-call cost of *fn*, or None if *fn* is not a leaf.
 
-    Leaf functions contain no loops, branches, calls or stores, and any cost
-    intrinsics must have literal arguments — i.e. every call costs the same
-    regardless of arguments or program state.  These are exactly the
+    Leaf functions contain no loops, branches, calls, stores or loads, and
+    any cost intrinsic is a statement of its own with a non-negative
+    literal argument — i.e. every call costs the same regardless of
+    arguments or program state.  Every other expression must be
+    :func:`_total` over the parameters and the names assigned before it,
+    so a call with numeric arguments cannot raise.  These are exactly the
     "simple constant functions, such as class getters and setters" the
     paper prunes (section A3).
     """
     compute = 0.0
     memory = 0.0
+    steps = 0
+    bound = set(fn.params)
     for stmt in fn.statements():
         if not isinstance(stmt, (Assign, ExprStmt, Return)):
             return None
-        for expr in stmt.exprs():
-            for node in expr.walk():
-                if isinstance(node, Call):
-                    return None
-                if isinstance(node, Intrinsic):
-                    if node.name == "alloc":
-                        return None
-                    if node.is_cost:
-                        if not node.args or not isinstance(node.args[0], Const):
-                            return None
-                        amount = float(node.args[0].value)
-                        if node.name == "work":
-                            compute += amount
-                        else:
-                            memory += amount
+        expr = stmt.expr if isinstance(stmt, ExprStmt) else stmt.value
+        if isinstance(expr, Intrinsic) and expr.is_cost:
+            amount = expr.args[0] if len(expr.args) == 1 else None
+            if not (
+                isinstance(stmt, ExprStmt)
+                and isinstance(amount, Const)
+                and _total(amount, ())
+                and amount.value >= 0
+            ):
+                return None
+            if expr.name == "work":
+                compute += float(amount.value)
+            else:
+                memory += float(amount.value)
+        elif expr is not None and not _total(expr, bound):
+            return None
+        if isinstance(stmt, Assign):
+            bound.add(stmt.name)
         # Return is free in the interpreter's cost model; Assign/ExprStmt
         # charge stmt_cost (must match Interpreter._exec_stmt exactly).
-        if isinstance(stmt, (Assign, ExprStmt)):
-            compute += config.stmt_cost
-    return LeafCost(compute, memory)
+        # Every statement is one step, and nothing after the first Return
+        # runs.
+        steps += 1
+        if isinstance(stmt, Return):
+            break
+        compute += config.stmt_cost
+    return LeafCost(compute, memory, steps)
 
 
 @dataclass(frozen=True)
@@ -190,6 +224,9 @@ class FastResult:
     #: Final values of nested loop variables and index temporaries (the
     #: root's variable is the engines' to set).
     scalars: dict[str, Value] = field(default_factory=dict)
+    #: (level, entries, trips) of every level the nest entered, outermost
+    #: first; ``entries`` is the product of the enclosing levels' trips.
+    levels: list[tuple["LoopPlan", int, int]] = field(default_factory=list)
 
 
 class FastPathPlanner:
@@ -225,21 +262,27 @@ class FastPathPlanner:
         return self._plan_cache[key]
 
     def _build(self, fn_name: str, loop: For) -> LoopPlan | None:
-        plan = self._build_rec(fn_name, loop, root=True)
+        plan = self._build_rec(fn_name, loop, frozenset())
         if plan is None or not _check_nest(plan):
             return None
         return plan
 
-    def _build_rec(self, fn_name: str, loop: For, root: bool) -> LoopPlan | None:
+    def _build_rec(
+        self, fn_name: str, loop: For, enclosing: frozenset[str]
+    ) -> LoopPlan | None:
+        """Plan *loop* inside the nest levels whose variables are
+        *enclosing* (none at the root)."""
         for bound in (loop.start, loop.stop, loop.step):
             if not _pure_arith(bound):
                 return None
+        root = not enclosing
+        enclosing = enclosing | {loop.var}
         plan = LoopPlan(loop=loop, function=fn_name)
         temps: dict[str, Expr] = {}
         used: set[str] = set()
         for stmt in loop.body:
             if isinstance(stmt, For):
-                sub = self._build_rec(fn_name, stmt, root=False)
+                sub = self._build_rec(fn_name, stmt, enclosing)
                 if sub is None:
                     return None
                 plan.nested.append(sub)
@@ -253,10 +296,14 @@ class FastPathPlanner:
                     plan.intrinsics.append((expr.name, expr.args[0]))
                     continue
                 if isinstance(expr, Call):
+                    # A call that genuine iteration could see fail (arity,
+                    # an unbound or non-numeric argument) iterates.
                     unit = self.leaf_cost(expr.callee)
-                    if unit is None:
+                    if unit is None or len(expr.args) != len(
+                        self._program.function(expr.callee).params
+                    ):
                         return None
-                    if not all(_pure_arith(a) for a in expr.args):
+                    if not all(_total(a, enclosing) for a in expr.args):
                         return None
                     plan.calls.append((expr.callee, unit))
                     continue
@@ -325,10 +372,11 @@ class FastPathPlanner:
             stop_v = eval_expr(loop.stop)
             step_v = eval_expr(loop.step)
             trip = trip_count(float(start_v), float(stop_v), float(step_v))
-        except (TypeError, ValueError, OverflowError):
+        except EVAL_ERRORS:
             return None
         if trip is None:
             return None
+        result.levels.append((plan, multiplier, trip))
         if nested:
             # A nested loop leaves its variable at its final value (just
             # start when no trip ran), as the genuine last pass does.
@@ -344,7 +392,12 @@ class FastPathPlanner:
         per_iter_compute = cfg.loop_iter_cost + plan.stmt_count * cfg.stmt_cost
         per_iter_memory = 0.0
         for name, arg in plan.intrinsics:
-            amount = float(eval_expr(arg))
+            try:
+                amount = float(eval_expr(arg))
+            except EVAL_ERRORS:
+                return None
+            if amount < 0:
+                return None  # check_work_amount's error, raised genuinely
             if name == "work":
                 per_iter_compute += amount
             else:
@@ -431,6 +484,36 @@ def _pure_arith(expr: Expr) -> bool:
     return True
 
 
+#: Binary operators that cannot raise on numbers.
+_TOTAL_OPS = frozenset(
+    {"+", "-", "*", "min", "max", "<", "<=", ">", ">=", "==", "!="}
+)
+
+
+def _total(expr: Expr, bound) -> bool:
+    """True when evaluating *expr* cannot raise while every name in
+    *bound* holds a number: numeric constants below ``2**53``, those
+    names, :data:`_TOTAL_OPS`, unary operators and ``abs``."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return type(value) is float or (
+            type(value) in (int, bool) and abs(value) < EXACT_LIMIT
+        )
+    if isinstance(expr, Var):
+        return expr.name in bound
+    if isinstance(expr, UnOp):
+        return _total(expr.operand, bound)
+    if isinstance(expr, BinOp):
+        return (
+            expr.op in _TOTAL_OPS
+            and _total(expr.lhs, bound)
+            and _total(expr.rhs, bound)
+        )
+    if isinstance(expr, Intrinsic) and expr.name == "abs":
+        return len(expr.args) == 1 and _total(expr.args[0], bound)
+    return False
+
+
 def _index_expr(expr: Expr) -> bool:
     """Names and integer constants combined with ``+ - * %``.  Which
     names may appear is checked per nest (:func:`_check_nest`)."""
@@ -498,10 +581,7 @@ def _check_nest(plan: LoopPlan) -> bool:
     )
     if not plan.counters:
         return True  # pure-cost nest
-    for p in levels:
-        for stmt in p.loop.body:
-            if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call):
-                other += stmt.expr.args
+    # (Leaf-call arguments read only loop variables and load nothing.)
     if any(isinstance(n, Load) for e in other for n in e.walk()):
         return False
     if _free_vars(other) & (temps | arrays):
@@ -664,6 +744,95 @@ def summarize(
             return None
         updates.append((array, slots, deltas[slots]))
     return updates, temps
+
+
+def charge_result(result: FastResult, charge, on_iters, on_aggregate) -> None:
+    """Feed the costs, loop iterations and aggregated leaf calls of
+    *result* to a compiled engine's pre-bound event sinks."""
+    if result.compute:
+        charge(CostKind.COMPUTE, result.compute)
+    if result.memory:
+        charge(CostKind.MEMORY, result.memory)
+    for (fn, loop_id), iters in result.loop_iterations.items():
+        on_iters(fn, loop_id, iters)
+    for callee, (count, unit) in result.calls.items():
+        on_aggregate(callee, count, unit.compute, unit.memory)
+
+
+def genuine_steps(result: FastResult) -> int:
+    """Interpreter steps genuine iteration takes for the nest *result*
+    summarises, less the root ``For`` statement's own step: per entry of a
+    level its ``For`` statement, per trip the iteration and each body
+    statement, and per leaf call the statements the callee executes.  A
+    shadow engine charges these, so its step budget runs out exactly where
+    genuine iteration's would."""
+    steps = -1
+    for level, entries, trips in result.levels:
+        steps += entries * (1 + trips * (1 + level.stmt_count))
+    for count, unit in result.calls.values():
+        steps += count * unit.steps
+    return steps
+
+
+def record_loop_sinks(
+    plan: LoopPlan,
+    result: FastResult,
+    domain: "AnalysisDomain",
+    callpath: tuple[str, ...],
+    shadow_of: Callable[[Expr], object],
+) -> dict[str, object]:
+    """Record into *domain* the loop sinks of one closed-form execution of
+    pure-cost nest *plan*, as genuine iteration would, and return the
+    shadow of each entered level's loop variable.
+
+    A pure nest's bounds are nest-invariant and its body assigns nothing
+    but the nested loop variables, so each level's sink is the same on
+    every entry: the join of its bounds' shadows (*shadow_of* evaluates
+    one bound), plus, when a trip ran, its loop variable's shadow.  The
+    variable reads nothing loop-carried, so its control shadow comes from
+    :meth:`~repro.interp.domain.AnalysisDomain.with_control` with no reads,
+    i.e. from the regions enclosing the nest alone.  That is sound for a
+    domain whose loop regions label only values that read the loop's
+    assigned names, as the taint domain's do; a domain whose sinks need
+    each trip separately must run with ``ExecConfig.fast_loops`` off.
+
+    Each level is recorded once with ``entries`` the product of the
+    enclosing trips and ``iterations`` ``entries × trips``; children
+    before parents, the order in which genuine iteration first reaches
+    each sink.  Every leaf the nest called enters the domain's executed
+    set.
+    """
+    entered = {id(level): (n, trips) for level, n, trips in result.levels}
+    var_shadows: dict[str, object] = {}
+    _record_level(plan, entered, domain, callpath, shadow_of, var_shadows)
+    for callee in result.calls:
+        domain.on_function_entered(callee)
+    return var_shadows
+
+
+def _record_level(level, entered, domain, callpath, shadow_of, var_shadows):
+    """:func:`record_loop_sinks` of one entered level and its subtree."""
+    entries, trips = entered[id(level)]
+    loop = level.loop
+    start = shadow_of(loop.start)
+    step = shadow_of(loop.step)
+    var = domain.with_control(domain.join(start, step))
+    var_shadows[loop.var] = var
+    sink = domain.join_all((start, shadow_of(loop.stop), step))
+    if trips:
+        sink = domain.join(sink, var)
+        for sub in level.nested:
+            _record_level(
+                sub, entered, domain, callpath, shadow_of, var_shadows
+            )
+    domain.on_loop(
+        callpath,
+        level.function,
+        loop.loop_id,
+        sink,
+        entries * trips,
+        entries,
+    )
 
 
 def apply_array_updates(updates: ArrayUpdates) -> None:

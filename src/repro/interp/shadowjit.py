@@ -14,16 +14,26 @@ facts — the ``free_vars`` read sets of assignments, the assigned-name
 sets of loop bodies and skipped branches — are computed once during
 lowering instead of on every execution.
 
-Loop fast-path plans are never consulted: shadow sinks (taint's
-loop-count analysis) need genuine per-iteration execution, which is also
-what the tree-walking shadow engine does — the two are bit-identical by
-construction and by the differential tests in
-``tests/interp/test_compiled_differential.py``.
+Pure-cost loop nests that the fast-path planner
+(:mod:`repro.interp.fastpath`) can run in closed form take the planner's
+closed form here too, when ``ExecConfig.fast_loops`` is set: values and
+metrics exactly as in :class:`~repro.interp.compile.CompiledEngine`, each
+loop sink recorded once per nest execution
+(:func:`~repro.interp.fastpath.record_loop_sinks`) and the steps genuine
+iteration would take charged (:func:`~repro.interp.fastpath.genuine_steps`).
+Counting nests iterate, because their stores carry control labels into the
+shadow heap one slot at a time, and so does a nest the closed form cannot
+run without error or within the step and call-depth limits: genuine
+iteration then raises where it must.  The tree-walking shadow engine
+iterates every trip; reports, values, metrics, steps and errors of the two
+are identical, checked by the differential tests in
+``tests/interp/test_compiled_differential.py``.  Listener events differ: a
+closed-form nest reports aggregated costs and calls, as on the concrete
+engines.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from ..errors import ArityError, InterpreterError, UndefinedFunctionError
@@ -46,6 +56,12 @@ from .compile import _UNDEF, CompiledEngine
 from .config import DEFAULT_CONFIG, ExecConfig
 from .domain import AnalysisDomain
 from .events import CostKind, ExecutionListener
+from .fastpath import (
+    LoopPlan,
+    charge_result,
+    genuine_steps,
+    record_loop_sinks,
+)
 from .runtime import LibraryRuntime
 from .metrics import RunResult
 from .semantics import (
@@ -623,12 +639,14 @@ class _ShadowFunctionCompiler:
         domain = self.domain
         state = engine._steps_cell
         limit = engine.config.step_limit
+        max_depth = engine.config.max_call_depth
         charge = engine._charge
         iter_cost = engine.config.loop_iter_cost
         compute = CostKind.COMPUTE
         fn_name = self.fn_name
         stack = engine._fn_stack
         on_iters = engine._on_loop_iterations
+        on_aggregate = engine._on_aggregate_calls
         clean = domain.clean
         normal = self._normal
 
@@ -638,6 +656,7 @@ class _ShadowFunctionCompiler:
         body_b = self._compile_block(stmt.body)
         var_idx = self._slot(stmt.var)
         loop_id = stmt.loop_id
+        loop_key = (fn_name, loop_id)
         assigned = frozenset(assigned_names(stmt.body)) | {stmt.var}
         join = domain.join
         join_all = domain.join_all
@@ -647,13 +666,76 @@ class _ShadowFunctionCompiler:
         pop_control = domain.pop_control
         on_loop = domain.on_loop
 
-        # No fast-path plan: shadow sinks need genuine iterations (the
-        # tree-walking shadow engine iterates genuinely too).
+        # Fast-path plan of a pure-cost nest (a counting nest iterates).
+        planner = engine._planner
+        plan: LoopPlan | None = None
+        if engine.config.fast_loops:
+            plan = planner.plan(fn_name, stmt)
+            if plan is not None and plan.counters:
+                plan = None
+        closed_form = None
+        if plan is not None:
+            # Evaluators of every bound and cost argument the plan reads
+            # (the root's bounds reuse the closures compiled above).
+            pure_tbl = {
+                id(stmt.start): start_c,
+                id(stmt.stop): stop_c,
+                id(stmt.step): step_c,
+            }
+            var_slots: dict[str, int] = {}
+            for level in plan.levels():
+                loop = level.loop
+                var_slots[loop.var] = self._slot(loop.var)
+                exprs = [loop.start, loop.stop, loop.step]
+                exprs += [arg for _, arg in level.intrinsics]
+                for expr in exprs:
+                    if id(expr) not in pure_tbl:
+                        pure_tbl[id(expr)] = self._compile_expr(expr)
+
+            def closed_form(frame, shadow) -> bool:
+                """Run the planned nest in closed form; False when it must
+                iterate."""
+                result = planner.execute(
+                    plan, lambda e: pure_tbl[id(e)](frame, shadow)[0]
+                )
+                if result is None:
+                    return False
+                # A nest that would run out of steps or call depth
+                # iterates, so the limit error comes where it genuinely
+                # does.
+                steps = genuine_steps(result)
+                if state[0] + steps > limit or (
+                    result.calls and engine._depth >= max_depth
+                ):
+                    return False
+                state[0] += steps
+                charge_result(result, charge, on_iters, on_aggregate)
+                for name, value in result.scalars.items():
+                    frame[var_slots[name]] = value
+                shadows = record_loop_sinks(
+                    plan,
+                    result,
+                    domain,
+                    tuple(stack),
+                    lambda e: pure_tbl[id(e)](frame, shadow)[1],
+                )
+                for name, var_shadow in shadows.items():
+                    shadow[var_slots[name]] = var_shadow
+                # Loop variable's final value: start + trips * step (just
+                # start when no trip ran, as genuinely).
+                start = start_c(frame, shadow)[0]
+                trips = result.loop_iterations.get(loop_key, 0)
+                if trips:
+                    start = start + trips * step_c(frame, shadow)[0]
+                frame[var_idx] = start
+                return True
 
         def for_(frame, shadow):
             state[0] = n = state[0] + 1
             if n > limit:
                 raise step_limit_exceeded(fn_name, limit)
+            if closed_form is not None and closed_form(frame, shadow):
+                return normal
             start, start_s = start_c(frame, shadow)
             stop, stop_s = stop_c(frame, shadow)
             step, step_s = step_c(frame, shadow)
@@ -792,8 +874,6 @@ class CompiledShadowEngine(CompiledEngine):
         domain: AnalysisDomain | None = None,
     ) -> None:
         self.domain = domain or AnalysisDomain()
-        if config.fast_loops and not self.domain.supports_fastpath:
-            config = replace(config, fast_loops=False)
         # Call-stack names, for the call paths the domain sinks record.
         self._fn_stack: list[str] = []
         super().__init__(

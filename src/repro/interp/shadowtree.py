@@ -7,8 +7,11 @@ invoking the :class:`~repro.interp.domain.AnalysisDomain` hooks at fixed
 program points — branch/loop sinks, control-region entry/exit, heap
 stores, library calls.  The compiled counterpart
 (:mod:`repro.interp.shadowjit`) calls the identical hooks at the
-identical points, which is what makes engine choice invisible to any
-domain.
+identical points, except that it records a closed-form nest's loop sinks
+once per nest execution, with their entry counts; reports, values and
+metrics are the same, which is what makes engine choice invisible to any
+domain.  This engine iterates every trip of every loop: it is the
+genuine-iteration oracle.
 
 This module knows nothing about taint: labels, policies and reports are
 the domain's business (see :mod:`repro.taint.domain`).
@@ -67,11 +70,10 @@ from .values import Value, truthy
 class ShadowInterpreter(Interpreter):
     """Interpreter threading an analysis domain's shadows through a run.
 
-    Construction mirrors :class:`Interpreter` plus the *domain*.  Loop
-    fast paths are disabled unless the domain declares them sound
-    (``domain.supports_fastpath``); shadow domains that need genuine
-    iteration therefore execute every trip regardless of
-    ``ExecConfig.fast_loops``.
+    Construction mirrors :class:`Interpreter` plus the *domain*.  Every
+    loop executes every trip, whatever ``ExecConfig.fast_loops`` says:
+    this engine is the genuine-iteration oracle that the compiled shadow
+    engine's closed-form nests are checked against.
     """
 
     def __init__(
@@ -82,13 +84,13 @@ class ShadowInterpreter(Interpreter):
         listener: ExecutionListener | None = None,
         domain: AnalysisDomain | None = None,
     ) -> None:
-        domain = domain or AnalysisDomain()
-        if config.fast_loops and not domain.supports_fastpath:
-            config = replace(config, fast_loops=False)
         super().__init__(
-            program, runtime=runtime, config=config, listener=listener
+            program,
+            runtime=runtime,
+            config=replace(config, fast_loops=False),
+            listener=listener,
         )
-        self.domain = domain
+        self.domain = domain or AnalysisDomain()
         self._shadow: list[dict[str, object]] = []
 
     def run(

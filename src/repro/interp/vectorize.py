@@ -63,6 +63,7 @@ from ..ir.stmt import (
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, NullListener
 from .fastpath import (
+    EVAL_ERRORS,
     FastPathPlanner,
     LoopPlan,
     _pure_arith,
@@ -1668,8 +1669,9 @@ class VectorizedEngine:
             step = _plan_val(step_v)
         except VectorFallback:
             raise
-        except (TypeError, ValueError, OverflowError):
-            # scalar: float() failed -> plan invalid (live lanes only)
+        except EVAL_ERRORS:
+            # scalar: evaluation or float() failed -> plan invalid (live
+            # lanes only)
             valid &= ~live
             return None
         n = len(multiplier)
@@ -1703,7 +1705,18 @@ class VectorizedEngine:
             )
             per_memory = np.zeros(n)
             for iname, iarg in plan.intrinsics:
-                amount = _plan_val(tbl[id(iarg)](frame, idx))
+                try:
+                    amount = _plan_val(tbl[id(iarg)](frame, idx))
+                except VectorFallback:
+                    raise
+                except EVAL_ERRORS:
+                    valid &= ~active
+                    return None
+                # scalar: a negative amount runs genuinely (and raises)
+                if _is_vec(amount):
+                    valid &= ~(active & (amount < 0))
+                elif amount < 0:
+                    valid &= ~active
                 if iname == "work":
                     per_compute = per_compute + amount
                 else:

@@ -45,15 +45,10 @@ class TaintDomain(AnalysisDomain):
       :class:`~repro.taint.policy.PropagationPolicy`;
     * **sinks** — loop exit conditions, non-loop branches, and library
       calls, recorded into a :class:`~repro.taint.report.TaintReport`.
-
-    ``supports_fastpath`` is False: the loop-count sinks need genuine
-    per-iteration execution (taint runs use small representative
-    configurations, so O(1) loop collapsing is also unnecessary).
     """
 
     name = "taint"
     tracks_shadow = True
-    supports_fastpath = False
     clean = CLEAN
 
     def __init__(
@@ -182,10 +177,16 @@ class TaintDomain(AnalysisDomain):
         loop_id: int,
         sink_shadow: int,
         iterations: int,
+        entries: int = 1,
     ) -> None:
         # Loop-count sink (paper 4.1): the exit condition's labels.
         self.report.record_loop(
-            callpath, function, loop_id, self.expand(sink_shadow), iterations
+            callpath,
+            function,
+            loop_id,
+            self.expand(sink_shadow),
+            iterations,
+            entries,
         )
 
     def on_implicit_flow(self, cond_shadow: int, current: int) -> int:

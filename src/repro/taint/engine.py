@@ -21,14 +21,18 @@ The analysis itself follows the paper (section 4.1):
   selection, section 4.4); library calls record parametric dependencies
   from the library database (section 5.3).
 
-Engines always execute taint loops iteration-by-iteration (the O(1) cost
-fast path is disabled): taint runs use small representative configurations,
-exactly like the paper's LULESH ``size=5``, 8-rank taint run.
+Taint runs use small representative configurations, exactly like the
+paper's LULESH ``size=5``, 8-rank taint run.  The compiled engine runs the
+pure-cost loop nests the fast-path planner can summarise in closed form,
+recording each nest's loop sinks once with their entry and iteration
+counts; counting nests and every other loop iterate trip by trip.  The
+tree-walker iterates every trip and is the genuine-iteration oracle the
+closed form is checked against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..errors import InterpreterError
@@ -99,9 +103,7 @@ class TaintEngine:
             library_taint=library_taint,
             strict_recursion=strict_recursion,
         )
-        # Taint runs always iterate genuinely (small representative
-        # configurations; the loop sinks need every trip).
-        self._config = replace(config, fast_loops=False)
+        self._config = config
         self._runtime = runtime
         self._listener = listener
         self._engine = make_engine(
@@ -140,7 +142,7 @@ class TaintEngine:
 
     @property
     def config(self) -> ExecConfig:
-        """The underlying engine's execution config (fast loops off)."""
+        """The underlying engine's execution config."""
         return self._engine.config
 
     @property

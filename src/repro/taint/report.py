@@ -72,6 +72,9 @@ class TaintReport:
     warnings: list[str] = field(default_factory=list)
     #: Functions that were executed at least once during the taint run.
     executed_functions: frozenset[str] = frozenset()
+    #: :meth:`_params_by_function`, until a record changes (a plain
+    #: attribute, not a field: equality, repr and the wire ignore it).
+    _by_function = None
 
     # ------------------------------------------------------------------
     # merged (callpath-insensitive) views
@@ -110,11 +113,7 @@ class TaintReport:
 
     def library_params(self, caller: str) -> frozenset[str]:
         """Parameters affecting library calls issued directly by *caller*."""
-        out: frozenset[str] = frozenset()
-        for (_, routine), rec in self.library_records.items():
-            if rec.caller == caller:
-                out |= rec.params
-        return out
+        return self._params_by_function()[1].get(caller, frozenset())
 
     def routine_params(self, routine: str) -> frozenset[str]:
         """Parameters affecting a library routine, merged over callers."""
@@ -133,11 +132,27 @@ class TaintReport:
 
     def function_loop_params(self, function: str) -> frozenset[str]:
         """Parameters affecting any loop owned by *function*."""
-        out: frozenset[str] = frozenset()
-        for (_, fn, _lid), rec in self.loop_records.items():
-            if fn == function:
-                out |= rec.params
-        return out
+        return self._params_by_function()[0].get(function, frozenset())
+
+    def _params_by_function(
+        self,
+    ) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+        """(function -> loop parameters, caller -> library parameters),
+        built in one pass over the records on first use and kept until
+        :meth:`record_loop` or :meth:`record_library` changes them, so a
+        lookup per function is O(1).  Functions with no record are
+        absent."""
+        if self._by_function is None:
+            loops: dict[str, frozenset[str]] = {}
+            for (_, fn, _lid), rec in self.loop_records.items():
+                loops[fn] = loops.get(fn, frozenset()) | rec.params
+            library: dict[str, frozenset[str]] = {}
+            for rec in self.library_records.values():
+                library[rec.caller] = (
+                    library.get(rec.caller, frozenset()) | rec.params
+                )
+            self._by_function = (loops, library)
+        return self._by_function
 
     def function_params(self, function: str) -> frozenset[str]:
         """Parameters affecting *function*'s own (exclusive) performance:
@@ -192,7 +207,11 @@ class TaintReport:
         loop_id: int,
         params: frozenset[str],
         iterations: int,
+        entries: int = 1,
     ) -> None:
+        """Add *entries* executions of a loop running *iterations* trips
+        in all."""
+        self._by_function = None
         key = (callpath, function, loop_id)
         rec = self.loop_records.get(key)
         if rec is None:
@@ -200,7 +219,7 @@ class TaintReport:
             self.loop_records[key] = rec
         rec.params |= params
         rec.iterations += iterations
-        rec.entries += 1
+        rec.entries += entries
 
     def record_branch(
         self,
@@ -225,6 +244,7 @@ class TaintReport:
         routine: str,
         params: frozenset[str],
     ) -> None:
+        self._by_function = None
         key = (callpath, routine)
         rec = self.library_records.get(key)
         if rec is None:
@@ -239,7 +259,8 @@ class TaintReport:
 
     def merge(self, other: "TaintReport") -> "TaintReport":
         """Merge *other* (e.g. a second taint run with different values)
-        into a new report; parameter sets union, iteration counts add."""
+        into a new report; parameter sets union, iteration and entry
+        counts add."""
         merged = TaintReport(
             parameters=tuple(
                 dict.fromkeys(self.parameters + other.parameters)
@@ -249,7 +270,9 @@ class TaintReport:
         )
         for report in (self, other):
             for (cp, fn, lid), rec in report.loop_records.items():
-                merged.record_loop(cp, fn, lid, rec.params, rec.iterations)
+                merged.record_loop(
+                    cp, fn, lid, rec.params, rec.iterations, rec.entries
+                )
             for (cp, fn, bid), rec in report.branch_records.items():
                 for direction in rec.directions:
                     merged.record_branch(cp, fn, bid, rec.params, direction)

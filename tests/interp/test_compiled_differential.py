@@ -12,11 +12,14 @@ compiled shadow engines must produce identical ``TaintReport`` objects
 (loop/branch/library records with their parameter sets and call paths,
 implicit flows, warnings, executed-function sets) plus identical values
 and metrics — the license for the taint stage to default to the compiled
-engine.
+engine.  The tree-walker iterates every trip while the compiled engine
+runs pure-cost nests in closed form, so these tests also check the closed
+form against genuine iteration.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,9 +164,14 @@ def _gen_block(draw, f, names: list[str], depth: int, in_loop: bool) -> None:
             loop_var = f"i{depth}{len(names)}"
             stop = min_(_gen_expr(draw, names, 1), const(draw(st.integers(0, 5))))
             if draw(st.booleans()):
-                # Pure-cost body: eligible for the O(1) fast path.
+                # Pure-cost nest: eligible for the O(1) fast path.  Its
+                # loop variables are readable afterwards (undefined where
+                # a level was never entered).
+                if draw(st.booleans()):
+                    stop = _gen_stop(draw, names)
                 with f.for_(loop_var, 0, stop):
-                    f.work(float(draw(st.integers(1, 9))))
+                    nest_vars = _gen_pure_body(draw, f, names, [loop_var], 2)
+                names += [loop_var] + nest_vars
             else:
                 with f.for_(loop_var, 0, stop):
                     inner = names + [loop_var]
@@ -204,6 +212,46 @@ def _gen_block(draw, f, names: list[str], depth: int, in_loop: bool) -> None:
             else:
                 f.assign(target, call(callee, _gen_expr(draw, names, 1)))
             names.append(target)
+
+
+def _gen_stop(draw, names: list[str]):
+    """A loop bound over one defined name, capped at 4 trips."""
+    bound = draw(st.sampled_from(names + ["a+1"]))
+    bound = add(var("a"), 1) if bound == "a+1" else var(bound)
+    return min_(bound, const(draw(st.integers(0, 4))))
+
+
+def _gen_pure_body(draw, f, names: list[str], loop_vars: list[str], depth: int):
+    """Emit a pure-cost loop body: cost intrinsics, ``leaf`` calls and
+    nested pure loops whose bounds read the names defined before the nest
+    (the tainted entry parameters among them, so levels carry labels and
+    may run zero trips).  *loop_vars* are the enclosing loop variables,
+    innermost last.  Returns the nested loop variables."""
+    nest_vars: list[str] = []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            f.work(float(draw(st.integers(1, 9))))
+        elif kind == 1:
+            f.mem_work(float(draw(st.integers(1, 9))))
+        elif kind == 2:
+            # An argument over the enclosing loop variables (the
+            # workloads' form, planned) or over any name defined before
+            # the nest (possibly unbound: the nest then iterates).
+            scope = loop_vars if draw(st.booleans()) else names
+            f.call("leaf", _gen_expr(draw, scope, 1))
+        elif depth > 0:
+            inner = f"{loop_vars[-1]}_{k}"
+            start = draw(st.sampled_from([const(0), const(1), var("b")]))
+            step = draw(
+                st.sampled_from([const(1), const(2), add(mod(var("a"), 2), 1)])
+            )
+            with f.for_(inner, start, _gen_stop(draw, names), step):
+                nest_vars.append(inner)
+                nest_vars += _gen_pure_body(
+                    draw, f, names, loop_vars + [inner], depth - 1
+                )
+    return nest_vars
 
 
 @st.composite
@@ -361,21 +409,72 @@ def run_taint(program, engine: str, args, config: ExecConfig, policy=None):
     )
 
 
+def _taint_policy(name: str):
+    from repro.taint.policy import DATAFLOW_ONLY, FULL_POLICY, PropagationPolicy
+
+    return {
+        "full": FULL_POLICY,
+        "dataflow": DATAFLOW_ONLY,
+        "implicit": PropagationPolicy(implicit_flow=True),
+    }[name]
+
+
+def _error_programs():
+    """Programs genuine iteration fails in at ``a=2, b=0``, or ``b=-1``
+    for a negative amount, each inside a loop nest the closed form must
+    leave to genuine iteration."""
+
+    def build(body, leaf_params=("x",)):
+        pb = ProgramBuilder()
+        with pb.function("leaf", list(leaf_params), kind="accessor") as f:
+            f.assign("v", mul(var("x"), 2.0))
+            f.work(3.0)
+            f.ret(var("v"))
+        with pb.function("main", ["a", "b"]) as f:
+            with f.for_("i", 0, var("a")):
+                body(f)
+        return pb.build(entry="main")
+
+    def negative_work(f):
+        f.work(var("b"))
+
+    def unbound_argument(f):
+        f.call("leaf", var("nowhere"))
+
+    def failing_bound_after_sibling(f):
+        with f.for_("j", 0, var("a")):
+            f.work(1.0)
+        with f.for_("k", 0, binop("//", var("a"), var("b"))):
+            f.work(1.0)
+
+    out = {
+        fn.__name__: build(fn)
+        for fn in (negative_work, unbound_argument, failing_bound_after_sibling)
+    }
+    # Validation rejects a wrong-arity call, so the callee is swapped
+    # after it (as for a Program constructed without Program.build).
+    wrong = build(lambda f: f.call("leaf", var("i"), var("i")), ("x", "y"))
+    wrong.functions["leaf"] = out["negative_work"].function("leaf")
+    out["wrong_arity"] = wrong
+    return out
+
+
 class TestTaintDifferential:
-    """Tree-walking taint ≡ compiled taint, report-bit-identical."""
+    """Tree-walking taint ≡ compiled taint, report-bit-identical.  The
+    tree-walker iterates every trip; the compiled engine runs pure-cost
+    nests in closed form when ``fast_loops`` is on."""
 
     @given(
         program=programs(),
         a=st.integers(0, 6),
         b=st.integers(-2, 6),
-        implicit=st.booleans(),
+        policy=st.sampled_from(["full", "dataflow", "implicit"]),
+        fast_loops=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_taint_reports_bit_identical(self, program, a, b, implicit):
-        from repro.taint.policy import PropagationPolicy
-
-        policy = PropagationPolicy(implicit_flow=implicit)
-        config = ExecConfig(step_limit=20_000)
+    @settings(max_examples=80, deadline=None)
+    def test_taint_reports_bit_identical(self, program, a, b, policy, fast_loops):
+        policy = _taint_policy(policy)
+        config = ExecConfig(fast_loops=fast_loops, step_limit=20_000)
         args = {"a": a, "b": b}
         tree = run_taint(program, "tree", args, config, policy)
         compiled = run_taint(program, "compiled", args, config, policy)
@@ -383,6 +482,21 @@ class TestTaintDifferential:
             f"taint engines diverged\ntree:     {tree!r}\n"
             f"compiled: {compiled!r}"
         )
+
+    @pytest.mark.parametrize("case", sorted(_error_programs()))
+    @pytest.mark.parametrize("policy", ["full", "implicit"])
+    def test_errors_identical(self, case, policy):
+        """The error and the partial report at the point genuine
+        iteration raises it."""
+        program = _error_programs()[case]
+        config = ExecConfig(step_limit=20_000)
+        args = {"a": 2, "b": -1 if case == "negative_work" else 0}
+        tree = run_taint(program, "tree", args, config, _taint_policy(policy))
+        compiled = run_taint(
+            program, "compiled", args, config, _taint_policy(policy)
+        )
+        assert tree[0] == "error"
+        assert tree == compiled
 
     @given(program=programs(), a=st.integers(0, 6), b=st.integers(0, 6))
     @settings(max_examples=20, deadline=None)

@@ -221,6 +221,116 @@ class TestLeafCost:
         assert cost.memory == 7.0
         assert cost.compute == 1.0  # the ExprStmt itself
 
+    def test_nothing_after_return_runs(self):
+        pb = ProgramBuilder()
+        with pb.function("f", ["x"]) as f:
+            f.assign("y", var("x"))
+            f.ret(var("y"))
+            f.work(9)  # unreachable
+        with pb.function("main", ["n"]) as f:
+            with f.for_("i", 0, f.var("n")):
+                f.call("f", var("i"))
+        prog = pb.build(entry="main")
+        cost = leaf_unit_cost(prog.function("f"), ExecConfig())
+        assert (cost.compute, cost.steps) == (1.0, 2)
+        assert_equivalent(prog, {"n": 4})
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            lambda f: f.work(-1),  # negative work amount
+            lambda f: f.assign("y", floordiv(6, var("x"))),  # x may be 0
+            lambda f: f.ret(load("x", 0)),  # x is no array
+            lambda f: f.ret(var("z")),  # z is unbound
+        ],
+    )
+    def test_body_that_can_raise_not_leaf(self, body):
+        pb = ProgramBuilder()
+        with pb.function("f", ["x"]) as f:
+            body(f)
+        prog = pb.build(entry="f")
+        assert leaf_unit_cost(prog.function("f"), ExecConfig()) is None
+
+
+def leaf_call_program(arg):
+    pb = ProgramBuilder()
+    with pb.function("getter", ["x"], kind="accessor") as f:
+        f.assign("v", mul(var("x"), 2.0))
+        f.work(2)
+        f.ret(var("v"))
+    with pb.function("main", ["n"]) as f:
+        with f.for_("i", 0, f.var("n")):
+            with f.for_("j", 0, 3):
+                f.call("getter", arg)
+    return pb.build(entry="main")
+
+
+class TestLeafCallArguments:
+    """A leaf call is planned only when its arguments cannot raise: built
+    from the enclosing loop variables and numeric constants."""
+
+    @pytest.mark.parametrize(
+        "arg, planned",
+        [
+            (var("j"), True),
+            (add(mul(var("i"), 3), var("j")), True),
+            (-2.5, True),
+            (var("n"), False),  # not a loop variable
+            (floordiv(var("i"), 2), False),
+        ],
+    )
+    def test_plan(self, arg, planned):
+        prog = leaf_call_program(arg)
+        planner = FastPathPlanner(prog, ExecConfig())
+        loop = prog.function("main").loops()[0]
+        assert (planner.plan("main", loop) is not None) == planned
+        assert_equivalent(prog, {"n": 3})
+
+
+def raising_programs():
+    """Loops genuine iteration fails in (entry ``main(n, c)``)."""
+
+    def build(body, leaf=lambda f: f.ret(var("x"))):
+        pb = ProgramBuilder()
+        with pb.function("leaf", ["x"]) as f:
+            leaf(f)
+        with pb.function("main", ["n", "c"]) as f:
+            with f.for_("i", 0, f.var("n")):
+                body(f)
+        return pb.build(entry="main")
+
+    def nested_bound(f):
+        f.mem_work(1)
+        with f.for_("j", 0, floordiv(var("n"), var("c"))):
+            f.work(1)
+
+    return {
+        "negative-amount": build(lambda f: f.work(var("c"))),
+        "unbound-argument": build(lambda f: f.call("leaf", var("nowhere"))),
+        "raising-leaf": build(
+            lambda f: f.call("leaf", var("i")),
+            leaf=lambda f: f.ret(floordiv(6, var("x"))),
+        ),
+        "negative-leaf-cost": build(
+            lambda f: f.call("leaf", var("i")), leaf=lambda f: f.work(-1)
+        ),
+        "raising-nested-bound": build(nested_bound),
+    }
+
+
+class TestErrorParity:
+    """What raises genuinely raises with fast loops on too: the closed form
+    leaves such a nest to genuine iteration."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(raising_programs()))
+    def test_fast_raises_like_genuine(self, engine, case):
+        prog = raising_programs()[case]
+        args = {"n": 3, "c": 0 if case == "raising-nested-bound" else -1}
+        genuine = outcome(engine, prog, args, fast_loops=False)
+        assert genuine[0] == "error"
+        assert outcome(engine, prog, args, fast_loops=True) == genuine
+
 
 # ----------------------------------------------------------------------
 # inexact bounds

@@ -2,12 +2,18 @@
 
 import pytest
 
-from repro.errors import RecursionUnsupportedError
+from repro.errors import (
+    ExecutionLimitError,
+    RecursionUnsupportedError,
+    ReproError,
+)
+from repro.interp import ExecConfig
 from repro.interp.runtime import TableRuntime
 from repro.ir import ProgramBuilder, add, call, load, lt, mod, mul, var
 from repro.taint import (
     DATAFLOW_ONLY,
     PropagationPolicy,
+    TaintEngine,
     TaintInterpreter,
 )
 from repro.taint.policy import FULL_POLICY
@@ -395,3 +401,190 @@ class TestReportViews:
         merged = rep1.merge(rep2)
         key = next(iter(merged.loop_records))
         assert merged.loop_records[key].iterations == 12
+
+    def test_merge_adds_entries(self):
+        def body(f):
+            with f.for_("i", 0, f.var("n")):
+                with f.for_("j", 0, 2):
+                    f.work(1)
+
+        merged = analyze(body, {"n": 4}).merge(analyze(body, {"n": 3}))
+        inner = merged.loop_records[(("main",), "main", 1)]
+        assert (inner.entries, inner.iterations) == (7, 14)
+
+
+@pytest.fixture
+def closed_form(monkeypatch):
+    """Root loop ids of the nest executions the compiled engine runs in
+    closed form."""
+    from repro.interp import shadowjit
+
+    roots = []
+    record = shadowjit.record_loop_sinks
+
+    def spy(plan, *args):
+        roots.append(plan.loop.loop_id)
+        return record(plan, *args)
+
+    monkeypatch.setattr(shadowjit, "record_loop_sinks", spy)
+    return roots
+
+
+def analyze_both(prog, args, closed_form, policy=FULL_POLICY, **kw):
+    """Reports of the tree-walker (every trip) and of the compiled engine
+    (planned nests in closed form); asserts the two are identical, with
+    their records in the same order, and that they failed alike."""
+    outcomes = []
+    for engine in ("tree", "compiled"):
+        taint = TaintEngine(prog, policy=policy, engine=engine, **kw)
+        try:
+            report = taint.analyze(args, {n: n for n in args}).report
+            error = None
+        except ReproError as exc:
+            report, error = taint.report, (type(exc), str(exc))
+        outcomes.append((report, error))
+    (tree, tree_error), (compiled, error) = outcomes
+    assert compiled == tree
+    assert list(compiled.loop_records) == list(tree.loop_records)
+    assert error == tree_error
+    return compiled, error
+
+
+def _nest_program(populate, params):
+    pb = ProgramBuilder()
+    with pb.function("leaf", ["x"]) as f:
+        f.assign("y", mul(var("x"), 2))
+        f.work(3)
+        f.ret(var("y"))
+    with pb.function("main", params) as f:
+        populate(f)
+    return pb.build(entry="main")
+
+
+class TestClosedFormNests:
+    """Pure-cost nests the compiled engine runs in closed form record the
+    loop sinks genuine iteration records."""
+
+    def test_zero_trip_outer_level(self, closed_form):
+        def body(f):
+            f.work(1)
+            with f.for_("i", 0, var("n")):
+                with f.for_("j", 0, var("m")):
+                    f.work(1)
+
+        prog = _nest_program(body, ["n", "m"])
+        rep, _ = analyze_both(prog, {"n": 0, "m": 3}, closed_form)
+        assert closed_form == [0]
+        outer = rep.loop_records[(("main",), "main", 0)]
+        assert (outer.params, outer.iterations, outer.entries) == (
+            frozenset({"n"}),
+            0,
+            1,
+        )
+        assert (("main",), "main", 1) not in rep.loop_records
+
+    def test_zero_trip_inner_level(self, closed_form):
+        def body(f):
+            with f.for_("i", 0, var("n")):
+                f.call("leaf", var("i"))
+                with f.for_("j", 0, var("m")):
+                    f.work(1)
+
+        prog = _nest_program(body, ["n", "m"])
+        rep, _ = analyze_both(prog, {"n": 3, "m": 0}, closed_form)
+        assert closed_form == [0]
+        inner = rep.loop_records[(("main",), "main", 1)]
+        assert (inner.params, inner.iterations, inner.entries) == (
+            frozenset({"m"}),
+            0,
+            3,
+        )
+        assert rep.loop_params("main", 0) == frozenset({"n"})
+        assert "leaf" in rep.executed_functions
+
+    def test_entries_and_iterations_multiply(self, closed_form):
+        def body(f):
+            with f.for_("i", 0, var("n")):
+                with f.for_("j", var("m"), 7, 2):
+                    f.call("leaf", 1)
+
+        prog = _nest_program(body, ["n", "m"])
+        rep, _ = analyze_both(prog, {"n": 4, "m": 1}, closed_form)
+        assert closed_form == [0]
+        inner = rep.loop_records[(("main",), "main", 1)]
+        assert (inner.iterations, inner.entries) == (12, 4)
+        # The start's label reaches the sink through the loop variable.
+        assert inner.params == frozenset({"m"})
+
+    @pytest.mark.parametrize(
+        "policy, labelled",
+        [(FULL_POLICY, {"b"}), (DATAFLOW_ONLY, set())],
+    )
+    def test_nest_inside_tainted_branch(self, policy, labelled, closed_form):
+        def body(f):
+            f.assign("i", 0)
+            with f.if_(lt(0, var("b"))):
+                with f.for_("i", 0, 4):
+                    with f.for_("j", 0, 2):
+                        f.call("leaf", var("j"))
+            # The loop variable leaves the nest with the branch's label.
+            with f.for_("k", 0, var("i")):
+                f.work(1)
+
+        prog = _nest_program(body, ["b"])
+        rep, _ = analyze_both(prog, {"b": 1}, closed_form, policy=policy)
+        assert closed_form == [0, 2]
+        for loop_id in (0, 1, 2):
+            assert rep.loop_params("main", loop_id) == frozenset(labelled)
+        assert rep.loop_records[(("main",), "main", 1)].entries == 4
+
+    def test_records_inserted_children_first(self, closed_form):
+        def body(f):
+            with f.for_("i", 0, var("n")):
+                with f.for_("j", 0, 2):
+                    with f.for_("k", 0, var("n")):
+                        f.work(1)
+                with f.for_("l", 0, 3):
+                    f.work(1)
+
+        prog = _nest_program(body, ["n"])
+        rep, _ = analyze_both(prog, {"n": 2}, closed_form)
+        assert closed_form == [0]
+        assert [lid for (_, _, lid) in rep.loop_records] == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize(
+        "limit, roots", [(150, [1, 2]), (114, [1]), (113, [2])]
+    )
+    def test_step_limit_matches_genuine(self, limit, roots, closed_form):
+        def body(f):
+            with f.for_("r", 0, 3):
+                f.assign("t", var("r"))  # keeps this loop iterating
+                with f.for_("i", 0, var("n")):
+                    with f.for_("j", 0, 4):
+                        f.call("leaf", var("j"))
+
+        prog = _nest_program(body, ["n"])
+        # The nest rooted at loop 1 takes 111 steps, after 3.  It runs in
+        # closed form when it fits the budget.  Otherwise its outer level
+        # iterates (its inner level, loop 2, is a nest of its own) and
+        # the limit fails where genuine iteration fails, with the same
+        # partial report.
+        _, error = analyze_both(
+            prog, {"n": 5}, closed_form, config=ExecConfig(step_limit=limit)
+        )
+        assert error is not None and error[0] is ExecutionLimitError
+        assert closed_form[: len(roots)] == roots
+
+    def test_call_depth_limit_matches_genuine(self, closed_form):
+        def body(f):
+            with f.for_("i", 0, var("n")):
+                f.call("leaf", var("i"))
+
+        prog = _nest_program(body, ["n"])
+        # A leaf call would exceed the depth limit: the nest iterates and
+        # fails on its first call, as genuine iteration does.
+        _, error = analyze_both(
+            prog, {"n": 3}, closed_form, config=ExecConfig(max_call_depth=1)
+        )
+        assert error is not None and error[0] is ExecutionLimitError
+        assert closed_form == []
