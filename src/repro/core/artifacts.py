@@ -36,7 +36,7 @@ from ..staticanalysis.prune import FunctionStaticInfo, StaticReport
 from ..taint.report import TaintReport
 from ..volume.depclass import DependencyClass, ProgramDependencies
 from ..volume.loopnest import VolumeReport
-from ..volume.symbolic import LoopCount, Term, Volume
+from ..volume.symbolic import LoopCount, Volume, accumulate
 from .classify import Classification
 from .experiment_design import DesignDecision
 from .hybrid import ModelComparison
@@ -207,9 +207,8 @@ def volume_to_dict(volume: Volume) -> list:
 
 def volume_from_dict(payload: Sequence) -> Volume:
     """Inverse of :func:`volume_to_dict`."""
-    return Volume(
-        Term(
-            float(entry["coefficient"]),
+    terms = (
+        (
             tuple(
                 LoopCount(
                     function=f["function"],
@@ -218,9 +217,11 @@ def volume_from_dict(payload: Sequence) -> Volume:
                 )
                 for f in entry["factors"]
             ),
+            float(entry["coefficient"]),
         )
         for entry in payload
     )
+    return Volume.from_map(accumulate({}, terms))
 
 
 def volume_report_to_dict(report: VolumeReport) -> dict:

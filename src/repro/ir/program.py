@@ -1,10 +1,10 @@
 """Functions and programs.
 
 A :class:`Program` is a set of named :class:`Function` objects plus an entry
-point.  Finalizing a program assigns stable ids to every loop and branch,
-builds the call graph, and validates structure.  Analyses
-(:mod:`repro.staticanalysis`, :mod:`repro.ir.cfg`, ...) and the interpreters
-all operate on finalized programs.
+point.  Finalizing a program assigns stable ids to every loop and branch
+and validates structure; its call graph is built on first use and kept.
+Analyses (:mod:`repro.staticanalysis`, :mod:`repro.ir.cfg`, ...) and the
+interpreters all operate on finalized programs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from ..errors import IRError
+from .callgraph import CallGraph, build_callgraph
 from .expr import Call, Expr
 from .stmt import For, If, Stmt, While, iter_branches, iter_loops
 
@@ -73,6 +74,9 @@ class Program:
     entry: str
     metadata: dict[str, object] = field(default_factory=dict)
     _finalized: bool = field(default=False, repr=False)
+    _callgraph: CallGraph | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -103,6 +107,7 @@ class Program:
         """
         if self.entry not in self.functions:
             raise IRError(f"entry function '{self.entry}' not defined")
+        self._callgraph = None
         for fn in self.functions.values():
             loop_id = 0
             for loop in iter_loops(fn.body):
@@ -128,6 +133,13 @@ class Program:
             return self.functions[name]
         except KeyError:
             raise IRError(f"no function named '{name}'") from None
+
+    def callgraph(self) -> CallGraph:
+        """The call graph, built on first use and kept until the next
+        :meth:`finalize` (the analyses of one campaign share it)."""
+        if self._callgraph is None:
+            self._callgraph = build_callgraph(self)
+        return self._callgraph
 
     def defined_names(self) -> frozenset[str]:
         """Names of all program-defined functions."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.callgraph import build_callgraph
 from ..ir.loops import loop_forest
 from ..ir.program import Program
 from .scev import is_static_loop, static_trip_count
@@ -110,7 +109,7 @@ def analyze_program(
     relevant_library=default_relevant_library,
 ) -> StaticReport:
     """Run the compile-time phase over *program*."""
-    callgraph = build_callgraph(program)
+    callgraph = program.callgraph()
     recursive = callgraph.recursive_functions()
     report = StaticReport(functions={})
 

@@ -223,11 +223,8 @@ class TaintEngine:
         return TaintRunResult(value, domain.report, self._engine.metrics)
 
     def _check_recursion_warning(self) -> None:
-        from ..ir.callgraph import build_callgraph
-
-        cg = build_callgraph(self.program)
-        rec = cg.recursive_functions() & self.domain.executed
-        for name in sorted(rec):
+        recursive = self.program.callgraph().recursive_functions()
+        for name in sorted(recursive & self.domain.executed):
             self.domain.report.warn(
                 f"recursion detected in '{name}': loop analysis is "
                 "over-approximate (paper section 4.1)"

@@ -9,6 +9,18 @@ and accumulates volumes across the (non-recursive) call tree.  Loop counts
 come from two places: statically resolved trip counts (constants, from
 :mod:`repro.staticanalysis.scev`) and taint-derived parameter classes
 (opaque ``g(params)`` symbols, from the taint report).
+
+One walk per function.  Each function body is walked once, filling its
+exclusive and its inclusive accumulator side by side; a call inlines the
+callee's inclusive accumulator, walking the callee first if need be.  Each
+loop's count is built once, so a loop the taint run never executed warns
+once, in program order and pre-order within a function.  Accumulators are
+``{factor tuple: coefficient}`` maps (:mod:`repro.volume.symbolic`): a
+function body and a loop body (both seeded with the constant 1), an
+``If`` (both branches) and a call-bearing statement each get their own and
+merge into their parent as one unit, so every coefficient is the same
+float that folding ``+`` over canonical volumes yields.  Each volume is
+canonicalised once, when the report is built.
 """
 
 from __future__ import annotations
@@ -16,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..ir.callgraph import build_callgraph
 from ..ir.expr import Call
 from ..ir.program import Program
 from ..ir.stmt import For, If, Stmt, While
 from ..staticanalysis.scev import static_trip_count
 from ..taint.report import TaintReport
-from .symbolic import LoopCount, Volume
+from .symbolic import Factors, LoopCount, Volume, accumulate, product
+
+Terms = dict[Factors, float]
 
 
 @dataclass
@@ -56,27 +69,34 @@ class VolumeAnalyzer:
         self.program = program
         self.taint = taint
         self.warnings: list[str] = []
-        self._callgraph = build_callgraph(program)
-        self._inclusive_cache: dict[str, Volume] = {}
+        self._callgraph = program.callgraph()
         self._loop_param_map = taint.loops_by_function()
+        #: Accumulators of the walked functions; a function being walked
+        #: is inclusive-constant 1 to the calls that reach it again.
+        self._inclusive: dict[str, Terms] = {}
+        self._exclusive: dict[str, Terms] = {}
+        #: Unexecuted-loop warnings of each walked function, in pre-order.
+        self._loop_warnings: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------------
 
     def analyze(self) -> VolumeReport:
         """Compute volumes for every function and the program."""
+        warnings = []
         if self._callgraph.has_recursion:
             rec = ", ".join(sorted(self._callgraph.recursive_functions()))
-            self.warnings.append(
+            warnings.append(
                 f"recursive functions ({rec}): volume accumulation skips "
                 "recursive call edges (over-approximation, section 4.1)"
             )
-        exclusive = {
-            fn.name: self._body_volume(fn.name, fn.body, inline_calls=False)
-            for fn in self.program
-        }
-        inclusive = {
-            fn.name: self._function_volume(fn.name) for fn in self.program
-        }
+        names = [fn.name for fn in self.program]
+        for name in names:
+            self._function_terms(name)
+        for name in names:
+            warnings.extend(self._loop_warnings[name])
+        self.warnings = warnings
+        exclusive = {n: Volume.from_map(self._exclusive[n]) for n in names}
+        inclusive = {n: Volume.from_map(self._inclusive[n]) for n in names}
         return VolumeReport(
             inclusive=inclusive,
             exclusive=exclusive,
@@ -84,15 +104,20 @@ class VolumeAnalyzer:
             warnings=list(self.warnings),
         )
 
-    def _function_volume(self, name: str) -> Volume:
-        if name in self._inclusive_cache:
-            return self._inclusive_cache[name]
+    def _function_terms(self, name: str) -> Terms:
+        """Inclusive accumulator of *name*, walking its body on first use."""
+        if name in self._inclusive:
+            return self._inclusive[name]
         # Break recursion cycles: mark in-progress functions as constant.
-        self._inclusive_cache[name] = Volume.constant(1.0)
-        fn = self.program.function(name)
-        vol = self._body_volume(name, fn.body, inline_calls=True)
-        self._inclusive_cache[name] = vol
-        return vol
+        self._inclusive[name] = {(): 1.0}
+        self._loop_warnings[name] = []
+        exclusive, inclusive = {(): 1.0}, {(): 1.0}
+        body = self.program.function(name).body
+        inline = bool(self._callgraph.callees(name) - {name})
+        self._block(name, body, exclusive, inclusive, inline)
+        self._exclusive[name] = exclusive
+        self._inclusive[name] = inclusive
+        return inclusive
 
     # ------------------------------------------------------------------
 
@@ -104,53 +129,56 @@ class VolumeAnalyzer:
         loop_id = getattr(loop, "loop_id", -1)
         params = self._loop_param_map.get(fn_name, {}).get(loop_id)
         if params is None:
-            self.warnings.append(
+            self._loop_warnings[fn_name].append(
                 f"loop {fn_name}#{loop_id} was not executed during the "
                 "taint run; its parameter class is unknown"
             )
             params = frozenset()
         return Volume.of_loop(LoopCount(fn_name, loop_id, params))
 
-    def _body_volume(
-        self, fn_name: str, body: Sequence[Stmt], inline_calls: bool
-    ) -> Volume:
-        """Sequencing rule: the volume of a block is the sum of the volumes
-        of its loop nests (plus a constant for straight-line code, which
-        section 4.3 lets us ignore asymptotically — we keep a unit constant
-        so empty functions still have a well-defined constant volume)."""
-        total = Volume.constant(1.0)
+    def _block(
+        self,
+        fn_name: str,
+        body: Sequence[Stmt],
+        exclusive: Terms,
+        inclusive: Terms,
+        inline: bool,
+    ) -> None:
+        """Sequencing rule: merge the volume of each statement of *body*
+        into the block's accumulators (seeded by the caller: a unit
+        constant for function and loop bodies, which section 4.3 lets us
+        ignore asymptotically but keeps empty bodies well-defined).
+        *inline* is False when the function calls no other program
+        function, so no statement can add a callee's volume."""
         for stmt in body:
-            total = total + self._stmt_volume(fn_name, stmt, inline_calls)
-        return total
-
-    def _stmt_volume(
-        self, fn_name: str, stmt: Stmt, inline_calls: bool
-    ) -> Volume:
-        if isinstance(stmt, (For, While)):
-            count = self._loop_count(fn_name, stmt)
-            inner = Volume.constant(1.0)
-            for sub in stmt.body:
-                inner = inner + self._stmt_volume(fn_name, sub, inline_calls)
-            # Nesting rule: vol(LN) = count(L) * vol(children).
-            return count * inner
-        if isinstance(stmt, If):
-            # Both branches over-approximate the volume (sum >= max).
-            vol = Volume.zero()
-            for sub in stmt.then_body:
-                vol = vol + self._stmt_volume(fn_name, sub, inline_calls)
-            for sub in stmt.else_body:
-                vol = vol + self._stmt_volume(fn_name, sub, inline_calls)
-            return vol
-        if inline_calls:
-            vol = Volume.zero()
-            for expr in stmt.exprs():
-                for node in expr.walk():
-                    if isinstance(node, Call) and node.callee in self.program:
-                        if node.callee == fn_name:
-                            continue  # recursion: skip (warned above)
-                        vol = vol + self._function_volume(node.callee)
-            return vol
-        return Volume.zero()
+            if isinstance(stmt, (For, While)):
+                count = self._loop_count(fn_name, stmt).terms
+                inner_ex, inner_in = {(): 1.0}, {(): 1.0}
+                self._block(fn_name, stmt.body, inner_ex, inner_in, inline)
+                # Nesting rule: vol(LN) = count(L) * vol(children).
+                accumulate(exclusive, product(count, inner_ex.items()).items())
+                accumulate(inclusive, product(count, inner_in.items()).items())
+            elif isinstance(stmt, If):
+                # Both branches over-approximate the volume (sum >= max).
+                branch_ex: Terms = {}
+                branch_in: Terms = {}
+                for branch in (stmt.then_body, stmt.else_body):
+                    self._block(fn_name, branch, branch_ex, branch_in, inline)
+                accumulate(exclusive, branch_ex.items())
+                accumulate(inclusive, branch_in.items())
+            elif inline:
+                calls: Terms = {}
+                for expr in stmt.exprs():
+                    for node in expr.walk():
+                        if (
+                            isinstance(node, Call)
+                            and node.callee in self.program
+                            # recursion: skip the edge (warned above)
+                            and node.callee != fn_name
+                        ):
+                            callee = self._function_terms(node.callee)
+                            accumulate(calls, callee.items())
+                accumulate(inclusive, calls.items())
 
 
 def compute_volumes(program: Program, taint: TaintReport) -> VolumeReport:

@@ -12,12 +12,29 @@ A :class:`Volume` is a sum of :class:`Term`s; a term is a constant
 multiplier times a product of :class:`LoopCount` symbols.  The parameter
 structure of the terms (which parameters co-occur in a product) is exactly
 the additive/multiplicative dependency information of section A2.
+
+Canonical form.  The terms of a volume have pairwise distinct factor
+tuples and non-zero coefficients, and are ordered by ``(len(factors),
+factors)``; factors compare by :attr:`LoopCount.sort_key`, which each
+count computes once, at construction.  The form is built in one place,
+from a ``{factor tuple: coefficient}`` map (:meth:`Volume.from_map`;
+``Volume(terms)`` merges its terms into such a map first).
+
+Accumulators.  Composition adds into such maps (:func:`accumulate`) and
+canonicalises once, at the end, instead of re-merging and re-sorting a
+running sum on every ``+``.  Floating-point addition is not associative,
+so where the maps are split is part of the result: ``(a + b) + c`` adds
+b's merged coefficient to a's, per key, then c's.  A map merged into its
+parent as one unit therefore yields exactly the sums of folding ``+`` over
+canonical volumes; :mod:`repro.volume.loopnest` keeps one map per block
+that the sequencing rule sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -27,25 +44,74 @@ class LoopCount:
     function: str
     loop_id: int
     params: frozenset[str] = frozenset()
+    #: ``(function, loop_id, sorted params)``: the factor order of the
+    #: canonical form, set once in ``__post_init__``.
+    sort_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "sort_key",
+            (self.function, self.loop_id, tuple(sorted(self.params))),
+        )
 
     def __str__(self) -> str:
         args = ", ".join(sorted(self.params)) if self.params else ""
         return f"g[{self.function}#{self.loop_id}]({args})"
 
-    def _key(self) -> tuple:
-        return (self.function, self.loop_id, tuple(sorted(self.params)))
-
     def __lt__(self, other: "LoopCount") -> bool:  # stable ordering for keys
-        return self._key() < other._key()
+        return self.sort_key < other.sort_key
 
     def __le__(self, other: "LoopCount") -> bool:
-        return self._key() <= other._key()
+        return self.sort_key <= other.sort_key
 
     def __gt__(self, other: "LoopCount") -> bool:
-        return self._key() > other._key()
+        return self.sort_key > other.sort_key
 
     def __ge__(self, other: "LoopCount") -> bool:
-        return self._key() >= other._key()
+        return self.sort_key >= other.sort_key
+
+
+Factors = tuple[LoopCount, ...]
+
+_factor_key = attrgetter("sort_key")
+
+
+def _term_order(item: tuple[Factors, float]) -> tuple:
+    factors = item[0]
+    return (len(factors), tuple([f.sort_key for f in factors]))
+
+
+def accumulate(
+    acc: dict[Factors, float], items: Iterable[tuple[Factors, float]]
+) -> dict[Factors, float]:
+    """Add each ``(factors, coefficient)`` of *items* into *acc*, per key;
+    zero coefficients are not terms and are skipped.  Returns *acc*."""
+    for key, coef in items:
+        if coef != 0:
+            acc[key] = acc.get(key, 0.0) + coef
+    return acc
+
+
+def product(
+    left: Iterable[Term], right: Iterable[tuple[Factors, float]]
+) -> dict[Factors, float]:
+    """The terms of ``left * right`` as a map.  Factor tuples come in
+    sorted, as in every :class:`Term`, and stay sorted; a *left* of at
+    most one term (a loop count) yields distinct keys."""
+    acc: dict[Factors, float] = {}
+    right = [kv for kv in right if kv[1] != 0]
+    for a in left:
+        for factors, coef in right:
+            key = (
+                tuple(sorted(a.factors + factors, key=_factor_key))
+                if a.factors
+                else factors
+            )
+            prod = a.coefficient * coef
+            if prod != 0:
+                acc[key] = acc.get(key, 0.0) + prod
+    return acc
 
 
 @dataclass(frozen=True)
@@ -80,24 +146,30 @@ class Term:
         return f"{self.coefficient:g} * {factors}"
 
 
+def _canonical_terms(merged: Mapping[Factors, float]) -> tuple[Term, ...]:
+    """Zero coefficients dropped, terms sorted by ``(len(factors),
+    factors)``: the one place the canonical form is built."""
+    items = [kv for kv in merged.items() if kv[1] != 0]
+    if len(items) > 1:
+        items.sort(key=_term_order)
+    return tuple([Term(coef, key) for key, coef in items])
+
+
 class Volume:
     """A sum of terms, canonicalized by merging equal factor products."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
-        merged: dict[tuple[LoopCount, ...], float] = {}
-        for term in terms:
-            if term.coefficient == 0:
-                continue
-            merged[term.key()] = merged.get(term.key(), 0.0) + term.coefficient
-        self.terms: tuple[Term, ...] = tuple(
-            Term(coef, key)
-            for key, coef in sorted(
-                merged.items(), key=lambda kv: (len(kv[0]), kv[0])
-            )
-            if coef != 0
-        )
+        merged = accumulate({}, ((t.factors, t.coefficient) for t in terms))
+        self.terms: tuple[Term, ...] = _canonical_terms(merged)
+
+    @classmethod
+    def from_map(cls, merged: Mapping[Factors, float]) -> "Volume":
+        """The canonical volume of a ``{factors: coefficient}`` map."""
+        vol = cls.__new__(cls)
+        vol.terms = _canonical_terms(merged)
+        return vol
 
     # -- constructors ---------------------------------------------------
 
@@ -119,16 +191,8 @@ class Volume:
         return Volume(self.terms + other.terms)
 
     def __mul__(self, other: "Volume") -> "Volume":
-        out: list[Term] = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    Term(
-                        a.coefficient * b.coefficient,
-                        tuple(sorted(a.factors + b.factors)),
-                    )
-                )
-        return Volume(out)
+        right = ((t.factors, t.coefficient) for t in other.terms)
+        return Volume.from_map(product(self.terms, right))
 
     def scaled(self, value: float) -> "Volume":
         return Volume([Term(t.coefficient * value, t.factors) for t in self.terms])
