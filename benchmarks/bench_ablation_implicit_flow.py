@@ -18,7 +18,7 @@ from repro.apps.synthetic import SyntheticWorkload
 from repro.core.pipeline import PerfTaintPipeline
 from repro.core.report import format_table
 from repro.ir import ProgramBuilder, var
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.taint.policy import DATAFLOW_ONLY, FULL_POLICY, PropagationPolicy
 
 IMPLICIT = PropagationPolicy(implicit_flow=True)
@@ -48,7 +48,7 @@ def test_ablation_implicit_flow(benchmark, lulesh_workload):
         ):
             # c=0: the branch is NOT taken, so only implicit tracking can
             # see the dependence of d (and the loop) on c.
-            rep = TaintInterpreter(prog, policy=policy).analyze(
+            rep = TaintEngine(prog, policy=policy).analyze(
                 {"c": 0, "n": 6}, {"c": "c", "n": "n"}
             ).report
             per_policy[name] = rep.loop_params("main", 0)

@@ -20,7 +20,7 @@ from repro.apps.synthetic import (
 from repro.core.experiment_design import design_experiments
 from repro.core.pipeline import PerfTaintPipeline
 from repro.core.report import format_table
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.volume import classify_program, compute_volumes
 
 FIVE = [2, 4, 8, 16, 32]
@@ -29,7 +29,7 @@ FIVE = [2, 4, 8, 16, 32]
 def _design_for(program, args, values):
     entry = program.function(program.entry)
     sources = {n: n for n in entry.params}
-    taint = TaintInterpreter(program).analyze(args, sources).report
+    taint = TaintEngine(program).analyze(args, sources).report
     volumes = compute_volumes(program, taint)
     deps = classify_program(volumes.inclusive, volumes.program)
     return design_experiments(values, taint, deps, volumes.program)

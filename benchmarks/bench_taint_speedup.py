@@ -1,31 +1,29 @@
-"""Taint-stage speedup of the compiled shadow engine over the tree-walker.
+"""Taint-stage speedup of the closed form over genuine iteration.
 
-Taint is an analysis domain both engines execute.  The tree-walking
-``ShadowInterpreter`` is the genuine-iteration oracle: it runs every trip
-of every loop and pays per-node ``isinstance`` dispatch and per-name dict
-lookups.  The ``CompiledShadowEngine`` propagates labels through the same
-pre-resolved frame slots the values use, and it runs the pure-cost nests
-the fast-path planner summarises in closed form, recording each nest's
-loop sinks once.  This benchmark times the full taint stage (engine
-construction included — a taint run builds a fresh engine, so the
-compiled engine's one-time lowering cost is part of what production
-pays) on the LULESH workload at its paper-style representative
-configuration, asserts the two engines' reports are identical, and
-asserts the compiled engine's speedup.
+Taint is an analysis domain the shadow-tracking tree-walker
+(``ShadowInterpreter``) executes.  With ``ExecConfig.fast_loops`` off it
+runs every trip of every loop: the genuine-iteration reference.  With it
+on (the default) it runs the pure-cost nests the fast-path planner
+summarises in closed form, recording each nest's loop sinks once.  This
+benchmark times the full taint stage (``run_taint_stage``, engine
+construction included) on the LULESH workload at its paper-style
+representative configuration in both modes, asserts the two reports are
+identical, and asserts the closed form's speedup.
 
 Run with ``pytest benchmarks/bench_taint_speedup.py -s``.
 
 Environment knobs:
 
 * ``REPRO_BENCH_TAINT_MIN_SPEEDUP`` — the assertion bar (default 2.0 on
-  a real host; the CI smoke job lowers it to 1.0, i.e. "compiled taint
-  must never be slower than the tree-walker").
+  a real host; the CI smoke job lowers it to 1.0, i.e. "the closed form
+  must never be slower than genuine iteration").
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 from repro.core.artifacts import artifact_fingerprint, taint_report_to_dict
 from repro.core.stages import run_taint_stage
@@ -35,16 +33,30 @@ from repro.taint.policy import FULL_POLICY
 from conftest import report
 
 
-def _time_taint_stage(workload, program, engine: str, rounds: int = 3):
+class GenuineIteration:
+    """*workload* with ``fast_loops`` off in every run it sets up."""
+
+    def __init__(self, workload) -> None:
+        self._workload = workload
+
+    def __getattr__(self, name):
+        return getattr(self._workload, name)
+
+    def setup(self, config):
+        setup = self._workload.setup(config)
+        return replace(
+            setup, exec_config=replace(setup.exec_config, fast_loops=False)
+        )
+
+
+def _time_taint_stage(workload, program, rounds: int = 3):
     """Best-of-*rounds* wall time of the taint stage plus its report."""
     best = float("inf")
     taint = None
     for _ in range(rounds):
         library = MPI_DATABASE.copy()
         started = time.perf_counter()
-        taint = run_taint_stage(
-            workload, program, FULL_POLICY, library, engine=engine
-        )
+        taint = run_taint_stage(workload, program, FULL_POLICY, library)
         best = min(best, time.perf_counter() - started)
     return best, taint
 
@@ -55,51 +67,49 @@ def test_taint_speedup(lulesh_workload):
     )
     program = lulesh_workload.program()
 
-    tree_time, tree_report = _time_taint_stage(
-        lulesh_workload, program, "tree"
+    genuine_time, genuine_report = _time_taint_stage(
+        GenuineIteration(lulesh_workload), program
     )
-    compiled_time, compiled_report = _time_taint_stage(
-        lulesh_workload, program, "compiled"
-    )
-    speedup = tree_time / compiled_time
+    closed_time, closed_report = _time_taint_stage(lulesh_workload, program)
+    speedup = genuine_time / closed_time
 
     # The speedup must never come at the cost of a single diverging bit:
     # same records, same parameter sets, same canonical payload.
-    assert tree_report == compiled_report
-    tree_fp = artifact_fingerprint(taint_report_to_dict(tree_report))
-    compiled_fp = artifact_fingerprint(taint_report_to_dict(compiled_report))
-    assert tree_fp == compiled_fp
+    assert genuine_report == closed_report
+    genuine_fp = artifact_fingerprint(taint_report_to_dict(genuine_report))
+    closed_fp = artifact_fingerprint(taint_report_to_dict(closed_report))
+    assert genuine_fp == closed_fp
 
     lines = [
         "LULESH taint stage (representative config "
         f"{lulesh_workload.taint_config()}, full policy)",
-        f"loop records: {len(tree_report.loop_records)}, "
-        f"library records: {len(tree_report.library_records)}",
+        f"loop records: {len(closed_report.loop_records)}, "
+        f"library records: {len(closed_report.library_records)}",
         "",
-        f"{'engine':>10}  {'time [s]':>9}",
-        f"{'tree':>10}  {tree_time:>9.3f}",
-        f"{'compiled':>10}  {compiled_time:>9.3f}",
+        f"{'loops':>12}  {'time [s]':>9}",
+        f"{'genuine':>12}  {genuine_time:>9.3f}",
+        f"{'closed form':>12}  {closed_time:>9.3f}",
         "",
         f"taint-stage speedup: {speedup:.2f}x (bar: {min_speedup:.1f}x)",
-        f"reports bit-identical: yes ({compiled_fp[:16]}...)",
+        f"reports bit-identical: yes ({closed_fp[:16]}...)",
     ]
     report(
         "taint_speedup",
         "\n".join(lines),
         data={
-            "tree_seconds": tree_time,
-            "compiled_seconds": compiled_time,
+            "genuine_seconds": genuine_time,
+            "closed_form_seconds": closed_time,
             "speedup": speedup,
             "min_speedup_bar": min_speedup,
-            "loop_records": len(tree_report.loop_records),
-            "report_fingerprint": compiled_fp,
+            "loop_records": len(closed_report.loop_records),
+            "report_fingerprint": closed_fp,
             "reports_identical": True,
             "host_cores": os.cpu_count(),
         },
     )
 
     assert speedup >= min_speedup, (
-        f"compiled taint speedup {speedup:.2f}x below the "
-        f"{min_speedup:.1f}x bar (tree {tree_time:.3f}s vs "
-        f"compiled {compiled_time:.3f}s)"
+        f"closed-form taint speedup {speedup:.2f}x below the "
+        f"{min_speedup:.1f}x bar (genuine {genuine_time:.3f}s vs "
+        f"closed form {closed_time:.3f}s)"
     )

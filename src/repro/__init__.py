@@ -46,7 +46,7 @@ from .core import (
 from .errors import ReproError
 from .measure import InstrumentationMode
 from .modeling import Model, Modeler, SearchPrior
-from .taint import TaintEngine, TaintInterpreter, TaintReport
+from .taint import TaintEngine, TaintReport
 
 __version__ = "1.0.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "SearchPrior",
     "SyntheticWorkload",
     "TaintEngine",
-    "TaintInterpreter",
     "TaintReport",
     "detect_contention",
     "detect_segmented_behavior",

@@ -4,13 +4,13 @@ Commands mirror the pipeline stages on the registered workloads:
 
 * ``analyze <app>`` — static + taint analysis, Table 2/3 style report;
 * ``taint --app <app>`` — the taint stage alone, with a deterministic
-  report fingerprint for cross-engine comparison;
+  report fingerprint;
 * ``model <app> --values p=27,64 size=10,20`` — full pipeline with models;
 * ``run <spec.toml>`` — a declarative campaign with a persistent,
   resumable artifact workspace;
 * ``apps`` / ``stages`` — list registered workloads and pipeline stages;
 * ``engines`` — list registered execution engines with their capability
-  flags (``supports_taint``, ``supports_batch``);
+  flag (``supports_batch``);
 * ``contention <app> --r 2,4,8,16`` — ranks-per-node study (C1);
 * ``segments <app> --p 4,8,32`` — branch-direction validation (C2);
 * ``sweep <app> --values p=2,4 s=4,8 --jobs 4`` — measurement stage only,
@@ -31,16 +31,13 @@ configurations across invocations; results are bit-identical for every
 jobs count.  Measurement commands take ``--engine`` to pick a registered
 execution engine (default: ``vectorized``, which runs the whole sweep as
 tensor batches; ``compiled`` is the one-configuration-at-a-time
-IR-to-closure compiler, bit-identical);
-``taint``/``run``/``model`` take ``--taint-engine`` to pick the engine
-executing the dynamic taint stage (default ``compiled``) — the
-built-in engines are bit-identical in both roles.  ``run``/``model``
-take ``--search-backend`` to pick the model-search backend (default
-``batched``, one stacked-LAPACK call per hypothesis class; ``loop`` is
-the per-hypothesis reference — both select identical models).
-Everything prints
-plain text; the same functionality is available programmatically via
-:mod:`repro.api`.
+IR-to-closure compiler, bit-identical).  The taint stage has one engine,
+the shadow-tracking tree-walker, so no command chooses it.
+``run``/``model`` take ``--search-backend`` to pick the model-search
+backend (default ``batched``, one stacked-LAPACK call per hypothesis
+class; ``loop`` is the per-hypothesis reference — both select identical
+models).  Everything prints plain text; the same functionality is
+available programmatically via :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -57,11 +54,7 @@ from .core.report import render_summary, render_table2, render_table3
 from .core.stages import STAGES, Campaign
 from .core.validation import detect_segmented_behavior
 from .errors import ReproError
-from .interp import (
-    DEFAULT_MEASUREMENT_ENGINE,
-    DEFAULT_TAINT_ENGINE,
-    shadow_capable_engines,
-)
+from .interp import DEFAULT_MEASUREMENT_ENGINE
 from .libdb import MPI_DATABASE
 from .measure.instrumentation import InstrumentationMode
 from .measure.profiler import APP_KEY
@@ -179,11 +172,8 @@ def cmd_taint(args: argparse.Namespace) -> int:
     from .core.artifacts import artifact_fingerprint, taint_report_to_dict
 
     workload = _workload(args.app)
-    pipeline = PerfTaintPipeline(
-        workload=workload, taint_engine=args.taint_engine
-    )
-    taint = pipeline.analyze_taint()
-    print(f"taint analysis of '{args.app}' (engine: {args.taint_engine})")
+    taint = PerfTaintPipeline(workload=workload).analyze_taint()
+    print(f"taint analysis of '{args.app}'")
     print(f"  parameters:         {', '.join(taint.parameters) or '-'}")
     print(f"  executed functions: {len(taint.executed_functions)}")
     print(
@@ -192,9 +182,8 @@ def cmd_taint(args: argparse.Namespace) -> int:
     )
     print(f"  branch records:     {len(taint.branch_records)}")
     print(f"  library records:    {len(taint.library_records)}")
-    # Content fingerprint of the canonical report payload: identical
-    # across engines by construction — compare `--taint-engine tree`
-    # against `--taint-engine compiled` to verify on any workload.
+    # Content fingerprint of the canonical report payload (the taint
+    # stage digest the stage-digest tests pin).
     print(
         "  report fingerprint: "
         f"{artifact_fingerprint(taint_report_to_dict(taint))}"
@@ -219,7 +208,6 @@ def cmd_model(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         cache_dir=args.cache_dir,
         engine=args.engine,
-        taint_engine=args.taint_engine,
         model_backend=args.search_backend,
     )
     result = pipeline.run(
@@ -235,8 +223,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     campaign = Campaign.from_toml(args.spec, workspace=args.workspace)
     if args.jobs is not None:
         campaign.n_jobs = args.jobs
-    if args.taint_engine is not None:
-        campaign.taint_engine = args.taint_engine
     if args.search_backend is not None:
         campaign.model_backend = args.search_backend
     started = time.perf_counter()
@@ -270,12 +256,8 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 def cmd_engines(args: argparse.Namespace) -> int:
     for entry in ENGINE_REGISTRY:
-        flags = [
-            name
-            for name in ("supports_taint", "supports_batch")
-            if entry.metadata.get(name)
-        ]
-        extra = f"  [{', '.join(flags)}]" if flags else ""
+        batch = entry.metadata.get("supports_batch")
+        extra = "  [supports_batch]" if batch else ""
         print(f"{entry.name:<12} {entry.description}{extra}")
     return 0
 
@@ -640,19 +622,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_taint_engine_arg(
-    parser: argparse.ArgumentParser, default: "str | None" = DEFAULT_TAINT_ENGINE
-) -> None:
-    parser.add_argument(
-        "--taint-engine",
-        default=default,
-        choices=shadow_capable_engines(),
-        help="execution engine for the dynamic taint stage (engines "
-        "declaring supports_taint); the built-in engines produce "
-        "bit-identical taint reports",
-    )
-
-
 def _add_search_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--search-backend",
@@ -688,14 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "taint",
         help="run the dynamic taint stage alone (prints a deterministic "
-        "report fingerprint for cross-engine comparison)",
+        "report fingerprint)",
     )
     p.add_argument(
         "--app",
         required=True,
         help=f"one of: {', '.join(WORKLOAD_REGISTRY.names())}",
     )
-    _add_taint_engine_arg(p)
     p.set_defaults(func=cmd_taint)
 
     p = sub.add_parser("model", help="run the full modeling pipeline")
@@ -730,7 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-cache directory (reruns skip measured configurations)",
     )
     _add_engine_arg(p)
-    _add_taint_engine_arg(p)
     _add_search_backend_arg(p)
     p.set_defaults(func=cmd_model)
 
@@ -753,7 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the spec's worker-process count",
     )
-    _add_taint_engine_arg(p, default=None)  # None: keep the spec's choice
     _add_search_backend_arg(p)
     p.set_defaults(func=cmd_run)
 
@@ -762,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "engines",
-        help="list registered execution engines with capability flags "
-        "(supports_taint, supports_batch)",
+        help="list registered execution engines with their capability "
+        "flag (supports_batch)",
     )
     p.set_defaults(func=cmd_engines)
 

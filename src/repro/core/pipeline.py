@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import math
 
-from ..interp import DEFAULT_MEASUREMENT_ENGINE, DEFAULT_TAINT_ENGINE
+from ..interp import DEFAULT_MEASUREMENT_ENGINE
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
 from ..measure.experiment import ConfigKey, Measurements, Workload
@@ -101,11 +101,6 @@ class PerfTaintPipeline:
     #: default, routes to the batched runner; "compiled" | "tree" run one
     #: configuration at a time).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
-    #: Execution engine for the taint stage.  Any registered engine whose
-    #: entry declares ``supports_taint``; the built-ins are bit-identical
-    #: (the compiled engine executes taint through the same pre-resolved
-    #: slots it uses for values).
-    taint_engine: str = DEFAULT_TAINT_ENGINE
     #: Model-search backend for the model stage ("batched" | "loop");
     #: None keeps the modeler's own choice.  The built-ins select
     #: identical models; "batched" fits every hypothesis class with one
@@ -139,7 +134,6 @@ class PerfTaintPipeline:
             self.program(),
             self.policy,
             self.library,
-            engine=self.taint_engine,
         )
 
     def analyze(
@@ -269,7 +263,6 @@ class PerfTaintPipeline:
             n_jobs=self.n_jobs,
             cache_dir=self.cache_dir,
             engine=self.engine,
-            taint_engine=self.taint_engine,
             model_backend=self.model_backend,
             compare_black_box=compare_black_box,
             cov_threshold=cov_threshold,

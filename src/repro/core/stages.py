@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from ..errors import CampaignSpecError, PipelineError
-from ..interp import (
-    DEFAULT_MEASUREMENT_ENGINE,
-    DEFAULT_TAINT_ENGINE,
-    shadow_capable_engines,
-    shadow_engine_identity,
-)
+from ..interp import DEFAULT_MEASUREMENT_ENGINE
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
 from ..measure.experiment import (
@@ -98,15 +93,12 @@ def run_taint_stage(
     program,
     policy: PropagationPolicy,
     library: LibraryDatabase,
-    engine: str = DEFAULT_TAINT_ENGINE,
 ) -> TaintReport:
     """Dynamic taint run on the workload's representative config.
 
-    *engine* names a registered execution engine whose registry entry
-    declares ``supports_taint`` (the built-in ``compiled`` and ``tree``
-    engines are bit-identical).  A workload without a usable
-    ``taint_config()`` raises a typed :class:`~repro.errors.PipelineError`
-    naming the workload instead of an ``AttributeError`` mid-stage.
+    A workload without a usable ``taint_config()`` raises a typed
+    :class:`~repro.errors.PipelineError` naming the workload instead of
+    an ``AttributeError`` mid-stage.
     """
     name = getattr(workload, "name", type(workload).__name__)
     taint_config = getattr(workload, "taint_config", None)
@@ -132,12 +124,8 @@ def run_taint_stage(
         config=setup.exec_config,
         policy=policy,
         library_taint=library,
-        engine=engine,
     )
-    try:
-        result = taint.analyze(setup.args, workload.sources(), entry=setup.entry)
-    finally:
-        taint.close()
+    result = taint.analyze(setup.args, workload.sources(), entry=setup.entry)
     return result.report
 
 
@@ -415,22 +403,15 @@ STAGES: dict[str, Stage] = {
             inputs=(),
             description="dynamic taint run on the representative config",
             compute=lambda c, a: run_taint_stage(
-                c.workload,
-                c.program(),
-                c.policy,
-                c.library,
-                engine=c.taint_engine,
+                c.workload, c.program(), c.policy, c.library
             ),
-            # Taint-engine identity (the shadow implementation, not just
-            # the concrete factory) plus the propagation policy are part
-            # of the fingerprint: cached taint artifacts never cross
-            # engines or policies.
+            # The propagation policy is part of the fingerprint: cached
+            # taint artifacts never cross policies.
             config=lambda c: {
                 "program": c.program_fingerprint(),
                 "workload": workload_repr(c.workload),
                 "policy": repr(c.policy),
                 "library": c.library.fingerprint(),
-                "engine": shadow_engine_identity(c.taint_engine),
             },
             to_payload=art.taint_report_to_dict,
             from_payload=art.taint_report_from_dict,
@@ -597,9 +578,6 @@ class Campaign:
     #: Per-configuration run-cache directory (below stage granularity).
     cache_dir: "str | None" = None
     engine: str = DEFAULT_MEASUREMENT_ENGINE
-    #: Execution engine for the taint stage (must declare
-    #: ``supports_taint`` in the engine registry).
-    taint_engine: str = DEFAULT_TAINT_ENGINE
     #: Model-search backend for the model stage (``loop`` | ``batched``);
     #: None keeps the modeler's own (``batched`` by default).
     model_backend: "str | None" = None
@@ -768,7 +746,6 @@ class Campaign:
             "mode",
             "design",
             "engine",
-            "taint_engine",
             "model_backend",
             "jobs",
             "seed",
@@ -792,7 +769,7 @@ class Campaign:
 
         Required keys: ``app`` (a registered workload name) and
         ``parameters`` (name -> list of values).  Optional: ``mode``,
-        ``design``, ``engine``, ``taint_engine``, ``model_backend`` (a
+        ``design``, ``engine``, ``model_backend`` (a
         registered model-search backend for the model stage),
         ``jobs``, ``seed``, ``repetitions``,
         ``noise``/``contention`` (a registered name, or a table whose
@@ -852,14 +829,6 @@ class Campaign:
         DESIGN_REGISTRY.entry(design)  # fail fast with the valid names
         engine = str(data.get("engine", DEFAULT_MEASUREMENT_ENGINE))
         ENGINE_REGISTRY.entry(engine)
-        taint_engine = str(data.get("taint_engine", DEFAULT_TAINT_ENGINE))
-        ENGINE_REGISTRY.entry(taint_engine)  # unknown names fail first
-        if taint_engine not in shadow_capable_engines():
-            raise CampaignSpecError(
-                f"engine '{taint_engine}' cannot run the taint stage "
-                f"(taint-capable engines: "
-                f"{', '.join(shadow_capable_engines())})"
-            )
         model_backend = data.get("model_backend")
         if model_backend is not None:
             model_backend = str(model_backend)
@@ -901,7 +870,6 @@ class Campaign:
             n_jobs=_spec_int(data, "jobs", 1, minimum=1),
             cache_dir=data.get("cache_dir"),
             engine=engine,
-            taint_engine=taint_engine,
             model_backend=model_backend,
             compare_black_box=bool(data.get("compare_black_box", False)),
             cov_threshold=cov_threshold,

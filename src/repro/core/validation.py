@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 from ..measure.experiment import Measurements
 from ..measure.profiler import APP_KEY
 from ..modeling.hypothesis import Model
-from ..interp import DEFAULT_TAINT_ENGINE
 from ..taint.engine import TaintEngine
 from ..taint.policy import FULL_POLICY, PropagationPolicy
 from ..taint.report import TaintReport
@@ -205,7 +204,6 @@ def detect_segmented_behavior(
     sources: Mapping[str, str],
     library_taint: LibraryTaintModel | None = None,
     policy: PropagationPolicy = FULL_POLICY,
-    taint_engine: str = DEFAULT_TAINT_ENGINE,
 ) -> list[SegmentFinding]:
     """Run cheap taint executions across *configs* and flag parameter-
     dependent branches whose direction changes (paper C2).
@@ -214,7 +212,6 @@ def detect_segmented_behavior(
     :class:`~repro.measure.experiment.RunSetup` for the configuration
     (the workload's ``setup`` method).  Use scaled-down configurations:
     only the branch-relevant parameters need their real values.
-    *taint_engine* picks the executing engine (built-ins bit-identical).
     """
     by_branch: dict[tuple[str, int], SegmentFinding] = {}
     for config in configs:
@@ -225,12 +222,8 @@ def detect_segmented_behavior(
             config=setup.exec_config,
             policy=policy,
             library_taint=library_taint,
-            engine=taint_engine,
         )
-        try:
-            result = engine.analyze(setup.args, dict(sources), entry=setup.entry)
-        finally:
-            engine.close()
+        result = engine.analyze(setup.args, dict(sources), entry=setup.entry)
         key_cfg = tuple(sorted((k, float(v)) for k, v in config.items()))
         for (_cp, fn, bid), rec in result.report.branch_records.items():
             if not rec.params:

@@ -1,25 +1,26 @@
 """Execution substrate: metered execution of repro-IR programs.
 
-Execution factors into **engines** (dispatch strategies) × **analysis
-domains** (optional shadow lattices, see :mod:`repro.interp.domain`),
-over one shared semantics core (:mod:`repro.interp.semantics`):
+Three engines (dispatch strategies) share one semantics core
+(:mod:`repro.interp.semantics`):
 
-* :class:`Interpreter` — the tree-walking engine.  Subclassable per-node
-  hooks; :class:`ShadowInterpreter` is its domain-parameterized shadow
-  sibling.
+* :class:`Interpreter` — the tree-walking engine, with subclassable
+  per-node hooks.  :class:`ShadowInterpreter` extends it with an
+  analysis domain's shadow state (:mod:`repro.interp.domain`); it is the
+  one shadow engine, the one taint runs execute on.
 * :class:`CompiledEngine` — the IR-to-closure compiler
   (:mod:`repro.interp.compile`).  Lowers a finalized program once and
   executes pre-dispatched closures; the engine of single-configuration
-  runs.  :class:`CompiledShadowEngine` is its shadow sibling — shadows
-  travel through the same pre-resolved frame slots as values; the
-  default for taint runs.
+  runs.
 * :class:`VectorizedEngine` — the batched tensor engine
   (:mod:`repro.interp.vectorize`).  Runs a whole sweep as one pass over
   per-lane arrays; the default for measurement stages.
 
-Construct engines through :func:`make_engine` rather than instantiating
-any class directly — callers then inherit new engines (and the
-"which engine for which job" defaults) automatically.
+Every engine runs the loop nests the fast-path planner
+(:mod:`repro.interp.fastpath`) summarises in closed form when
+``ExecConfig.fast_loops`` is set.  Construct concrete engines through
+:func:`make_engine` rather than instantiating a class directly — callers
+then inherit new engines (and the "which engine for which job" defaults)
+automatically.
 
 Every engine provides ``run(args, entry=None)`` and ``close()``.
 ``close()`` releases the lowered program: the compiled and vectorized
@@ -27,17 +28,13 @@ engines' closures refer back to the engine, a reference cycle that only a
 full garbage collection would free, so a caller that builds an engine for
 one run closes it in ``try``/``finally`` and the engine is then freed by
 reference counting.  An engine cannot run after ``close()``; on the
-tree-walkers it releases nothing.  Passing a
-shadow-tracking :class:`~repro.interp.domain.AnalysisDomain` selects an
-engine's shadow variant; engines declare domain support via the
-``supports_taint`` registry metadata.
+tree-walkers it releases nothing.
 """
 
-from ..errors import RegistryError
 from ..registry import ENGINE_REGISTRY, register_engine
 from .compile import CompiledEngine, CompiledFunction
 from .config import DEFAULT_CONFIG, ExecConfig
-from .domain import AnalysisDomain, ConcreteDomain
+from .domain import AnalysisDomain
 from .events import CostKind, ExecutionListener, MultiListener, NullListener
 from .fastpath import FastPathPlanner, LeafCost, leaf_unit_cost
 from .interpreter import Interpreter
@@ -48,14 +45,13 @@ from .runtime import (
     NoLibraryRuntime,
     TableRuntime,
 )
-from .shadowjit import CompiledShadowEngine
 from .shadowtree import ShadowInterpreter
 from .values import Array, Scalar, Value, truthy
 from .vectorize import BatchedMetrics, VectorFallback, VectorizedEngine
 
 #: The tree-walking engine (subclassable per-node hooks).
 ENGINE_TREE = "tree"
-#: The closure-compiling engine (measurement + taint hot paths).
+#: The closure-compiling engine (single-configuration measurement).
 ENGINE_COMPILED = "compiled"
 #: The batched tensor engine (whole-sweep measurement hot path).
 ENGINE_VECTORIZED = "vectorized"
@@ -65,20 +61,15 @@ ENGINES: tuple[str, ...] = (ENGINE_COMPILED, ENGINE_TREE)
 
 register_engine(
     ENGINE_COMPILED,
-    help="IR-to-closure compiler (measurement + taint hot paths)",
-    supports_taint=True,
-    shadow_factory=CompiledShadowEngine,
+    help="IR-to-closure compiler (single-configuration measurement)",
 )(CompiledEngine)
 register_engine(
     ENGINE_TREE,
     help="tree-walking interpreter (subclassable per-node hooks)",
-    supports_taint=True,
-    shadow_factory=ShadowInterpreter,
 )(Interpreter)
 register_engine(
     ENGINE_VECTORIZED,
     help="batched tensor engine (one pass per sweep, bit-identical lanes)",
-    supports_taint=False,
     supports_batch=True,
 )(VectorizedEngine)
 
@@ -88,11 +79,6 @@ register_engine(
 #: Helpers that run one configuration at a time default to
 #: ``ENGINE_COMPILED`` instead.
 DEFAULT_MEASUREMENT_ENGINE = ENGINE_VECTORIZED
-#: Engine used by the taint stage unless a caller overrides it.  Both
-#: built-ins produce bit-identical TaintReports; the compiled engine runs
-#: planned pure-cost nests in closed form and is several times faster on
-#: real programs (see benchmarks/bench_taint_speedup.py).
-DEFAULT_TAINT_ENGINE = ENGINE_COMPILED
 
 
 def batch_capable_engines() -> tuple[str, ...]:
@@ -105,90 +91,26 @@ def batch_capable_engines() -> tuple[str, ...]:
     )
 
 
-def shadow_capable_engines() -> tuple[str, ...]:
-    """Names of registered engines that can execute shadow domains.
-
-    Capability requires both the ``supports_taint`` declaration and the
-    ``shadow_factory`` that actually executes the domain — an entry
-    declaring one without the other is not capable, so everything that
-    validates against this list (CLI choices, campaign specs) agrees
-    with what :func:`make_engine` will accept.
-    """
-    return tuple(
-        entry.name
-        for entry in ENGINE_REGISTRY
-        if entry.metadata.get("supports_taint")
-        and entry.metadata.get("shadow_factory") is not None
-    )
-
-
-def shadow_engine_identity(engine: str) -> str:
-    """Stable identity of *engine*'s shadow implementation.
-
-    Artifact fingerprints of shadow-domain stages (taint) must key on
-    the class that actually executes the analysis — the registry
-    entry's ``shadow_factory`` — not just the concrete factory, so
-    re-registering an engine name with a different shadow
-    implementation invalidates cached artifacts.
-    """
-    entry = ENGINE_REGISTRY.entry(engine)
-    base = ENGINE_REGISTRY.identity(engine)
-    factory = entry.metadata.get("shadow_factory")
-    if factory is None:
-        return base
-    module = getattr(factory, "__module__", "?")
-    qualname = getattr(
-        factory, "__qualname__", getattr(factory, "__name__", "?")
-    )
-    return f"{base}+shadow:{module}.{qualname}"
-
-
 def make_engine(
     program,
     engine: str = ENGINE_TREE,
     runtime: "LibraryRuntime | None" = None,
     config: ExecConfig = DEFAULT_CONFIG,
     listener: "ExecutionListener | None" = None,
-    domain: "AnalysisDomain | None" = None,
-) -> "Interpreter | CompiledEngine | ShadowInterpreter | CompiledShadowEngine":
+) -> "Interpreter | CompiledEngine | VectorizedEngine":
     """Construct an execution engine for *program*.
 
     *engine* names an entry of the engine registry: ``"tree"`` (the
     subclassable tree-walker, the default for direct use), ``"compiled"``
-    (the closure compiler the measurement and taint layers use), or any
-    engine registered by user code via
+    (the closure compiler of single-configuration runs),
+    ``"vectorized"`` (the batched engine of the measurement stage), or
+    any engine registered by user code via
     :func:`repro.registry.register_engine`.  The built-ins produce
-    bit-identical :class:`~repro.interp.metrics.RunResult` objects, events
-    and errors; they differ only in dispatch cost.
-
-    *domain* selects the analysis domain.  ``None`` (or any domain with
-    ``tracks_shadow=False``) yields the concrete engine; a
-    shadow-tracking domain (e.g. :class:`repro.taint.domain.TaintDomain`)
-    yields the engine's shadow variant — the class its registry entry
-    names as ``shadow_factory`` — which executes the same value
-    semantics while threading the domain's shadows.  Engines registered
-    without a shadow factory raise :class:`~repro.errors.RegistryError`
-    for shadow domains.
+    bit-identical :class:`~repro.interp.metrics.RunResult` objects and
+    errors; they differ only in dispatch cost.
     """
-    entry = ENGINE_REGISTRY.entry(engine)
-    if domain is None or not domain.tracks_shadow:
-        return entry.factory(
-            program, runtime=runtime, config=config, listener=listener
-        )
-    shadow_factory = entry.metadata.get("shadow_factory")
-    if shadow_factory is None:
-        capable = ", ".join(shadow_capable_engines()) or "<none>"
-        raise RegistryError(
-            f"engine '{engine}' does not support analysis domains "
-            f"(domain '{domain.name}' requested; domain-capable engines: "
-            f"{capable})"
-        )
-    return shadow_factory(
-        program,
-        runtime=runtime,
-        config=config,
-        listener=listener,
-        domain=domain,
+    return ENGINE_REGISTRY.entry(engine).factory(
+        program, runtime=runtime, config=config, listener=listener
     )
 
 
@@ -197,12 +119,9 @@ __all__ = [
     "Array",
     "CompiledEngine",
     "CompiledFunction",
-    "CompiledShadowEngine",
-    "ConcreteDomain",
     "CostKind",
     "DEFAULT_CONFIG",
     "DEFAULT_MEASUREMENT_ENGINE",
-    "DEFAULT_TAINT_ENGINE",
     "BatchedMetrics",
     "ENGINES",
     "ENGINE_COMPILED",
@@ -230,7 +149,5 @@ __all__ = [
     "batch_capable_engines",
     "leaf_unit_cost",
     "make_engine",
-    "shadow_capable_engines",
-    "shadow_engine_identity",
     "truthy",
 ]

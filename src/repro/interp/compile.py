@@ -26,10 +26,11 @@ bit-identical by the shared :mod:`~repro.interp.semantics` core and
 enforced by the differential property tests in
 ``tests/interp/test_compiled_differential.py``.  Single-configuration
 measurement runs default to this engine, and the vectorized engine falls
-back to it (see :func:`repro.interp.make_engine`); shadow-tracking
-analyses (taint) use its domain-parameterized sibling
-:class:`~repro.interp.shadowjit.CompiledShadowEngine`, which reuses this
-module's compilation strategy with shadows in parallel frame slots.
+back to it (see :func:`repro.interp.make_engine`).  Shadow-tracking
+analyses (taint) run on the tree-walking
+:class:`~repro.interp.shadowtree.ShadowInterpreter` instead: a taint run
+is one short execution, so lowering the program would cost more than the
+dispatch it saves.
 """
 
 from __future__ import annotations
@@ -691,9 +692,7 @@ class CompiledEngine:
     Drop-in equivalent of :class:`~repro.interp.interpreter.Interpreter`
     (same constructor, same :meth:`run` contract, bit-identical
     :class:`~repro.interp.metrics.RunResult`, events and errors), minus
-    the per-node ``_eval_*``/``_exec_*`` override hooks — shadow-tracking
-    analyses use :class:`~repro.interp.shadowjit.CompiledShadowEngine`,
-    which overrides only :meth:`_compile_functions`.
+    the per-node ``_eval_*``/``_exec_*`` override hooks.
 
     The program is lowered once at construction; every subsequent
     :meth:`run` executes pre-dispatched closures.
@@ -718,7 +717,7 @@ class CompiledEngine:
         self._compile_functions()
 
     def _compile_functions(self) -> None:
-        """Lower every program function (overridden by shadow engines).
+        """Lower every program function.
 
         Two-phase compile: create every function shell first so call
         sites (including recursive ones) bind their targets directly,

@@ -11,25 +11,15 @@ Execution of a repro-IR program factors into two orthogonal pieces:
   tomorrow), plus the propagation rules and analysis sinks that consume
   those facts.
 
-An :class:`AnalysisDomain` packages the shadow half.  Engines are
-*dispatch strategies* over the pair: the tree-walking
-:class:`~repro.interp.shadowtree.ShadowInterpreter` and the
-closure-compiling :class:`~repro.interp.shadowjit.CompiledShadowEngine`
-both execute the same value semantics and call the same domain hooks at
-the same program points.  The one difference: with
-``ExecConfig.fast_loops`` set, the compiled engine runs pure-cost loop
-nests in closed form and reports each of their loop sinks once per nest
-execution (``on_loop`` with an ``entries`` count) where the tree-walker
-reports every entry.  The analysis results are the same regardless of engine —
-the property the taint differential tests
-(``tests/interp/test_compiled_differential.py``) enforce.
-
-:class:`ConcreteDomain` is the identity domain: no shadow state, every
-hook a no-op.  The plain :class:`~repro.interp.interpreter.Interpreter`
-and :class:`~repro.interp.compile.CompiledEngine` are hand-specialized
-for it — running a shadow engine with ``ConcreteDomain`` is semantically
-equivalent, just slower.  :func:`repro.interp.make_engine` picks the
-specialized classes whenever the domain tracks no shadow.
+An :class:`AnalysisDomain` packages the shadow half.  The tree-walking
+:class:`~repro.interp.shadowtree.ShadowInterpreter` executes the value
+semantics and calls the domain's hooks at fixed program points.  With
+``ExecConfig.fast_loops`` set it runs pure-cost loop nests in closed form
+and reports each of their loop sinks once per nest execution (``on_loop``
+with an ``entries`` count), where genuine iteration reports every entry;
+the analysis results are the same either way — the property the taint
+differential tests (``tests/interp/test_compiled_differential.py``)
+enforce.  Concrete runs use the plain engines, which track no shadow.
 """
 
 from __future__ import annotations
@@ -57,16 +47,9 @@ class AnalysisDomain:
     honor the bottom laws — clean is a two-sided identity of ``join``
     (``join(clean, x) == join(x, clean) == x``), ``data(clean) ==
     clean`` and ``data_join(clean, clean) == clean``.  (Any sane
-    lattice does; the compiled engine skips no-op joins against clean
-    on either side.)
+    lattice does.)
     """
 
-    #: Registry-style identifier (participates in artifact fingerprints).
-    name: str = "concrete"
-    #: Whether this domain carries any shadow state at all.  When False,
-    #: :func:`repro.interp.make_engine` uses the specialized concrete
-    #: engines instead of a generic shadow engine.
-    tracks_shadow: bool = False
     #: The bottom lattice element (the shadow of untainted data).
     clean: object = None
 
@@ -175,15 +158,4 @@ class AnalysisDomain:
         """A call to *name* found *name* already on the call stack."""
 
 
-class ConcreteDomain(AnalysisDomain):
-    """The identity domain: concrete values only, no shadow facts.
-
-    Exists so the domain-parameterized engines have a well-defined
-    degenerate point (useful in tests proving shadow execution does not
-    perturb values); production concrete runs use the specialized
-    :class:`~repro.interp.interpreter.Interpreter` /
-    :class:`~repro.interp.compile.CompiledEngine` instead.
-    """
-
-
-__all__ = ["AnalysisDomain", "CallPath", "ConcreteDomain"]
+__all__ = ["AnalysisDomain", "CallPath"]

@@ -49,14 +49,15 @@ workload has one.
 :class:`FastPathPlanner` plans each loop once and computes every summary
 (:func:`trip_counts`, :func:`summarize`); the tree, compiled and vectorized
 engines only apply it, so they stay bit-identical to each other.  The
-compiled shadow engine applies pure-cost plans under an analysis domain
-too: a pure nest's loop sinks are the same on every trip, so
-:func:`record_loop_sinks` records each of them once, with its entry and
-iteration counts, and :func:`genuine_steps` charges the steps genuine
-iteration would take.  Counting nests run genuinely there, because their
-stores carry control labels into the shadow heap one slot at a time; the
-tree-walking shadow engine iterates every trip and is the oracle the
-closed form is checked against.  Equivalence of fast and slow paths is
+shadow engine (:class:`~repro.interp.shadowtree.ShadowInterpreter`)
+applies pure-cost plans under an analysis domain too: a pure nest's loop
+sinks are the same on every trip, so :func:`record_loop_sinks` records
+each of them once, with its entry and iteration counts, and
+:func:`genuine_steps` charges the steps genuine iteration would take.
+Counting nests run genuinely there, because their stores carry control
+labels into the shadow heap one slot at a time; the same engine with
+``fast_loops`` off iterates every trip and is the reference the closed
+form is checked against.  Equivalence of fast and slow paths is
 property-tested in ``tests/interp/test_fastpath.py`` and, under the taint
 domain, in ``tests/interp/test_compiled_differential.py``.
 """
@@ -748,7 +749,7 @@ def summarize(
 
 def charge_result(result: FastResult, charge, on_iters, on_aggregate) -> None:
     """Feed the costs, loop iterations and aggregated leaf calls of
-    *result* to a compiled engine's pre-bound event sinks."""
+    *result* to an engine's event sinks."""
     if result.compute:
         charge(CostKind.COMPUTE, result.compute)
     if result.memory:

@@ -39,7 +39,12 @@ from ..ir.stmt import (
 )
 from .config import DEFAULT_CONFIG, ExecConfig
 from .events import CostKind, ExecutionListener, NullListener
-from .fastpath import FastPathPlanner, apply_array_updates
+from .fastpath import (
+    FastPathPlanner,
+    FastResult,
+    apply_array_updates,
+    charge_result,
+)
 from .metrics import MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -140,6 +145,16 @@ class Interpreter:
         """Name of the innermost executing function."""
         return self._fn_stack[-1] if self._fn_stack else "<toplevel>"
 
+    def _on_loop_iterations(self, fn: str, loop_id: int, iters: int) -> None:
+        self.metrics.on_loop_iterations(fn, loop_id, iters)
+        self.listener.on_loop_iterations(fn, loop_id, iters)
+
+    def _on_aggregate_calls(
+        self, callee: str, count: int, compute: float, memory: float
+    ) -> None:
+        self.metrics.on_aggregate_calls(callee, count, compute, memory)
+        self.listener.on_aggregate_calls(callee, count, compute, memory)
+
     # ------------------------------------------------------------------
     # calls
 
@@ -229,31 +244,7 @@ class Interpreter:
                     plan, lambda e: self._eval_pure(e, env)
                 )
                 if result is not None:
-                    if result.compute:
-                        self._charge(CostKind.COMPUTE, result.compute)
-                    if result.memory:
-                        self._charge(CostKind.MEMORY, result.memory)
-                    for (fn, loop_id), iters in result.loop_iterations.items():
-                        self.metrics.on_loop_iterations(fn, loop_id, iters)
-                        self.listener.on_loop_iterations(fn, loop_id, iters)
-                    for callee, (count, unit) in result.calls.items():
-                        self.metrics.on_aggregate_calls(
-                            callee, count, unit.compute, unit.memory
-                        )
-                        self.listener.on_aggregate_calls(
-                            callee, count, unit.compute, unit.memory
-                        )
-                    apply_array_updates(result.arrays)
-                    env.update(result.scalars)
-                    # Loop variable's final value: start + trips * step
-                    # (just start when no trip ran, as genuinely).
-                    trips = result.loop_iterations.get(
-                        (self.current_function, stmt.loop_id), 0
-                    )
-                    start = self._eval_pure(stmt.start, env)
-                    if trips:
-                        start = start + trips * self._eval_pure(stmt.step, env)
-                    env[stmt.var] = start
+                    self._apply_closed_form(stmt, result, env)
                     return FLOW_NORMAL, None
 
         # Slow path: genuine iteration.  Loop bounds are evaluated once at
@@ -279,15 +270,35 @@ class Interpreter:
                 break
             env[stmt.var] = env[stmt.var] + step
         if iters:
-            self.metrics.on_loop_iterations(
-                self.current_function, stmt.loop_id, iters
-            )
-            self.listener.on_loop_iterations(
-                self.current_function, stmt.loop_id, iters
-            )
+            fn = self.current_function
+            self._on_loop_iterations(fn, stmt.loop_id, iters)
         if flow == FLOW_RETURN:
             return flow, value
         return FLOW_NORMAL, None
+
+    def _apply_closed_form(
+        self, stmt: For, result: FastResult, env: dict[str, Value]
+    ) -> None:
+        """Apply the closed-form *result* of the nest rooted at *stmt*:
+        its costs, loop iterations and leaf calls, its array updates and
+        scalar outputs, and the loop variable's final value."""
+        charge_result(
+            result,
+            self._charge,
+            self._on_loop_iterations,
+            self._on_aggregate_calls,
+        )
+        apply_array_updates(result.arrays)
+        env.update(result.scalars)
+        # Loop variable's final value: start + trips * step (just start
+        # when no trip ran, as genuinely).
+        trips = result.loop_iterations.get(
+            (self.current_function, stmt.loop_id), 0
+        )
+        start = self._eval_pure(stmt.start, env)
+        if trips:
+            start = start + trips * self._eval_pure(stmt.step, env)
+        env[stmt.var] = start
 
     def _exec_while(self, stmt: While, env: dict[str, Value]) -> tuple[int, Value]:
         iters = 0
@@ -304,12 +315,8 @@ class Interpreter:
             if flow == FLOW_RETURN:
                 break
         if iters:
-            self.metrics.on_loop_iterations(
-                self.current_function, stmt.loop_id, iters
-            )
-            self.listener.on_loop_iterations(
-                self.current_function, stmt.loop_id, iters
-            )
+            fn = self.current_function
+            self._on_loop_iterations(fn, stmt.loop_id, iters)
         if flow == FLOW_RETURN:
             return flow, value
         return FLOW_NORMAL, None
@@ -411,8 +418,3 @@ class Interpreter:
         raise InterpreterError(
             f"impure expression in pure context: {type(expr).__name__}"
         )
-
-
-#: Backward-compatible alias; the shared implementation lives in
-#: :mod:`repro.interp.semantics`.
-_apply_binop = apply_binop

@@ -1,11 +1,12 @@
 """Execution semantics shared by every engine and analysis domain.
 
 Engines execute repro-IR programs under the discrete cost model: the
-tree-walking :class:`~repro.interp.interpreter.Interpreter` /
-:class:`~repro.interp.shadowtree.ShadowInterpreter` pair and the
-closure-compiling :class:`~repro.interp.compile.CompiledEngine` /
-:class:`~repro.interp.shadowjit.CompiledShadowEngine` pair used on the
-measurement and taint hot paths.  Everything *semantic* — what an
+tree-walking :class:`~repro.interp.interpreter.Interpreter` and its
+shadow-tracking subclass :class:`~repro.interp.shadowtree.ShadowInterpreter`
+(the taint runs' engine), the closure-compiling
+:class:`~repro.interp.compile.CompiledEngine` and the batched
+:class:`~repro.interp.vectorize.VectorizedEngine` (the measurement hot
+paths).  Everything *semantic* — what an
 operator computes, what an intrinsic does, what errors look like, how
 library calls are metered — lives here, once, so the engines can only
 differ in dispatch strategy, never in meaning.
@@ -13,12 +14,9 @@ differ in dispatch strategy, never in meaning.
 The shadow dimension is parameterized by a pluggable
 :class:`~repro.interp.domain.AnalysisDomain`: the value rules below are
 fixed, and the domain supplies the paired shadow rules (joins, policy
-gates, sinks).  Rules whose *ordering* couples values, costs and
-shadows — the library-call protocol — take the domain explicitly here
-so no engine can interleave them differently.  The differential
-property tests (``tests/interp/test_compiled_differential.py``) enforce
-bit-identical behaviour, concrete and shadow alike, on top of this
-shared core.
+gates, sinks).  The differential property tests
+(``tests/interp/test_compiled_differential.py``) enforce bit-identical
+behaviour, concrete and shadow alike, on top of this shared core.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .values import Array, Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..ir.program import Function, Program
-    from .domain import AnalysisDomain
     from .events import ExecutionListener
     from .metrics import MetricsCollector
     from .runtime import LibraryRuntime
@@ -213,7 +210,7 @@ def execute_library_call(
 ) -> Value:
     """Invoke a library routine, metering its costs between enter/exit.
 
-    Both engines route external calls through this function so event
+    Every engine routes external calls through this function so event
     order (enter, per-kind costs, exit) is identical by construction.
     """
     result = runtime.call(name, args)
@@ -224,29 +221,3 @@ def execute_library_call(
     metrics.on_exit(name)
     listener.on_exit(name)
     return result.value
-
-
-def execute_shadow_library_call(
-    domain: "AnalysisDomain",
-    runtime: "LibraryRuntime",
-    name: str,
-    args: Sequence[Value],
-    arg_shadows: Sequence,
-    metrics: "MetricsCollector",
-    listener: "ExecutionListener",
-    charge: Callable[[CostKind, float], None],
-    callpath: tuple,
-) -> tuple:
-    """Shadow-domain variant of :func:`execute_library_call`.
-
-    Meters the call through :func:`execute_library_call` (one metering
-    protocol, concrete and shadow alike), then asks the *domain* for the
-    return value's shadow (library sources, data flow through the call)
-    and attaches the active control regions.  Both shadow engines route
-    external calls through this function so neither can diverge on
-    metering or on shadow semantics.
-    """
-    value = execute_library_call(runtime, name, args, metrics, listener, charge)
-    caller = callpath[-1] if callpath else "<toplevel>"
-    shadow = domain.on_library_call(callpath, caller, name, args, arg_shadows)
-    return value, domain.with_control(shadow)

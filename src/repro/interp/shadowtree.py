@@ -5,13 +5,24 @@
 accounting, same errors) while tracking one shadow per live value and
 invoking the :class:`~repro.interp.domain.AnalysisDomain` hooks at fixed
 program points — branch/loop sinks, control-region entry/exit, heap
-stores, library calls.  The compiled counterpart
-(:mod:`repro.interp.shadowjit`) calls the identical hooks at the
-identical points, except that it records a closed-form nest's loop sinks
-once per nest execution, with their entry counts; reports, values and
-metrics are the same, which is what makes engine choice invisible to any
-domain.  This engine iterates every trip of every loop: it is the
-genuine-iteration oracle.
+stores, library calls.  It is the one shadow engine: taint runs execute
+on it (see :class:`repro.taint.engine.TaintEngine`).
+
+With ``ExecConfig.fast_loops`` set, a pure-cost loop nest that the
+fast-path planner (:mod:`repro.interp.fastpath`) can summarise runs in
+closed form: values and metrics exactly as on the concrete engines, each
+loop sink recorded once per nest execution with its entry count
+(:func:`~repro.interp.fastpath.record_loop_sinks`), and the steps genuine
+iteration would take charged (:func:`~repro.interp.fastpath.genuine_steps`).
+Counting nests iterate, because their stores carry control labels into
+the shadow heap one slot at a time, and so does a nest that would run out
+of steps or call depth: genuine iteration then raises where it must.
+With ``fast_loops`` off every loop iterates every trip: that is the
+genuine-iteration reference the closed form is checked against
+(``tests/interp/test_compiled_differential.py``).  Reports, values,
+metrics, steps and errors of the two modes are identical; listener
+events differ, because a closed-form nest reports aggregated costs and
+calls, as on the concrete engines.
 
 This module knows nothing about taint: labels, policies and reports are
 the domain's business (see :mod:`repro.taint.domain`).
@@ -19,7 +30,6 @@ the domain's business (see :mod:`repro.taint.domain`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from ..errors import (
@@ -45,6 +55,7 @@ from ..ir.stmt import (
 from .config import DEFAULT_CONFIG, ExecConfig
 from .domain import AnalysisDomain
 from .events import CostKind, ExecutionListener
+from .fastpath import genuine_steps, record_loop_sinks
 from .interpreter import Interpreter
 from .metrics import RunResult
 from .runtime import LibraryRuntime
@@ -60,7 +71,6 @@ from .semantics import (
     bad_loop_step,
     call_depth_exceeded,
     check_work_amount,
-    execute_shadow_library_call,
     require_array,
     resolve_entry_args,
 )
@@ -70,10 +80,9 @@ from .values import Value, truthy
 class ShadowInterpreter(Interpreter):
     """Interpreter threading an analysis domain's shadows through a run.
 
-    Construction mirrors :class:`Interpreter` plus the *domain*.  Every
-    loop executes every trip, whatever ``ExecConfig.fast_loops`` says:
-    this engine is the genuine-iteration oracle that the compiled shadow
-    engine's closed-form nests are checked against.
+    Construction mirrors :class:`Interpreter` plus the *domain*.
+    ``ExecConfig.fast_loops`` selects closed-form pure-cost nests (on)
+    or genuine iteration of every trip (off, the reference mode).
     """
 
     def __init__(
@@ -85,10 +94,7 @@ class ShadowInterpreter(Interpreter):
         domain: AnalysisDomain | None = None,
     ) -> None:
         super().__init__(
-            program,
-            runtime=runtime,
-            config=replace(config, fast_loops=False),
-            listener=listener,
+            program, runtime=runtime, config=config, listener=listener
         )
         self.domain = domain or AnalysisDomain()
         self._shadow: list[dict[str, object]] = []
@@ -101,8 +107,7 @@ class ShadowInterpreter(Interpreter):
         """Concrete-compatible run: every argument enters clean.
 
         Overrides :meth:`Interpreter.run` so the domain observes the run
-        (sinks, control regions) exactly as it would on the compiled
-        shadow engine — engine choice must be invisible to any domain.
+        (sinks, control regions) exactly as :meth:`call_shadow` does.
         """
         name, _fn, argvals = resolve_entry_args(self.program, args, entry)
         clean = self.domain.clean
@@ -137,7 +142,7 @@ class ShadowInterpreter(Interpreter):
         """Invoke program function *name* with shadowed arguments.
 
         Returns ``(value, shadow)`` of the call's result; the shadow of a
-        void call is clean.  This is the shadow engines' entry point —
+        void call is clean.  This is the shadow engine's entry point —
         analysis drivers (e.g. :class:`repro.taint.engine.TaintEngine`)
         resolve entry arguments and source shadows, then call this.
         """
@@ -176,17 +181,18 @@ class ShadowInterpreter(Interpreter):
     def _call_library_shadow(
         self, name: str, args: Sequence[Value], arg_shadows: Sequence
     ) -> tuple:
-        return execute_shadow_library_call(
-            self.domain,
-            self.runtime,
+        """Meter the call as the concrete engines do, then ask the domain
+        for the return value's shadow (library sources, data flow through
+        the call) under the active control regions."""
+        value = self._call_library(name, args)
+        shadow = self.domain.on_library_call(
+            tuple(self._fn_stack),
+            self.current_function,
             name,
             args,
             arg_shadows,
-            self.metrics,
-            self.listener,
-            self._charge,
-            tuple(self._fn_stack),
         )
+        return value, self.domain.with_control(shadow)
 
     # ------------------------------------------------------------------
     # statements
@@ -283,6 +289,8 @@ class ShadowInterpreter(Interpreter):
     def _sexec_for(self, stmt: For, env: dict[str, Value]) -> tuple:
         domain = self.domain
         clean = domain.clean
+        if self.config.fast_loops and self._closed_form(stmt, env):
+            return FLOW_NORMAL, None, clean
         start, start_shadow = self._seval(stmt.start, env)
         stop, stop_shadow = self._seval(stmt.stop, env)
         step, step_shadow = self._seval(stmt.step, env)
@@ -336,11 +344,40 @@ class ShadowInterpreter(Interpreter):
             tuple(self._fn_stack), fn, stmt.loop_id, cond_shadow, iters
         )
         if iters:
-            self.metrics.on_loop_iterations(fn, stmt.loop_id, iters)
-            self.listener.on_loop_iterations(fn, stmt.loop_id, iters)
+            self._on_loop_iterations(fn, stmt.loop_id, iters)
         if flow == FLOW_RETURN:
             return flow, value, shadow
         return FLOW_NORMAL, None, clean
+
+    def _closed_form(self, stmt: For, env: dict[str, Value]) -> bool:
+        """Run the pure-cost nest rooted at *stmt* in closed form and
+        record its loop sinks; False when it must iterate (no pure plan,
+        a value the plan cannot summarise, or a step or call-depth limit
+        genuine iteration would hit, so the error comes where it
+        genuinely does)."""
+        plan = self._planner.plan(self.current_function, stmt)
+        if plan is None or plan.counters:
+            return False
+        result = self._planner.execute(plan, lambda e: self._eval_pure(e, env))
+        if result is None:
+            return False
+        steps = genuine_steps(result)
+        if self._steps + steps > self.config.step_limit or (
+            result.calls and self._depth >= self.config.max_call_depth
+        ):
+            return False
+        self._steps += steps
+        self._apply_closed_form(stmt, result, env)
+        shadows = record_loop_sinks(
+            plan,
+            result,
+            self.domain,
+            tuple(self._fn_stack),
+            lambda e: self._seval(e, env)[1],
+        )
+        for name, shadow in shadows.items():
+            self._set_shadow(name, shadow)
+        return True
 
     def _sexec_while(self, stmt: While, env: dict[str, Value]) -> tuple:
         domain = self.domain
@@ -376,8 +413,7 @@ class ShadowInterpreter(Interpreter):
             tuple(self._fn_stack), fn, stmt.loop_id, sink_shadow, iters
         )
         if iters:
-            self.metrics.on_loop_iterations(fn, stmt.loop_id, iters)
-            self.listener.on_loop_iterations(fn, stmt.loop_id, iters)
+            self._on_loop_iterations(fn, stmt.loop_id, iters)
         if flow == FLOW_RETURN:
             return flow, value, shadow
         return FLOW_NORMAL, None, clean

@@ -27,11 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..interp import (
-    DEFAULT_TAINT_ENGINE,
-    ENGINE_COMPILED,
-    make_engine,
-)
+from ..interp import ENGINE_COMPILED, make_engine
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.values import Value
 from ..ir.program import Program
@@ -85,7 +81,6 @@ class SPMDSimulator:
     network: NetworkModel = DEFAULT_NETWORK
     exec_config: ExecConfig = DEFAULT_CONFIG
     #: Execution engine for the per-rank runs ("compiled" | "tree").
-    #: Taint runs (:meth:`taint_merged`) take their own ``taint_engine``.
     engine: str = ENGINE_COMPILED
 
     def _runtime_for(self, rank: int) -> MPIRuntime:
@@ -135,15 +130,13 @@ class SPMDSimulator:
         library_taint: LibraryTaintModel | None = None,
         rank_subset: Sequence[int] | None = None,
         entry: str | None = None,
-        taint_engine: str = DEFAULT_TAINT_ENGINE,
     ) -> TaintReport:
         """Taint analysis across ranks, reports merged by set union.
 
         Substitutes for the cross-process label exchange the paper leaves
         to future work (section 5.3): where rank-dependent branches select
         different code paths, merging per-rank reports recovers every
-        parameter dependence any rank exhibits.  *taint_engine* picks the
-        executing engine (the built-ins are bit-identical).
+        parameter dependence any rank exhibits.
         """
         merged: TaintReport | None = None
         ranks = rank_subset if rank_subset is not None else range(self.ranks)
@@ -153,11 +146,7 @@ class SPMDSimulator:
                 runtime=self._runtime_for(rank),
                 config=self.exec_config,
                 library_taint=library_taint,
-                engine=taint_engine,
             )
-            try:
-                report = engine.analyze(args, dict(sources), entry=entry).report
-            finally:
-                engine.close()
+            report = engine.analyze(args, dict(sources), entry=entry).report
             merged = report if merged is None else merged.merge(report)
         return merged if merged is not None else TaintReport()

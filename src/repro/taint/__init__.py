@@ -6,15 +6,14 @@ propagation, loop-exit and branch sinks, and a library taint model hook for
 MPI (section 5.3).
 
 Taint is packaged as an analysis *domain*
-(:class:`~repro.taint.domain.TaintDomain`) executed by any
-taint-capable engine of the engine registry — the tree-walker or the
-closure compiler, bit-identically; :class:`~repro.taint.engine.TaintEngine`
-is the driver (``TaintInterpreter`` remains as its tree-pinned
-backward-compatible alias).
+(:class:`~repro.taint.domain.TaintDomain`) executed by the shadow-tracking
+tree-walker (:class:`~repro.interp.shadowtree.ShadowInterpreter`), which
+runs the pure-cost loop nests the fast-path planner summarises in closed
+form; :class:`~repro.taint.engine.TaintEngine` is the driver.
 """
 
 from .domain import TaintDomain
-from .engine import TaintEngine, TaintInterpreter, TaintRunResult
+from .engine import TaintEngine, TaintRunResult
 from .label import CLEAN, MAX_LABELS, LabelInfo, LabelTable
 from .policy import DATAFLOW_ONLY, FULL_POLICY, PropagationPolicy
 from .report import (
@@ -52,7 +51,6 @@ __all__ = [
     "SourceSpec",
     "TaintDomain",
     "TaintEngine",
-    "TaintInterpreter",
     "TaintReport",
     "TaintRunResult",
 ]

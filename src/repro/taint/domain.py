@@ -1,13 +1,13 @@
 """The taint analysis domain: DFSan-style labels as a pluggable shadow.
 
-Everything the old monolithic ``TaintInterpreter`` knew about *taint* —
-the label lattice, the propagation policy gates, the control-dependency
-stack, the shadow heap, and the loop/branch/library sinks that populate
-the :class:`~repro.taint.report.TaintReport` — now lives here, behind
-the :class:`~repro.interp.domain.AnalysisDomain` interface.  The
-execution engines (tree-walking and compiled) are pure dispatch
-strategies: they call these hooks at fixed program points and never
-touch a label directly, so both produce bit-identical reports.
+Everything about *taint* — the label lattice, the propagation policy
+gates, the control-dependency stack, the shadow heap, and the
+loop/branch/library sinks that populate the
+:class:`~repro.taint.report.TaintReport` — lives here, behind the
+:class:`~repro.interp.domain.AnalysisDomain` interface.  The shadow
+engine (:class:`~repro.interp.shadowtree.ShadowInterpreter`) calls these
+hooks at fixed program points and never touches a label directly, so its
+closed-form and genuine-iteration modes produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class TaintDomain(AnalysisDomain):
       calls, recorded into a :class:`~repro.taint.report.TaintReport`.
     """
 
-    name = "taint"
-    tracks_shadow = True
     clean = CLEAN
 
     def __init__(

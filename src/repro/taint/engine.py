@@ -2,13 +2,8 @@
 
 A thin driver over the generic execution substrate: taint semantics live
 in the :class:`~repro.taint.domain.TaintDomain` (an
-:class:`~repro.interp.domain.AnalysisDomain`), and *any* registered
-engine whose registry entry declares ``supports_taint`` can execute a
-taint run — the tree-walking
-:class:`~repro.interp.shadowtree.ShadowInterpreter` and the
-closure-compiling :class:`~repro.interp.shadowjit.CompiledShadowEngine`
-produce bit-identical :class:`~repro.taint.report.TaintReport` objects
-(enforced by ``tests/interp/test_compiled_differential.py``).
+:class:`~repro.interp.domain.AnalysisDomain`), executed by the
+tree-walking :class:`~repro.interp.shadowtree.ShadowInterpreter`.
 
 The analysis itself follows the paper (section 4.1):
 
@@ -22,12 +17,13 @@ The analysis itself follows the paper (section 4.1):
   from the library database (section 5.3).
 
 Taint runs use small representative configurations, exactly like the
-paper's LULESH ``size=5``, 8-rank taint run.  The compiled engine runs the
-pure-cost loop nests the fast-path planner can summarise in closed form,
-recording each nest's loop sinks once with their entry and iteration
-counts; counting nests and every other loop iterate trip by trip.  The
-tree-walker iterates every trip and is the genuine-iteration oracle the
-closed form is checked against.
+paper's LULESH ``size=5``, 8-rank taint run.  With
+``ExecConfig.fast_loops`` set (the default) the pure-cost loop nests the
+fast-path planner can summarise run in closed form, each nest's loop
+sinks recorded once with their entry and iteration counts; counting
+nests and every other loop iterate trip by trip.  With ``fast_loops`` off
+every trip iterates: the genuine-iteration reference, whose reports are
+identical.
 """
 
 from __future__ import annotations
@@ -36,16 +32,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..errors import InterpreterError
-from ..interp import (
-    DEFAULT_TAINT_ENGINE,
-    ENGINE_TREE,
-    make_engine,
-)
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
-from ..interp.semantics import resolve_entry_args
 from ..interp.events import ExecutionListener
+from ..interp.interpreter import Interpreter
 from ..interp.metrics import MetricsCollector
 from ..interp.runtime import LibraryRuntime
+from ..interp.semantics import resolve_entry_args
+from ..interp.shadowtree import ShadowInterpreter
 from ..interp.values import Value
 from ..ir.program import Program
 from .domain import TaintDomain
@@ -65,7 +58,7 @@ class TaintRunResult:
 
 
 class TaintEngine:
-    """Dynamic taint analysis over a pluggable execution engine.
+    """Dynamic taint analysis on the shadow-tracking tree-walker.
 
     Parameters mirror the plain engines plus the taint knobs:
 
@@ -78,10 +71,6 @@ class TaintEngine:
         Raise on recursive calls instead of warning (the paper's
         analysis "does not support recursive functions" but "warns of
         over-approximation when recursion is detected").
-    ``engine``
-        A registered engine name whose entry declares ``supports_taint``
-        (default: the compiled engine; ``"tree"`` gives the classic
-        tree-walker).  Both built-ins are bit-identical.
     """
 
     def __init__(
@@ -93,11 +82,9 @@ class TaintEngine:
         policy: PropagationPolicy = FULL_POLICY,
         library_taint: LibraryTaintModel | None = None,
         strict_recursion: bool = False,
-        engine: str = DEFAULT_TAINT_ENGINE,
     ) -> None:
         self.program = program
         self.policy = policy
-        self.engine_name = engine
         self.domain = TaintDomain(
             policy=policy,
             library_taint=library_taint,
@@ -106,11 +93,10 @@ class TaintEngine:
         self._config = config
         self._runtime = runtime
         self._listener = listener
-        self._engine = make_engine(
+        self._engine = ShadowInterpreter(
             program,
-            engine,
             runtime=runtime,
-            config=self._config,
+            config=config,
             listener=listener,
             domain=self.domain,
         )
@@ -158,31 +144,22 @@ class TaintEngine:
     def run(self, args=(), entry: str | None = None):
         """Concrete, analysis-free run of the program.
 
-        Matches the pre-refactor ``TaintInterpreter.run()``: no sources,
-        no sink recording — the analysis state (:attr:`report`,
-        :attr:`labels`, :attr:`heap`) is untouched, so interleaving
-        ``run()`` with :meth:`analyze` cannot corrupt a report.
-        Executes on a separate concrete engine of the same registered
-        family (same runtime/config/listener); its metrics travel in the
-        returned :class:`~repro.interp.metrics.RunResult`, not in
-        :attr:`metrics`.
+        No sources, no sink recording — the analysis state
+        (:attr:`report`, :attr:`labels`, :attr:`heap`) is untouched, so
+        interleaving ``run()`` with :meth:`analyze` cannot corrupt a
+        report.  Executes on a separate tree
+        :class:`~repro.interp.interpreter.Interpreter` (same
+        runtime/config/listener); its metrics travel in the returned
+        :class:`~repro.interp.metrics.RunResult`, not in :attr:`metrics`.
         """
         if self._concrete is None:
-            self._concrete = make_engine(
+            self._concrete = Interpreter(
                 self.program,
-                self.engine_name,
                 runtime=self._runtime,
                 config=self._config,
                 listener=self._listener,
             )
         return self._concrete.run(args, entry=entry)
-
-    def close(self) -> None:
-        """Close the shadow engine and its concrete sibling (see the
-        engine protocol in :mod:`repro.interp`)."""
-        self._engine.close()
-        if self._concrete is not None:
-            self._concrete.close()
 
     @property
     def library_taint(self) -> LibraryTaintModel:
@@ -231,42 +208,4 @@ class TaintEngine:
             )
 
 
-class TaintInterpreter(TaintEngine):
-    """Backward-compatible taint entry point, pinned to the tree-walker.
-
-    Before the analysis-domain refactor this class *was* the taint
-    implementation (an :class:`~repro.interp.interpreter.Interpreter`
-    subclass with inlined shadow state).  It is now a thin
-    :class:`TaintEngine` defaulting to the tree engine: the analysis
-    contract (constructor, :meth:`analyze`, reports) is unchanged, and
-    ``run``/``config``/``runtime``/``listener`` delegate to the
-    underlying engine — but it is no longer an ``Interpreter``
-    *subclass*, so ``isinstance(x, Interpreter)`` checks no longer
-    hold.  New code should use :class:`TaintEngine` (compiled by
-    default) or pass ``engine=`` explicitly.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        runtime: LibraryRuntime | None = None,
-        config: ExecConfig = DEFAULT_CONFIG,
-        listener: ExecutionListener | None = None,
-        policy: PropagationPolicy = FULL_POLICY,
-        library_taint: LibraryTaintModel | None = None,
-        strict_recursion: bool = False,
-        engine: str = ENGINE_TREE,
-    ) -> None:
-        super().__init__(
-            program,
-            runtime=runtime,
-            config=config,
-            listener=listener,
-            policy=policy,
-            library_taint=library_taint,
-            strict_recursion=strict_recursion,
-            engine=engine,
-        )
-
-
-__all__ = ["TaintEngine", "TaintInterpreter", "TaintRunResult"]
+__all__ = ["TaintEngine", "TaintRunResult"]

@@ -5,16 +5,24 @@ Walks function bodies applying the two composition rules:
 * sequencing loop nests sums volumes,
 * nesting multiplies the outer loop count with the inner volume,
 
-and accumulates volumes across the (non-recursive) call tree.  Loop counts
-come from two places: statically resolved trip counts (constants, from
+and accumulates volumes across the call tree.  Loop counts come from two
+places: statically resolved trip counts (constants, from
 :mod:`repro.staticanalysis.scev`) and taint-derived parameter classes
 (opaque ``g(params)`` symbols, from the taint report).
 
 One walk per function.  Each function body is walked once, filling its
 exclusive and its inclusive accumulator side by side; a call inlines the
-callee's inclusive accumulator, walking the callee first if need be.  Each
-loop's count is built once, so a loop the taint run never executed warns
-once, in program order and pre-order within a function.  Accumulators are
+callee's inclusive accumulator, walking the callee first if need be.  A
+loop the taint run never executed warns once, in program order and
+pre-order within a function.
+
+Recursion over-approximates (section 4.1): a call to a function on the
+walk stack contributes the constant 1, and a direct self-call nothing.
+So the inclusive volume of a function in a recursive cycle depends on
+which members of its cycle are being walked.  It is memoized only when
+walked with none of them on the stack, and re-walked otherwise; every
+function's volume then is the same whatever order the functions are
+defined in.  Accumulators are
 ``{factor tuple: coefficient}`` maps (:mod:`repro.volume.symbolic`): a
 function body and a loop body (both seeded with the constant 1), an
 ``If`` (both branches) and a call-bearing statement each get their own and
@@ -71,12 +79,21 @@ class VolumeAnalyzer:
         self.warnings: list[str] = []
         self._callgraph = program.callgraph()
         self._loop_param_map = taint.loops_by_function()
-        #: Accumulators of the walked functions; a function being walked
-        #: is inclusive-constant 1 to the calls that reach it again.
+        #: Accumulators of the walked functions.
         self._inclusive: dict[str, Terms] = {}
         self._exclusive: dict[str, Terms] = {}
-        #: Unexecuted-loop warnings of each walked function, in pre-order.
+        #: Unexecuted-loop warnings of each walked function, in pre-order
+        #: (a re-walk repeats them; the report keeps each once).
         self._loop_warnings: dict[str, list[str]] = {}
+        #: Functions being walked, outermost first.
+        self._stack: list[str] = []
+        #: The other members of each function's recursive cycle.
+        self._cycle: dict[str, frozenset[str]] = {
+            name: frozenset(scc) - {name}
+            for scc in self._callgraph.components
+            if len(scc) > 1
+            for name in scc
+        }
 
     # ------------------------------------------------------------------
 
@@ -93,7 +110,7 @@ class VolumeAnalyzer:
         for name in names:
             self._function_terms(name)
         for name in names:
-            warnings.extend(self._loop_warnings[name])
+            warnings.extend(dict.fromkeys(self._loop_warnings[name]))
         self.warnings = warnings
         exclusive = {n: Volume.from_map(self._exclusive[n]) for n in names}
         inclusive = {n: Volume.from_map(self._inclusive[n]) for n in names}
@@ -105,18 +122,25 @@ class VolumeAnalyzer:
         )
 
     def _function_terms(self, name: str) -> Terms:
-        """Inclusive accumulator of *name*, walking its body on first use."""
-        if name in self._inclusive:
+        """Inclusive accumulator of *name*, walking its body unless it is
+        memoized (see the module docstring on recursion)."""
+        if name in self._stack:
+            return {(): 1.0}
+        memoize = not self._cycle.get(name, frozenset()).intersection(
+            self._stack
+        )
+        if memoize and name in self._inclusive:
             return self._inclusive[name]
-        # Break recursion cycles: mark in-progress functions as constant.
-        self._inclusive[name] = {(): 1.0}
-        self._loop_warnings[name] = []
+        self._loop_warnings.setdefault(name, [])
         exclusive, inclusive = {(): 1.0}, {(): 1.0}
         body = self.program.function(name).body
         inline = bool(self._callgraph.callees(name) - {name})
+        self._stack.append(name)
         self._block(name, body, exclusive, inclusive, inline)
-        self._exclusive[name] = exclusive
-        self._inclusive[name] = inclusive
+        self._stack.pop()
+        self._exclusive.setdefault(name, exclusive)
+        if memoize:
+            self._inclusive[name] = inclusive
         return inclusive
 
     # ------------------------------------------------------------------

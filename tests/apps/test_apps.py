@@ -166,11 +166,11 @@ class TestMilcStructure:
 class TestSyntheticExamples:
     def test_foo_prunes_b(self):
         from repro.apps.synthetic import build_foo_example
-        from repro.taint import TaintInterpreter
+        from repro.taint import TaintEngine
 
         prog = build_foo_example()
         rep = (
-            TaintInterpreter(prog)
+            TaintEngine(prog)
             .analyze({"a": 4, "b": 9}, {"a": "a", "b": "b"})
             .report
         )

@@ -7,6 +7,8 @@ can share them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps.lulesh import LuleshWorkload
@@ -62,3 +64,26 @@ def milc_static(milc_pipeline):
 @pytest.fixture(scope="session")
 def milc_taint(milc_pipeline):
     return milc_pipeline.analyze_taint()
+
+
+class GenuineIteration:
+    """*workload* with ``fast_loops`` off in every run it sets up: every
+    loop iterates every trip, the reference of the closed form."""
+
+    def __init__(self, workload) -> None:
+        self._workload = workload
+
+    def __getattr__(self, name):
+        return getattr(self._workload, name)
+
+    def setup(self, config):
+        setup = self._workload.setup(config)
+        return replace(
+            setup, exec_config=replace(setup.exec_config, fast_loops=False)
+        )
+
+
+@pytest.fixture(scope="session")
+def genuine_iteration():
+    """The :class:`GenuineIteration` workload wrapper."""
+    return GenuineIteration

@@ -79,21 +79,20 @@ class TestCLICommands:
         assert "do_gather" in out
 
     def test_taint_fingerprint_identical_across_engines(self, capsys):
-        """`repro taint` prints the same report fingerprint for both
-        built-in engines (bit-identical TaintReports)."""
-        fingerprints = {}
-        for engine in ("tree", "compiled"):
-            assert (
-                main(["taint", "--app", "lulesh", "--taint-engine", engine])
-                == 0
-            )
+        """`repro taint` prints the report fingerprint every taint engine
+        has printed: the taint stage digests that
+        tests/integration/test_stage_digests.py pins."""
+        pinned = {
+            "lulesh": "60c31fcbb1db76ed04e9d33a58143f643bdab87f75872628d42942ebbb33d270",
+            "milc": "d2480be34364b64c2e7d0bcdfbfa562e05827ddb1c24f7e588106672017bda1b",
+        }
+        for app, fingerprint in pinned.items():
+            assert main(["taint", "--app", app]) == 0
             out = capsys.readouterr().out
-            assert f"engine: {engine}" in out
             line = next(
                 l for l in out.splitlines() if "report fingerprint" in l
             )
-            fingerprints[engine] = line.split(":", 1)[1].strip()
-        assert fingerprints["tree"] == fingerprints["compiled"]
+            assert line.split(":", 1)[1].strip() == fingerprint
 
     def test_taint_rejects_unknown_app(self):
         with pytest.raises(SystemExit):
@@ -353,6 +352,21 @@ s = [3, 5]
         with pytest.raises(SystemExit) as exc:
             main(["run", str(tmp_path / "nope.toml")])
         assert "cannot read spec file" in str(exc.value)
+
+    def test_run_rejects_removed_taint_option(self, capsys, tmp_path):
+        """The taint stage has one engine: the option is gone, and
+        argparse rejects it with its one-line usage error."""
+        spec = self._spec_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(spec), "--taint-engine", "tree"])
+        assert exc.value.code == 2
+        errors = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "unrecognized arguments: --taint-engine tree" in errors[0]
 
     def test_run_bad_spec_one_line_error(self, tmp_path):
         spec = tmp_path / "bad.toml"

@@ -22,14 +22,14 @@ from repro.core import (
 )
 from repro.errors import IRError
 from repro.staticanalysis import analyze_program
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.volume import classify_program, compute_volumes
 
 
 def taint_of(prog, args, sources=None):
     entry = prog.function(prog.entry)
     sources = sources or {n: n for n in entry.params}
-    return TaintInterpreter(prog).analyze(args, sources).report
+    return TaintEngine(prog).analyze(args, sources).report
 
 
 class TestAnnotations:

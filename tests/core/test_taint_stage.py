@@ -1,28 +1,24 @@
-"""The taint stage on the engine registry: selection, errors, caching.
+"""The taint stage's pipeline surface: errors, loop modes, caching.
 
-Covers the analysis-domain refactor's pipeline surface: engine choice
-threaded from campaign specs and the CLI into ``run_taint_stage``, typed
-errors for unusable workloads and non-taint-capable engines, and the
+Covers typed errors for unusable workloads, the taint driver's concrete
+and shadow entry points, the identity of the shadow engine's two loop
+modes (planned nests in closed form, or every trip iterated) from
+``run_taint_stage`` up to a whole campaign, the campaign spec (which
+offers no choice of taint engine: the taint stage has one), and the
 fingerprint separation that keeps cached taint artifacts from crossing
-engines.
+policies.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.stages import STAGES, Campaign, run_taint_stage
-from repro.errors import (
-    CampaignSpecError,
-    PipelineError,
-    RegistryError,
-)
-from repro.interp import (
-    DEFAULT_TAINT_ENGINE,
-    make_engine,
-    shadow_capable_engines,
-    shadow_engine_identity,
-)
+from repro.errors import CampaignSpecError, PipelineError
+from repro.interp import DEFAULT_CONFIG
+from repro.interp.shadowtree import ShadowInterpreter
 from repro.libdb.mpi_models import MPI_DATABASE
 from repro.registry import ENGINE_REGISTRY, register_engine
 from repro.taint.domain import TaintDomain
@@ -69,131 +65,78 @@ class TestRunTaintStage:
         assert exc.value.stage == "taint"
         assert "bad-taint" in str(exc.value)
 
-    def test_engines_produce_identical_reports(self):
+    def test_engines_produce_identical_reports(self, genuine_iteration):
+        """The closed form and genuine iteration of every trip give the
+        taint stage the same report."""
         from repro.apps.synthetic import make_scaling_workload
 
         workload = make_scaling_workload()
         program = workload.program()
-        tree = run_taint_stage(
-            workload, program, FULL_POLICY, MPI_DATABASE.copy(), engine="tree"
+        closed, genuine = (
+            run_taint_stage(w, program, FULL_POLICY, MPI_DATABASE.copy())
+            for w in (workload, genuine_iteration(workload))
         )
-        compiled = run_taint_stage(
-            workload,
-            program,
-            FULL_POLICY,
-            MPI_DATABASE.copy(),
-            engine="compiled",
-        )
-        assert tree == compiled
+        assert closed == genuine
 
 
 class TestEngineRegistryDomains:
-    def test_builtins_declare_taint_support(self):
-        assert set(shadow_capable_engines()) >= {"tree", "compiled"}
-        for name in ("tree", "compiled"):
-            entry = ENGINE_REGISTRY.entry(name)
-            assert entry.metadata.get("supports_taint") is True
-            assert entry.metadata.get("shadow_factory") is not None
-
-    def test_shadowless_engine_rejects_domains(self):
-        from repro.interp.interpreter import Interpreter
-
-        register_engine("shadowless-test", help="no shadow support")(
-            Interpreter
-        )
-        try:
-            from repro.apps.synthetic import make_scaling_workload
-
-            program = make_scaling_workload().program()
-            with pytest.raises(RegistryError) as exc:
-                make_engine(
-                    program, "shadowless-test", domain=TaintDomain()
-                )
-            assert "shadowless-test" in str(exc.value)
-            assert "taint" in str(exc.value) or "domain" in str(exc.value)
-        finally:
-            ENGINE_REGISTRY._entries.pop("shadowless-test", None)
-
-    def test_concrete_domain_uses_concrete_engine(self):
-        from repro.apps.synthetic import make_scaling_workload
-        from repro.interp import CompiledEngine, ConcreteDomain
-
-        program = make_scaling_workload().program()
-        engine = make_engine(program, "compiled", domain=ConcreteDomain())
-        assert type(engine) is CompiledEngine
-
     def test_run_does_not_corrupt_analysis_state(self):
         """TaintEngine.run() is concrete and analysis-free: interleaving
         it with analyze() must leave the report identical to an
-        analyze()-only engine (the pre-refactor contract)."""
+        analyze()-only engine."""
         from repro.apps.synthetic import make_scaling_workload
         from repro.taint.engine import TaintEngine
 
         workload = make_scaling_workload()
         program = workload.program()
         args = {"p": 4.0, "s": 6.0}
-        for engine in ("tree", "compiled"):
-            clean_run = TaintEngine(program, engine=engine)
-            baseline = clean_run.analyze(args, workload.sources()).report
+        sources = workload.sources()
+        baseline = TaintEngine(program).analyze(args, sources).report
 
-            mixed = TaintEngine(program, engine=engine)
-            mixed.run(args)  # must not touch the analysis state
-            report = mixed.analyze(args, workload.sources()).report
-            assert report == baseline
-            mixed.run(args)  # nor after the analysis
-            assert mixed.report == baseline
-
-    def test_supports_taint_without_factory_is_not_capable(self):
-        """Declaring supports_taint without a shadow_factory must not
-        make an engine pass validation it would fail at execution."""
-        from repro.interp.interpreter import Interpreter
-
-        register_engine(
-            "liar-test", help="claims taint support", supports_taint=True
-        )(Interpreter)
-        try:
-            assert "liar-test" not in shadow_capable_engines()
-            with pytest.raises(CampaignSpecError):
-                Campaign.from_spec(_spec(taint_engine="liar-test"))
-        finally:
-            ENGINE_REGISTRY._entries.pop("liar-test", None)
+        mixed = TaintEngine(program)
+        mixed.run(args)  # must not touch the analysis state
+        report = mixed.analyze(args, sources).report
+        assert report == baseline
+        mixed.run(args)  # nor after the analysis
+        assert mixed.report == baseline
 
     def test_run_fires_domain_hooks_on_both_engines(self):
-        """Shadow engines' run() must be domain-observed identically:
-        engine choice is invisible to the domain even through the
+        """The shadow engine's run() is domain-observed identically with
+        planned nests in closed form and with every trip iterated: the
+        loop mode is invisible to the domain even through the
         concrete-compatible entry point."""
         from repro.apps.synthetic import make_scaling_workload
 
-        workload = make_scaling_workload()
-        program = workload.program()
+        program = make_scaling_workload().program()
         observations = {}
-        for name in ("tree", "compiled"):
+        for fast_loops in (False, True):
             domain = TaintDomain()
-            engine = make_engine(program, name, domain=domain)
+            engine = ShadowInterpreter(
+                program,
+                config=replace(DEFAULT_CONFIG, fast_loops=fast_loops),
+                domain=domain,
+            )
             result = engine.run({"p": 4.0, "s": 6.0})
-            observations[name] = (
+            observations[fast_loops] = (
                 result.value,
+                result.steps,
                 domain.report,
                 sorted(domain.executed),
             )
-        assert observations["tree"] == observations["compiled"]
+        assert observations[True] == observations[False]
         # The run is genuinely observed, not silently concrete.
-        assert observations["tree"][1].loop_records
-        assert observations["tree"][2]
+        assert observations[False][2].loop_records
+        assert observations[False][3]
 
 
 class TestCampaignTaintEngine:
-    def test_spec_default_is_compiled(self):
-        campaign = Campaign.from_spec(_spec())
-        assert campaign.taint_engine == DEFAULT_TAINT_ENGINE == "compiled"
-
-    def test_spec_accepts_tree(self):
-        campaign = Campaign.from_spec(_spec(taint_engine="tree"))
-        assert campaign.taint_engine == "tree"
-
     def test_spec_rejects_unknown_engine(self):
-        with pytest.raises(RegistryError):
-            Campaign.from_spec(_spec(taint_engine="nonsense"))
+        """The taint stage has one engine, so a spec naming any engine
+        for it is malformed, and the error names the key."""
+        for engine in ("nonsense", "tree"):
+            with pytest.raises(CampaignSpecError) as exc:
+                Campaign.from_spec(_spec(taint_engine=engine))
+            assert "taint_engine" in str(exc.value)
 
     def test_spec_rejects_taint_incapable_engine(self):
         from repro.interp.interpreter import Interpreter
@@ -208,39 +151,6 @@ class TestCampaignTaintEngine:
         finally:
             ENGINE_REGISTRY._entries.pop("shadowless-test", None)
 
-    def test_taint_fingerprint_isolates_engines(self):
-        """Cached taint artifacts must never cross engines."""
-        stage = STAGES["taint"]
-        fingerprints = {}
-        for engine in ("tree", "compiled"):
-            campaign = Campaign.from_spec(_spec(taint_engine=engine))
-            fingerprints[engine] = campaign.stage_fingerprint(stage, {})
-        assert fingerprints["tree"] != fingerprints["compiled"]
-
-    def test_taint_fingerprint_tracks_shadow_implementation(self):
-        """Re-registering an engine name with a different shadow
-        implementation must invalidate cached taint artifacts (the
-        concrete factory alone is not the taint stage's identity)."""
-        from repro.interp import CompiledEngine
-        from repro.interp.shadowtree import ShadowInterpreter
-
-        before = shadow_engine_identity("compiled")
-        stage = STAGES["taint"]
-        campaign = Campaign.from_spec(_spec(taint_engine="compiled"))
-        fp_before = campaign.stage_fingerprint(stage, {})
-        original = ENGINE_REGISTRY._entries["compiled"]
-        register_engine(
-            "compiled",
-            help=original.description,
-            supports_taint=True,
-            shadow_factory=ShadowInterpreter,  # different implementation
-        )(CompiledEngine)
-        try:
-            assert shadow_engine_identity("compiled") != before
-            assert campaign.stage_fingerprint(stage, {}) != fp_before
-        finally:
-            ENGINE_REGISTRY._entries["compiled"] = original
-
     def test_taint_fingerprint_isolates_policies(self):
         from repro.taint.policy import DATAFLOW_ONLY
 
@@ -252,16 +162,21 @@ class TestCampaignTaintEngine:
             stage, {}
         )
 
-    def test_campaign_runs_identically_on_both_engines(self):
+    def test_campaign_runs_identically_on_both_engines(
+        self, genuine_iteration
+    ):
+        """A whole campaign gives the same taint report and measurements
+        with every trip iterated as with planned nests in closed form."""
         results = {}
-        for engine in ("tree", "compiled"):
-            campaign = Campaign.from_spec(_spec(taint_engine=engine))
-            result = campaign.run()
-            results[engine] = result
-        assert results["tree"].taint == results["compiled"].taint
+        for genuine in (False, True):
+            campaign = Campaign.from_spec(_spec())
+            if genuine:
+                campaign.workload = genuine_iteration(campaign.workload)
+            results[genuine] = campaign.run()
+        assert results[True].taint == results[False].taint
         assert (
-            results["tree"].measurements.data
-            == results["compiled"].measurements.data
+            results[True].measurements.data
+            == results[False].measurements.data
         )
 
 

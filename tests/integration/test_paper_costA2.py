@@ -22,7 +22,7 @@ from repro.apps.synthetic import (
     build_multiplicative_example,
 )
 from repro.core.experiment_design import design_experiments
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.volume import classify_program, compute_volumes
 
 FIVE = [2, 4, 8, 16, 32]
@@ -36,7 +36,7 @@ def _design_for(program, taint, values):
 
 def _synthetic_design(program, args, values):
     sources = {n: n for n in program.function(program.entry).params}
-    taint = TaintInterpreter(program).analyze(args, sources).report
+    taint = TaintEngine(program).analyze(args, sources).report
     return _design_for(program, taint, values)
 
 

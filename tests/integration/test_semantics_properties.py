@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.interp import ExecConfig, Interpreter
 from repro.ir import ProgramBuilder, add, lt, mod, mul, var
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.taint.policy import PropagationPolicy
 
 
@@ -56,7 +56,7 @@ class TestSemanticsPreservation:
         prog = random_program(which)
         plain = Interpreter(prog).run({"a": a, "b": b})
         policy = PropagationPolicy(implicit_flow=implicit)
-        tainted = TaintInterpreter(prog, policy=policy).analyze(
+        tainted = TaintEngine(prog, policy=policy).analyze(
             {"a": a, "b": b}, {"a": "a", "b": "b"}
         )
         assert plain.value == tainted.value
@@ -82,7 +82,7 @@ class TestSemanticsPreservation:
         plain = Interpreter(prog, config=ExecConfig(fast_loops=False)).run(
             {"a": a, "b": b}
         )
-        tainted = TaintInterpreter(prog).analyze(
+        tainted = TaintEngine(prog).analyze(
             {"a": a, "b": b}, {"a": "a"}
         )
         assert dict(plain.metrics.loop_iterations) == dict(

@@ -7,17 +7,18 @@ the same point — over randomized IR programs and over all bundled apps.
 These tests are the license for the measurement layer to default to the
 compiled engine.
 
-The same holds for the **taint** analysis domain: the tree-walking and
-compiled shadow engines must produce identical ``TaintReport`` objects
-(loop/branch/library records with their parameter sets and call paths,
-implicit flows, warnings, executed-function sets) plus identical values
-and metrics — the license for the taint stage to default to the compiled
-engine.  The tree-walker iterates every trip while the compiled engine
-runs pure-cost nests in closed form, so these tests also check the closed
-form against genuine iteration.
+The **taint** analysis domain has one engine, the shadow-tracking
+tree-walker, with two loop modes: with ``fast_loops`` on it runs
+pure-cost nests in closed form, with it off it iterates every trip.  The
+two must produce identical ``TaintReport`` objects (loop/branch/library
+records with their parameter sets and call paths, implicit flows,
+warnings, executed-function sets) plus identical values, metrics, steps
+and errors — the license for taint runs to take the closed form.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -380,8 +381,8 @@ class TestVectorizedDifferential:
             )
 
 
-def run_taint(program, engine: str, args, config: ExecConfig, policy=None):
-    """Run taint analysis on *engine*; canonicalize outcome or error."""
+def run_taint(program, args, config: ExecConfig, policy=None):
+    """Run taint analysis under *config*; canonicalize outcome or error."""
     from repro.taint.engine import TaintEngine
     from repro.taint.policy import FULL_POLICY
 
@@ -390,7 +391,6 @@ def run_taint(program, engine: str, args, config: ExecConfig, policy=None):
         runtime=_runtime(),
         config=config,
         policy=policy or FULL_POLICY,
-        engine=engine,
     )
     try:
         result = taint.analyze(args, {"a": "a", "b": "b"})
@@ -406,7 +406,21 @@ def run_taint(program, engine: str, args, config: ExecConfig, policy=None):
             name: (fm.calls, fm.compute, fm.memory, fm.comm)
             for name, fm in result.metrics.functions.items()
         },
+        taint._engine._steps,  # the closed form charges genuine steps
     )
+
+
+def assert_closed_form_matches(program, args, config: ExecConfig, policy=None):
+    """Closed form (``fast_loops`` on) ≡ genuine iteration (off); returns
+    the genuine outcome."""
+    genuine = run_taint(
+        program, args, replace(config, fast_loops=False), policy
+    )
+    closed = run_taint(program, args, replace(config, fast_loops=True), policy)
+    assert closed == genuine, (
+        f"closed form diverged\ngenuine: {genuine!r}\nclosed:  {closed!r}"
+    )
+    return genuine
 
 
 def _taint_policy(name: str):
@@ -460,27 +474,21 @@ def _error_programs():
 
 
 class TestTaintDifferential:
-    """Tree-walking taint ≡ compiled taint, report-bit-identical.  The
-    tree-walker iterates every trip; the compiled engine runs pure-cost
-    nests in closed form when ``fast_loops`` is on."""
+    """Closed-form taint ≡ genuine-iteration taint, report-bit-identical:
+    the subject runs pure-cost nests in closed form (``fast_loops`` on),
+    the reference is the same engine iterating every trip."""
 
     @given(
         program=programs(),
         a=st.integers(0, 6),
         b=st.integers(-2, 6),
         policy=st.sampled_from(["full", "dataflow", "implicit"]),
-        fast_loops=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_taint_reports_bit_identical(self, program, a, b, policy, fast_loops):
-        policy = _taint_policy(policy)
-        config = ExecConfig(fast_loops=fast_loops, step_limit=20_000)
-        args = {"a": a, "b": b}
-        tree = run_taint(program, "tree", args, config, policy)
-        compiled = run_taint(program, "compiled", args, config, policy)
-        assert tree == compiled, (
-            f"taint engines diverged\ntree:     {tree!r}\n"
-            f"compiled: {compiled!r}"
+    def test_taint_reports_bit_identical(self, program, a, b, policy):
+        config = ExecConfig(step_limit=20_000)
+        assert_closed_form_matches(
+            program, {"a": a, "b": b}, config, _taint_policy(policy)
         )
 
     @pytest.mark.parametrize("case", sorted(_error_programs()))
@@ -491,12 +499,10 @@ class TestTaintDifferential:
         program = _error_programs()[case]
         config = ExecConfig(step_limit=20_000)
         args = {"a": 2, "b": -1 if case == "negative_work" else 0}
-        tree = run_taint(program, "tree", args, config, _taint_policy(policy))
-        compiled = run_taint(
-            program, "compiled", args, config, _taint_policy(policy)
+        genuine = assert_closed_form_matches(
+            program, args, config, _taint_policy(policy)
         )
-        assert tree[0] == "error"
-        assert tree == compiled
+        assert genuine[0] == "error"
 
     @given(program=programs(), a=st.integers(0, 6), b=st.integers(0, 6))
     @settings(max_examples=20, deadline=None)
@@ -504,49 +510,43 @@ class TestTaintDifferential:
         from repro.taint.policy import DATAFLOW_ONLY
 
         config = ExecConfig(step_limit=20_000)
-        args = {"a": a, "b": b}
-        tree = run_taint(program, "tree", args, config, DATAFLOW_ONLY)
-        compiled = run_taint(program, "compiled", args, config, DATAFLOW_ONLY)
-        assert tree == compiled
+        assert_closed_form_matches(
+            program, {"a": a, "b": b}, config, DATAFLOW_ONLY
+        )
 
-    def _assert_app_taint_matches(self, workload) -> None:
+    @staticmethod
+    def _assert_app_taint_matches(workload, genuine_iteration) -> None:
+        from repro.core.artifacts import taint_report_to_dict
         from repro.core.stages import run_taint_stage
         from repro.libdb.mpi_models import MPI_DATABASE
         from repro.taint.policy import FULL_POLICY
 
         program = workload.program()
-        reports = [
-            run_taint_stage(
-                workload,
-                program,
-                FULL_POLICY,
-                MPI_DATABASE.copy(),
-                engine=engine,
-            )
-            for engine in ("tree", "compiled")
-        ]
-        tree, compiled = reports
-        assert tree == compiled
+        closed, genuine = (
+            run_taint_stage(w, program, FULL_POLICY, MPI_DATABASE.copy())
+            for w in (workload, genuine_iteration(workload))
+        )
+        assert closed == genuine
         # The canonical artifact payload (what campaign workspaces
         # persist) must match bit for bit as well.
-        from repro.core.artifacts import taint_report_to_dict
+        assert taint_report_to_dict(closed) == taint_report_to_dict(genuine)
 
-        assert taint_report_to_dict(tree) == taint_report_to_dict(compiled)
-
-    def test_lulesh(self):
+    def test_lulesh(self, genuine_iteration):
         from repro.apps.lulesh import LuleshWorkload
 
-        self._assert_app_taint_matches(LuleshWorkload())
+        self._assert_app_taint_matches(LuleshWorkload(), genuine_iteration)
 
-    def test_milc(self):
+    def test_milc(self, genuine_iteration):
         from repro.apps.milc import MilcWorkload
 
-        self._assert_app_taint_matches(MilcWorkload())
+        self._assert_app_taint_matches(MilcWorkload(), genuine_iteration)
 
-    def test_synthetic(self):
+    def test_synthetic(self, genuine_iteration):
         from repro.apps.synthetic import make_scaling_workload
 
-        self._assert_app_taint_matches(make_scaling_workload())
+        self._assert_app_taint_matches(
+            make_scaling_workload(), genuine_iteration
+        )
 
 
 class TestAppDifferential:

@@ -11,7 +11,13 @@ from repro.errors import (
     UndefinedFunctionError,
     UndefinedVariableError,
 )
-from repro.interp import ExecConfig, Interpreter, TableRuntime, make_engine
+from repro.interp import (
+    ExecConfig,
+    Interpreter,
+    ShadowInterpreter,
+    TableRuntime,
+    make_engine,
+)
 from repro.taint.domain import TaintDomain
 from repro.interp.values import Array, truthy
 from repro.ir import ProgramBuilder, add, call, intrinsic, load, lt, mul, sub, var
@@ -201,7 +207,6 @@ class TestArrays:
             ("compiled", None),
             ("vectorized", None),
             ("tree", TaintDomain),
-            ("compiled", TaintDomain),
         ],
     )
     def test_out_of_bounds_is_typed(self, engine, domain):
@@ -210,9 +215,10 @@ class TestArrays:
             f.alloc("a", 3)
             f.store("a", 5, var("n"))
         prog = pb.build(entry="main")
-        interp = make_engine(
-            prog, engine, domain=domain() if domain else None
-        )
+        if domain is None:
+            interp = make_engine(prog, engine)
+        else:  # the tree-walker's shadow-tracking subclass
+            interp = ShadowInterpreter(prog, domain=domain())
         with pytest.raises(ReproError) as exc:
             interp.run({"n": 1})
         assert isinstance(exc.value, ArrayIndexError)

@@ -343,7 +343,6 @@ class TestEnginesCli:
         out = capsys.readouterr().out
         lines = {line.split()[0]: line for line in out.splitlines() if line}
         assert "supports_batch" in lines["vectorized"]
-        assert "supports_taint" in lines["compiled"]
         assert "supports_batch" not in lines["compiled"]
 
     def test_sweep_accepts_vectorized_engine(self, capsys):

@@ -22,7 +22,7 @@ from repro.measure import (
     rng_for,
     taint_filter_plan,
 )
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 
 
 def sample_program():
@@ -93,7 +93,7 @@ class TestInstrumentationPlans:
 
     def test_taint_filter_keeps_only_relevant(self):
         prog = sample_program()
-        taint = TaintInterpreter(prog).analyze({"n": 3}, {"n": "n"}).report
+        taint = TaintEngine(prog).analyze({"n": 3}, {"n": "n"}).report
         plan = taint_filter_plan(prog, taint)
         assert plan.functions == frozenset({"kernel"})
 
@@ -105,7 +105,7 @@ class TestInstrumentationPlans:
 class TestProfiler:
     def test_uninstrumented_folds_into_parent(self):
         prog = sample_program()
-        taint = TaintInterpreter(prog).analyze({"n": 3}, {"n": "n"}).report
+        taint = TaintEngine(prog).analyze({"n": 3}, {"n": "n"}).report
         plan = taint_filter_plan(prog, taint)
         prof = profile_run(prog, {"n": 5}, plan)
         assert prof.visible_functions() == frozenset({"kernel"})

@@ -1,5 +1,7 @@
 """Taint-engine semantics: sources, propagation policies, sinks."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import (
@@ -7,15 +9,10 @@ from repro.errors import (
     RecursionUnsupportedError,
     ReproError,
 )
-from repro.interp import ExecConfig
+from repro.interp import DEFAULT_CONFIG, ExecConfig
 from repro.interp.runtime import TableRuntime
 from repro.ir import ProgramBuilder, add, call, load, lt, mod, mul, var
-from repro.taint import (
-    DATAFLOW_ONLY,
-    PropagationPolicy,
-    TaintEngine,
-    TaintInterpreter,
-)
+from repro.taint import DATAFLOW_ONLY, PropagationPolicy, TaintEngine
 from repro.taint.policy import FULL_POLICY
 
 
@@ -25,7 +22,7 @@ def analyze(populate, args, sources=None, policy=FULL_POLICY, params=None, **kw)
     with pb.function("main", names) as f:
         populate(f)
     prog = pb.build(entry="main")
-    engine = TaintInterpreter(prog, policy=policy, **kw)
+    engine = TaintEngine(prog, policy=policy, **kw)
     return engine.analyze(args, sources or {n: n for n in names}).report
 
 
@@ -86,7 +83,7 @@ class TestDataFlow:
             with f.for_("i", 0, f.var("m")):
                 f.work(1)
         prog = pb.build(entry="main")
-        rep = TaintInterpreter(prog).analyze({"n": 3}, {"n": "n"}).report
+        rep = TaintEngine(prog).analyze({"n": 3}, {"n": "n"}).report
         assert rep.loop_params("main", 0) == frozenset({"n"})
 
     def test_taint_through_array(self):
@@ -273,7 +270,7 @@ class TestLibraryAndRecursion:
             with f.for_("i", 0, f.var("p")):
                 f.work(1)
         prog = pb.build(entry="main")
-        engine = TaintInterpreter(
+        engine = TaintEngine(
             prog,
             runtime=MPIRuntime(MPIConfig(ranks=4)),
             library_taint=MPI_DATABASE,
@@ -289,7 +286,7 @@ class TestLibraryAndRecursion:
         with pb.function("main", ["n"]) as f:
             f.call("MPI_Send", var("n"))
         prog = pb.build(entry="main")
-        engine = TaintInterpreter(
+        engine = TaintEngine(
             prog,
             runtime=MPIRuntime(MPIConfig(ranks=4)),
             library_taint=MPI_DATABASE,
@@ -305,7 +302,7 @@ class TestLibraryAndRecursion:
         with pb.function("main", []) as f:
             f.assign("r", call("MPI_Comm_rank"))
         prog = pb.build(entry="main")
-        engine = TaintInterpreter(
+        engine = TaintEngine(
             prog,
             runtime=MPIRuntime(MPIConfig(ranks=4)),
             library_taint=MPI_DATABASE,
@@ -321,7 +318,7 @@ class TestLibraryAndRecursion:
         with pb.function("main", ["n"]) as f:
             f.call("rec", var("n"))
         prog = pb.build(entry="main")
-        engine = TaintInterpreter(prog)
+        engine = TaintEngine(prog)
         result = engine.analyze({"n": 0}, {"n": "n"})
         assert any("recursi" in w for w in result.report.warnings)
 
@@ -333,7 +330,7 @@ class TestLibraryAndRecursion:
         with pb.function("main", ["n"]) as f:
             f.call("rec", var("n"))
         prog = pb.build(entry="main")
-        engine = TaintInterpreter(prog, strict_recursion=True)
+        engine = TaintEngine(prog, strict_recursion=True)
         with pytest.raises(RecursionUnsupportedError):
             engine.analyze({"n": 0}, {"n": "n"})
 
@@ -350,7 +347,7 @@ class TestLibraryAndRecursion:
             f.ret(var("acc"))
         prog = pb.build(entry="main")
         plain = Interpreter(prog).run({"n": 10})
-        tainted = TaintInterpreter(prog).analyze({"n": 10}, {"n": "n"})
+        tainted = TaintEngine(prog).analyze({"n": 10}, {"n": "n"})
         assert plain.value == tainted.value
 
 
@@ -364,7 +361,7 @@ class TestReportViews:
         with pb.function("main", []) as f:
             f.call("used")
         prog = pb.build(entry="main")
-        rep = TaintInterpreter(prog).analyze({}, {}).report
+        rep = TaintEngine(prog).analyze({}, {}).report
         assert "used" in rep.executed_functions
         assert "unused" not in rep.executed_functions
 
@@ -383,7 +380,7 @@ class TestReportViews:
             f.call("a", var("n"))
             f.call("b")
         prog = pb.build(entry="main")
-        rep = TaintInterpreter(prog).analyze({"n": 3}, {"n": "n"}).report
+        rep = TaintEngine(prog).analyze({"n": 3}, {"n": "n"}).report
         paths = {
             cp for (cp, fn, lid) in rep.loop_records if fn == "kernel"
         }
@@ -415,39 +412,44 @@ class TestReportViews:
 
 @pytest.fixture
 def closed_form(monkeypatch):
-    """Root loop ids of the nest executions the compiled engine runs in
+    """Root loop ids of the nest executions the shadow engine runs in
     closed form."""
-    from repro.interp import shadowjit
+    from repro.interp import shadowtree
 
     roots = []
-    record = shadowjit.record_loop_sinks
+    record = shadowtree.record_loop_sinks
 
     def spy(plan, *args):
         roots.append(plan.loop.loop_id)
         return record(plan, *args)
 
-    monkeypatch.setattr(shadowjit, "record_loop_sinks", spy)
+    monkeypatch.setattr(shadowtree, "record_loop_sinks", spy)
     return roots
 
 
-def analyze_both(prog, args, closed_form, policy=FULL_POLICY, **kw):
-    """Reports of the tree-walker (every trip) and of the compiled engine
-    (planned nests in closed form); asserts the two are identical, with
-    their records in the same order, and that they failed alike."""
+def analyze_both(
+    prog, args, closed_form, policy=FULL_POLICY, config=DEFAULT_CONFIG
+):
+    """Reports of genuine iteration (``fast_loops`` off: every trip) and
+    of the closed form (``fast_loops`` on: planned nests summarised);
+    asserts the two are identical, with their records in the same order,
+    and that they failed alike."""
     outcomes = []
-    for engine in ("tree", "compiled"):
-        taint = TaintEngine(prog, policy=policy, engine=engine, **kw)
+    for fast_loops in (False, True):
+        taint = TaintEngine(
+            prog, policy=policy, config=replace(config, fast_loops=fast_loops)
+        )
         try:
             report = taint.analyze(args, {n: n for n in args}).report
             error = None
         except ReproError as exc:
             report, error = taint.report, (type(exc), str(exc))
         outcomes.append((report, error))
-    (tree, tree_error), (compiled, error) = outcomes
-    assert compiled == tree
-    assert list(compiled.loop_records) == list(tree.loop_records)
-    assert error == tree_error
-    return compiled, error
+    (genuine, genuine_error), (closed, error) = outcomes
+    assert closed == genuine
+    assert list(closed.loop_records) == list(genuine.loop_records)
+    assert error == genuine_error
+    return closed, error
 
 
 def _nest_program(populate, params):
@@ -462,7 +464,7 @@ def _nest_program(populate, params):
 
 
 class TestClosedFormNests:
-    """Pure-cost nests the compiled engine runs in closed form record the
+    """Pure-cost nests the shadow engine runs in closed form record the
     loop sinks genuine iteration records."""
 
     def test_zero_trip_outer_level(self, closed_form):

@@ -9,7 +9,7 @@ from repro.apps.synthetic import (
     build_additive_example,
     build_multiplicative_example,
 )
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.volume import (
     LoopCount,
     Volume,
@@ -137,7 +137,7 @@ class TestVolumeAnalyzer:
     def _taint(self, prog, args, sources=None):
         entry = prog.function(prog.entry)
         sources = sources or {n: n for n in entry.params}
-        return TaintInterpreter(prog).analyze(args, sources).report
+        return TaintEngine(prog).analyze(args, sources).report
 
     def test_additive_program(self):
         prog = build_additive_example()

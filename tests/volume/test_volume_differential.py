@@ -7,7 +7,10 @@ and once for the inclusive volumes.  :func:`repro.volume.compute_volumes`
 must produce the same JSON bytes (:func:`volume_report_to_dict`): the same
 coefficients, down to the last bit, in the same factor and term order.
 Its warnings are the oracle's with duplicates removed, since the oracle
-warns about an unexecuted loop once per pass.
+warns about an unexecuted loop once per pass (and per re-walk).  Both
+apply one recursion rule: a call to a function on the walk stack counts
+1, and a function in a recursive cycle is memoized only when walked with
+no other member of its cycle on the stack.
 
 Random programs come from the engine differential's statement generator
 plus what only the volume calculus sees: static trip counts (large ones
@@ -24,6 +27,7 @@ import json
 import pathlib
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,9 +42,10 @@ from repro.core.artifacts import volume_report_to_dict
 from repro.ir import ProgramBuilder, add, call, lt, var
 from repro.ir.callgraph import build_callgraph
 from repro.ir.expr import Call
+from repro.ir.program import Program
 from repro.ir.stmt import For, If, While
 from repro.staticanalysis.scev import static_trip_count
-from repro.taint import TaintInterpreter
+from repro.taint import TaintEngine
 from repro.taint.report import TaintReport
 from repro.volume import LoopCount, Term, VolumeReport, compute_volumes
 
@@ -104,9 +109,15 @@ class FoldAnalyzer:
         self.params = taint.loops_by_function()
         self.warnings: list[str] = []
         self.inclusive: dict[str, FoldVolume] = {}
+        self.stack: list[str] = []
+        self.cycle: dict[str, set[str]] = {}
 
     def analyze(self) -> VolumeReport:
         graph = build_callgraph(self.program)
+        for scc in graph.components:
+            if len(scc) > 1:
+                for name in scc:
+                    self.cycle[name] = set(scc) - {name}
         if graph.has_recursion:
             rec = ", ".join(sorted(graph.recursive_functions()))
             self.warnings.append(
@@ -125,11 +136,17 @@ class FoldAnalyzer:
         )
 
     def function(self, name: str) -> FoldVolume:
-        if name not in self.inclusive:
-            self.inclusive[name] = _constant(1.0)
-            body = self.program.function(name).body
-            self.inclusive[name] = self.body(name, body, True)
-        return self.inclusive[name]
+        if name in self.stack:
+            return _constant(1.0)
+        memoize = not self.cycle.get(name, set()) & set(self.stack)
+        if memoize and name in self.inclusive:
+            return self.inclusive[name]
+        self.stack.append(name)
+        volume = self.body(name, self.program.function(name).body, True)
+        self.stack.pop()
+        if memoize:
+            self.inclusive[name] = volume
+        return volume
 
     def count(self, fn: str, loop) -> FoldVolume:
         static = static_trip_count(loop)
@@ -275,13 +292,67 @@ class TestRandomPrograms:
         assert_same_volumes(program, report)
 
 
+class TestDefinitionOrder:
+    """Volumes do not depend on the order functions are defined in,
+    recursive cycles included."""
+
+    @staticmethod
+    def _ping_pong(order):
+        def ping(f):
+            with f.for_("i", 0, var("n")):
+                f.work(1.0)
+            f.call("pong", var("n"))
+
+        def pong(f):
+            with f.for_("i", 0, var("n")):
+                f.work(1.0)
+            with f.if_(lt(var("n"), 0)):
+                f.call("ping", var("n"))
+
+        def main(f):
+            f.call("ping", var("n"))
+
+        bodies = {"ping": ping, "pong": pong, "main": main}
+        pb = ProgramBuilder()
+        for name in order:
+            with pb.function(name, ["n"]) as f:
+                bodies[name](f)
+        return pb.build(entry="main")
+
+    @pytest.mark.parametrize(
+        "order",
+        [("ping", "pong", "main"), ("pong", "ping", "main")],
+        ids=["ping-first", "pong-first"],
+    )
+    def test_mutual_recursion_pinned(self, order):
+        program = self._ping_pong(order)
+        taint = TaintEngine(program).analyze({"n": 3}, {"n": "n"}).report
+        report = assert_same_volumes(program, taint)
+        cycle = "3 + g[ping#0](n) + g[pong#0](n)"
+        assert {name: str(v) for name, v in report.inclusive.items()} == {
+            "main": "4 + g[ping#0](n) + g[pong#0](n)",
+            "ping": cycle,
+            "pong": cycle,
+        }
+
+    @given(programs_with_reports())
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_definition_order(self, case):
+        program, report = case
+        reverse = Program.build(reversed(list(program)), program.entry)
+        got = compute_volumes(program, report)
+        want = compute_volumes(reverse, report)
+        assert got.inclusive == want.inclusive
+        assert got.program == want.program
+
+
 # ----------------------------------------------------------------------
 # the bundled applications
 
 
 def _taint(program, args):
     sources = {n: n for n in program.function(program.entry).params}
-    return TaintInterpreter(program).analyze(args, sources).report
+    return TaintEngine(program).analyze(args, sources).report
 
 
 class TestApplications:
