@@ -3,7 +3,7 @@
 Every benchmark writes a ``benchmarks/out/BENCH_<name>.json`` record (see
 ``benchmarks/conftest.report``).  This script overlays the records found
 there onto the committed top-level ``BENCH_SUMMARY.json``, so the
-repository's performance trajectory — engine, taint, and model-search
+repository's performance trajectory — taint, batch and model-search
 speedups, overhead ratios, design sizes — is visible at the repo root and
 comparable across commits without re-running anything.
 ``benchmarks/out/`` is gitignored and starts empty, so re-recording one
@@ -45,7 +45,6 @@ SUMMARY_PATH = REPO_ROOT / "BENCH_SUMMARY.json"
 #: keyed by benchmark name (the rest of each record stays under
 #: ``benchmarks``).
 HEADLINE_KEYS = {
-    "engine_speedup": "speedup",
     "taint_speedup": "speedup",
     "model_speedup": "speedup",
     "parallel_scaling": "speedup",

@@ -2,11 +2,12 @@
 
 The batched runner executes an entire design as one tensor pass per
 batch (``vectorized`` engine) and samples every noise stream through the
-vectorized ``perturb_block`` — versus the serial runner's one compiled
-interpreter run per configuration and ~20us of RNG stream setup per
-sample.  This benchmark times both runners end-to-end (profiling + noise
-sampling + merging) on the LULESH three-parameter sweep and asserts the
-batched runner's speedup *and* bit-identical ``Measurements``.
+vectorized ``perturb_block`` — versus the serial runner's one
+tree-walking interpreter run per configuration and ~20us of RNG stream
+setup per sample.  This benchmark times both runners end-to-end
+(profiling + noise sampling + merging) on the LULESH three-parameter
+sweep and asserts the batched runner's speedup *and* bit-identical
+``Measurements``.
 
 Run with ``pytest benchmarks/bench_batch_speedup.py -s``.
 

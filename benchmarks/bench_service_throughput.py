@@ -125,7 +125,7 @@ def test_service_throughput(tmp_path):
             contention=contention,
             repetitions=repetitions,
             seed=0,
-            engine="compiled",
+            engine="tree",
         )
 
         started = time.perf_counter()
@@ -149,7 +149,7 @@ def test_service_throughput(tmp_path):
             contention=contention,
             repetitions=repetitions,
             seed=0,
-            engine="compiled",
+            engine="tree",
         )
         distributed_time = time.perf_counter() - started
         speedup = serial_time / distributed_time
@@ -179,7 +179,7 @@ def test_service_throughput(tmp_path):
             contention=contention,
             repetitions=repetitions,
             seed=0,
-            engine="compiled",
+            engine="tree",
         )
         warm_time = time.perf_counter() - started
         assert warm.last_stats.executed == 0

@@ -30,8 +30,8 @@ experiments and ``--cache-dir DIR`` to reuse already-measured
 configurations across invocations; results are bit-identical for every
 jobs count.  Measurement commands take ``--engine`` to pick a registered
 execution engine (default: ``vectorized``, which runs the whole sweep as
-tensor batches; ``compiled`` is the one-configuration-at-a-time
-IR-to-closure compiler, bit-identical).  The taint stage has one engine,
+tensor batches; ``tree`` is the one-configuration-at-a-time tree-walker,
+the scalar reference, bit-identical).  The taint stage has one engine,
 the shadow-tracking tree-walker, so no command chooses it.
 ``run``/``model`` take ``--search-backend`` to pick the model-search
 backend (default ``batched``, one stacked-LAPACK call per hypothesis

@@ -98,7 +98,7 @@ class PerfTaintPipeline:
     #: Run-cache directory; None disables caching.
     cache_dir: str | None = None
     #: Execution engine for the measurement stage ("vectorized", the
-    #: default, routes to the batched runner; "compiled" | "tree" run one
+    #: default, routes to the batched runner; "tree" runs one
     #: configuration at a time).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
     #: Model-search backend for the model stage ("batched" | "loop");

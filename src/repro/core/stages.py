@@ -229,7 +229,7 @@ def run_measure_stage(
     default ``vectorized`` is one) goes to the whole-sweep
     :class:`~repro.measure.batched.BatchedExperimentRunner`: one engine
     build and one noise block per design, ``n_jobs`` sharding the batch
-    axis, and its own run cache.  A scalar engine (``compiled``,
+    axis, and its own run cache.  A scalar engine (the tree-walker
     ``tree``) runs one configuration at a time, on the process-pool
     runner when ``n_jobs > 1`` or a run cache is set and on the plain
     serial runner otherwise.  All paths produce bit-identical

@@ -1,21 +1,18 @@
 """Execution substrate: metered execution of repro-IR programs.
 
-Three engines (dispatch strategies) share one semantics core
-(:mod:`repro.interp.semantics`):
+Two engines share one semantics core (:mod:`repro.interp.semantics`):
 
 * :class:`Interpreter` — the tree-walking engine, with subclassable
-  per-node hooks.  :class:`ShadowInterpreter` extends it with an
-  analysis domain's shadow state (:mod:`repro.interp.domain`); it is the
-  one shadow engine, the one taint runs execute on.
-* :class:`CompiledEngine` — the IR-to-closure compiler
-  (:mod:`repro.interp.compile`).  Lowers a finalized program once and
-  executes pre-dispatched closures; the engine of single-configuration
-  runs.
+  per-node hooks: the scalar reference, and the engine of every
+  single-configuration run.  :class:`ShadowInterpreter` extends it with
+  an analysis domain's shadow state (:mod:`repro.interp.domain`); it is
+  the one shadow engine, the one taint runs execute on.
 * :class:`VectorizedEngine` — the batched tensor engine
   (:mod:`repro.interp.vectorize`).  Runs a whole sweep as one pass over
-  per-lane arrays; the default for measurement stages.
+  per-lane arrays; the default for measurement stages.  A batch it
+  cannot run vectorized is rerun lane by lane on the tree-walker.
 
-Every engine runs the loop nests the fast-path planner
+Both engines run the loop nests the fast-path planner
 (:mod:`repro.interp.fastpath`) summarises in closed form when
 ``ExecConfig.fast_loops`` is set.  Construct concrete engines through
 :func:`make_engine` rather than instantiating a class directly — callers
@@ -23,16 +20,15 @@ then inherit new engines (and the "which engine for which job" defaults)
 automatically.
 
 Every engine provides ``run(args, entry=None)`` and ``close()``.
-``close()`` releases the lowered program: the compiled and vectorized
-engines' closures refer back to the engine, a reference cycle that only a
-full garbage collection would free, so a caller that builds an engine for
+``close()`` releases the lowered program: the vectorized engine's
+closures refer back to the engine, a reference cycle that only a full
+garbage collection would free, so a caller that builds an engine for
 one run closes it in ``try``/``finally`` and the engine is then freed by
 reference counting.  An engine cannot run after ``close()``; on the
 tree-walkers it releases nothing.
 """
 
 from ..registry import ENGINE_REGISTRY, register_engine
-from .compile import CompiledEngine, CompiledFunction
 from .config import DEFAULT_CONFIG, ExecConfig
 from .domain import AnalysisDomain
 from .events import CostKind, ExecutionListener, MultiListener, NullListener
@@ -49,23 +45,16 @@ from .shadowtree import ShadowInterpreter
 from .values import Array, Scalar, Value, truthy
 from .vectorize import BatchedMetrics, VectorFallback, VectorizedEngine
 
-#: The tree-walking engine (subclassable per-node hooks).
+#: The tree-walking engine: the scalar reference, and the engine of
+#: single-configuration runs (subclassable per-node hooks).
 ENGINE_TREE = "tree"
-#: The closure-compiling engine (single-configuration measurement).
-ENGINE_COMPILED = "compiled"
 #: The batched tensor engine (whole-sweep measurement hot path).
 ENGINE_VECTORIZED = "vectorized"
-#: Built-in scalar (one configuration per run) engine identifiers.
-#: The full (user-extensible) set lives in the engine registry.
-ENGINES: tuple[str, ...] = (ENGINE_COMPILED, ENGINE_TREE)
 
 register_engine(
-    ENGINE_COMPILED,
-    help="IR-to-closure compiler (single-configuration measurement)",
-)(CompiledEngine)
-register_engine(
     ENGINE_TREE,
-    help="tree-walking interpreter (subclassable per-node hooks)",
+    help="tree-walking interpreter (scalar reference, one configuration "
+    "per run)",
 )(Interpreter)
 register_engine(
     ENGINE_VECTORIZED,
@@ -75,9 +64,9 @@ register_engine(
 
 #: Engine of the measurement stage (campaigns, pipelines, the CLI and
 #: the service) unless a caller overrides it: one engine build and one
-#: noise block per design, bit-identical to ``compiled`` lane by lane.
+#: noise block per design, bit-identical to ``tree`` lane by lane.
 #: Helpers that run one configuration at a time default to
-#: ``ENGINE_COMPILED`` instead.
+#: ``ENGINE_TREE`` instead.
 DEFAULT_MEASUREMENT_ENGINE = ENGINE_VECTORIZED
 
 
@@ -97,14 +86,13 @@ def make_engine(
     runtime: "LibraryRuntime | None" = None,
     config: ExecConfig = DEFAULT_CONFIG,
     listener: "ExecutionListener | None" = None,
-) -> "Interpreter | CompiledEngine | VectorizedEngine":
+) -> "Interpreter | VectorizedEngine":
     """Construct an execution engine for *program*.
 
     *engine* names an entry of the engine registry: ``"tree"`` (the
-    subclassable tree-walker, the default for direct use), ``"compiled"``
-    (the closure compiler of single-configuration runs),
-    ``"vectorized"`` (the batched engine of the measurement stage), or
-    any engine registered by user code via
+    subclassable tree-walker, the default, and the engine of
+    single-configuration runs), ``"vectorized"`` (the batched engine of
+    the measurement stage), or any engine registered by user code via
     :func:`repro.registry.register_engine`.  The built-ins produce
     bit-identical :class:`~repro.interp.metrics.RunResult` objects and
     errors; they differ only in dispatch cost.
@@ -117,14 +105,10 @@ def make_engine(
 __all__ = [
     "AnalysisDomain",
     "Array",
-    "CompiledEngine",
-    "CompiledFunction",
     "CostKind",
     "DEFAULT_CONFIG",
     "DEFAULT_MEASUREMENT_ENGINE",
     "BatchedMetrics",
-    "ENGINES",
-    "ENGINE_COMPILED",
     "ENGINE_TREE",
     "ENGINE_VECTORIZED",
     "ExecConfig",

@@ -18,7 +18,7 @@ semantics and calls the domain's hooks at fixed program points.  With
 and reports each of their loop sinks once per nest execution (``on_loop``
 with an ``entries`` count), where genuine iteration reports every entry;
 the analysis results are the same either way — the property the taint
-differential tests (``tests/interp/test_compiled_differential.py``)
+differential tests (``tests/interp/test_engine_differential.py``)
 enforce.  Concrete runs use the plain engines, which track no shadow.
 """
 

@@ -47,7 +47,7 @@ counters ``x = x ± c`` and counters in nested loops run genuinely: no
 workload has one.
 
 :class:`FastPathPlanner` plans each loop once and computes every summary
-(:func:`trip_counts`, :func:`summarize`); the tree, compiled and vectorized
+(:func:`trip_counts`, :func:`summarize`); the tree-walking and vectorized
 engines only apply it, so they stay bit-identical to each other.  The
 shadow engine (:class:`~repro.interp.shadowtree.ShadowInterpreter`)
 applies pure-cost plans under an analysis domain too: a pure nest's loop
@@ -59,7 +59,7 @@ labels into the shadow heap one slot at a time; the same engine with
 ``fast_loops`` off iterates every trip and is the reference the closed
 form is checked against.  Equivalence of fast and slow paths is
 property-tested in ``tests/interp/test_fastpath.py`` and, under the taint
-domain, in ``tests/interp/test_compiled_differential.py``.
+domain, in ``tests/interp/test_engine_differential.py``.
 """
 
 from __future__ import annotations

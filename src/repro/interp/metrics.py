@@ -72,33 +72,6 @@ class MetricsCollector:
     def on_loop_iterations(self, function: str, loop_id: int, count: int) -> None:
         self.loop_iterations[(function, loop_id)] += count
 
-    def cost_sink(self):
-        """A flattened equivalent of :meth:`on_cost` for hot paths.
-
-        Returns a closure with the exact same effect (same additions to
-        the same fields, in the same order — bit-identical totals) but
-        without the method-dispatch and :meth:`FunctionMetrics.add_cost`
-        call layers.  The compiled engine charges through this.
-        """
-        totals = self.totals
-        functions = self.functions
-        stack = self._stack
-        compute = CostKind.COMPUTE
-        memory = CostKind.MEMORY
-
-        def on_cost(kind: CostKind, amount: float) -> None:
-            totals[kind] += amount
-            if stack:
-                fm = functions[stack[-1]]
-                if kind is compute:
-                    fm.compute += amount
-                elif kind is memory:
-                    fm.memory += amount
-                else:
-                    fm.comm += amount
-
-        return on_cost
-
     def on_aggregate_calls(
         self, callee: str, count: int, unit_compute: float, unit_memory: float
     ) -> None:

@@ -1,12 +1,11 @@
 """Execution semantics shared by every engine and analysis domain.
 
 Engines execute repro-IR programs under the discrete cost model: the
-tree-walking :class:`~repro.interp.interpreter.Interpreter` and its
-shadow-tracking subclass :class:`~repro.interp.shadowtree.ShadowInterpreter`
-(the taint runs' engine), the closure-compiling
-:class:`~repro.interp.compile.CompiledEngine` and the batched
-:class:`~repro.interp.vectorize.VectorizedEngine` (the measurement hot
-paths).  Everything *semantic* — what an
+tree-walking :class:`~repro.interp.interpreter.Interpreter` (the engine
+of single-configuration runs), its shadow-tracking subclass
+:class:`~repro.interp.shadowtree.ShadowInterpreter` (the taint runs'
+engine), and the batched :class:`~repro.interp.vectorize.VectorizedEngine`
+(the measurement hot path).  Everything *semantic* — what an
 operator computes, what an intrinsic does, what errors look like, how
 library calls are metered — lives here, once, so the engines can only
 differ in dispatch strategy, never in meaning.
@@ -15,7 +14,7 @@ The shadow dimension is parameterized by a pluggable
 :class:`~repro.interp.domain.AnalysisDomain`: the value rules below are
 fixed, and the domain supplies the paired shadow rules (joins, policy
 gates, sinks).  The differential property tests
-(``tests/interp/test_compiled_differential.py``) enforce bit-identical
+(``tests/interp/test_engine_differential.py``) enforce bit-identical
 behaviour, concrete and shadow alike, on top of this shared core.
 """
 
@@ -55,8 +54,8 @@ FLOW_RETURN = 3
 # operator semantics
 #
 # One table, used by the tree-walker per evaluation and pre-bound into
-# closures by the compiler.  The callables are C-level where possible so
-# neither engine pays Python-level branching per operation.
+# the vectorized engine's closures.  The callables are C-level where
+# possible so no engine pays Python-level branching per operation.
 
 BINOP_FUNCS: dict[str, Callable[[Value, Value], Value]] = {
     "+": operator.add,

@@ -19,7 +19,7 @@ the shadow heap one slot at a time, and so does a nest that would run out
 of steps or call depth: genuine iteration then raises where it must.
 With ``fast_loops`` off every loop iterates every trip: that is the
 genuine-iteration reference the closed form is checked against
-(``tests/interp/test_compiled_differential.py``).  Reports, values,
+(``tests/interp/test_engine_differential.py``).  Reports, values,
 metrics, steps and errors of the two modes are identical; listener
 events differ, because a closed-form nest reports aggregated costs and
 calls, as on the concrete engines.

@@ -12,8 +12,8 @@ following the batched-evaluation architecture of CGP++ / ``cgp-vec``
 Bit-identity contract
 ---------------------
 
-Per lane, results are **bit-identical** to the tree-walking and compiled
-engines: same ``RunResult`` (value, steps, totals, per-function metrics,
+Per lane, results are **bit-identical** to the tree-walking engine:
+same ``RunResult`` (value, steps, totals, per-function metrics,
 loop iterations), same listener event stream, same errors.  The engine
 earns this with three mechanisms:
 
@@ -30,8 +30,8 @@ earns this with three mechanisms:
   silently different bit.
 * **Whole-batch fallback**: on any hazard — including a lane that would
   raise — the partially executed batch is discarded and every lane is
-  re-run on the compiled engine (:class:`VectorFallback` carries the
-  reason).  The fallback is the semantics; the tensor pass is only an
+  re-run on the tree-walking engine (:class:`VectorFallback` carries
+  the reason).  The fallback is the semantics; the tensor pass is only an
   optimization.
 
 Divergent control flow *within* eligible functions is executed SIMT
@@ -71,6 +71,7 @@ from .fastpath import (
     summarize,
     trip_counts,
 )
+from .interpreter import Interpreter
 from .metrics import FunctionMetrics, MetricsCollector, RunResult
 from .runtime import LibraryRuntime, NoLibraryRuntime
 from .semantics import (
@@ -93,7 +94,7 @@ class VectorFallback(Exception):
     """The batch cannot be (or can no longer be) executed vectorized.
 
     Raised internally on any hazard; :meth:`VectorizedEngine.run_batch`
-    converts it into a per-lane rerun on the compiled engine unless the
+    converts it into a per-lane rerun on the tree-walker unless the
     caller supplied listeners the engine cannot replicate per lane
     (``vector_listeners``), in which case it propagates for the caller
     to fall back itself.
@@ -313,7 +314,7 @@ class EventRecorder:
 
     Events are delivered to the real per-lane listeners only after the
     whole batch succeeds (on fallback the buffer is discarded and the
-    compiled rerun drives the listeners directly), so listeners never
+    tree-walking rerun drives the listeners directly), so listeners never
     observe a partially executed vector attempt.
     """
 
@@ -457,7 +458,7 @@ class _VecFunction:
         self.params = tuple(fn.params)
         self.vectorizable = classify_function(fn)
         self.engine = engine
-        self._top = None  # compiled lazily on first call
+        self._top = None  # lowered lazily on first call
 
     def call(self, args: list, idx):
         engine = self.engine
@@ -492,8 +493,8 @@ class _VecFunction:
 
 
 class _VecCompiler:
-    """Lowers one function body to batched closures (mirrors the scalar
-    closure compiler in :mod:`.compile` statement for statement)."""
+    """Lowers one function body to batched closures (mirrors the
+    tree-walker's ``_exec_*``/``_eval_*`` statement for statement)."""
 
     def __init__(self, engine: "VectorizedEngine", fn) -> None:
         self.engine = engine
@@ -1001,10 +1002,10 @@ class _VecCompiler:
 class VectorizedEngine:
     """Executes a whole batch of lanes in one tensor pass.
 
-    Same constructor and :meth:`run` contract as the tree and compiled
-    engines; :meth:`run_batch` is the batched entry point the measure
-    layer uses.  Per lane, results/events/errors are bit-identical to
-    the compiled engine (see module docstring for how).
+    Same constructor and :meth:`run` contract as the tree-walker;
+    :meth:`run_batch` is the batched entry point the measure layer uses.
+    Per lane, results/events/errors are bit-identical to the tree-walker
+    (see module docstring for how).
     """
 
     def __init__(
@@ -1038,9 +1039,9 @@ class VectorizedEngine:
     # -- public API ----------------------------------------------------
 
     def close(self) -> None:
-        """Release the lowered functions (see ``CompiledEngine.close``):
-        breaks the engine -> function -> engine cycle so the engine is
-        freed by reference counting.  The engine cannot run afterwards."""
+        """Release the lowered functions: breaks the engine -> function
+        -> engine cycle so the engine is freed by reference counting.
+        The engine cannot run afterwards."""
         for fn in self._fns.values():
             fn._top = None
             fn.engine = None
@@ -1181,8 +1182,6 @@ class VectorizedEngine:
     def _run_scalar(
         self, args_list, entry, lane_runtimes, lane_listeners, collect_errors
     ):
-        from .compile import CompiledEngine
-
         runtimes = (
             list(lane_runtimes)
             if lane_runtimes
@@ -1191,7 +1190,7 @@ class VectorizedEngine:
         out = []
         for lane, args in enumerate(args_list):
             listener = lane_listeners[lane] if lane_listeners else None
-            engine = CompiledEngine(
+            engine = Interpreter(
                 self.program,
                 runtime=runtimes[lane],
                 config=self.config,
@@ -1203,8 +1202,6 @@ class VectorizedEngine:
                 if not collect_errors:
                     raise
                 out.append(exc)
-            finally:
-                engine.close()
         return out
 
     # -- per-lane value plumbing ---------------------------------------
@@ -1489,8 +1486,8 @@ class VectorizedEngine:
     # -- fast-path mirror ----------------------------------------------
 
     def _plan_exec(self, plan: LoopPlan, tbl, frame: _Frame, idx):
-        """Vector mirror of ``FastPathPlanner.execute`` + the compiled
-        engine's plan-result application.
+        """Vector mirror of ``FastPathPlanner.execute`` + the
+        tree-walker's plan-result application.
 
         Returns the per-lane validity mask over the context lanes (all
         emission for valid lanes is done here), or None when bound

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ..errors import DesignError
-from ..interp import ENGINE_COMPILED
+from ..interp import ENGINE_TREE
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.runtime import LibraryRuntime
 from ..interp.values import Value
@@ -240,7 +240,7 @@ def run_configuration(
     repetitions: int,
     seed: int,
     key: ConfigKey,
-    engine: str = ENGINE_COMPILED,
+    engine: str = ENGINE_TREE,
 ) -> ConfigRunResult:
     """Profile one configuration and derive its noisy repetitions.
 
@@ -248,7 +248,7 @@ def run_configuration(
     ``(seed, function, key, repetition)`` via :func:`~repro.measure.noise.rng_for`
     — never from execution order — so results are bit-identical whether
     configurations run serially, in any order, or on different processes.
-    *engine* selects the execution engine; both engines produce
+    *engine* selects the execution engine; the built-in engines produce
     bit-identical profiles, so it does not perturb measurements either.
     """
     factor = contention.factor(setup.ranks_per_node)
@@ -338,8 +338,8 @@ class ExperimentRunner:
     contention: ContentionModel = field(default_factory=NoContention)
     repetitions: int = 5
     seed: int = 0
-    #: Execution engine for the profiled runs ("compiled" | "tree").
-    engine: str = ENGINE_COMPILED
+    #: Execution engine for the profiled runs (default: the tree-walker).
+    engine: str = ENGINE_TREE
 
     def run(
         self, design: Iterable[Mapping[str, float]]

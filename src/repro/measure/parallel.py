@@ -32,9 +32,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..interp import ENGINE_COMPILED
+from ..interp import ENGINE_TREE
 from ..ir.program import Program
 from ..mpisim.contention import ContentionModel, NoContention
+from ..registry import ENGINE_REGISTRY
 from ..store import LocalStore
 from .experiment import (
     ConfigKey,
@@ -114,7 +115,13 @@ def configuration_fingerprints(
     The parallel runner, the batched runner, and the campaign-service
     broker all key the ``runs`` namespace with this function, so a
     configuration measured by any of them is a hit for all of them.
+    The engine enters by its registry identity (name plus import path),
+    as in the measure-stage fingerprint: re-registering a name with
+    another implementation misses the cache, and an unregistered name
+    raises :class:`~repro.errors.RegistryError` here, before anything
+    runs or is queued.
     """
+    engine_identity = ENGINE_REGISTRY.identity(engine)
     digest = program_hash(program)
     identity = workload_repr(workload)
     return [
@@ -136,7 +143,7 @@ def configuration_fingerprints(
             repetitions=repetitions,
             seed=seed,
             workload_repr=identity,
-            engine=engine,
+            engine=engine_identity,
         )
         for config, setup in zip(configs, setups)
     ]
@@ -189,7 +196,7 @@ class _ConfigTask:
     repetitions: int
     seed: int
     key: ConfigKey
-    engine: str = ENGINE_COMPILED
+    engine: str = ENGINE_TREE
 
 
 def _run_task(task: _ConfigTask) -> tuple[int, ConfigRunResult]:
@@ -246,10 +253,10 @@ class ParallelExperimentRunner:
     seed: int = 0
     n_jobs: int = 1
     cache_dir: str | pathlib.Path | None = None
-    #: Execution engine for the profiled runs ("compiled" | "tree").
-    #: Folded into cache fingerprints so a cache populated by one engine
-    #: is never served to the other.
-    engine: str = ENGINE_COMPILED
+    #: Execution engine for the profiled runs (default: the tree-walker).
+    #: Its registry identity is folded into cache fingerprints, so a
+    #: cache populated by one engine is never served to another.
+    engine: str = ENGINE_TREE
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:

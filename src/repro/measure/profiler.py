@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..interp import ENGINE_COMPILED, ENGINE_VECTORIZED, make_engine
+from ..interp import ENGINE_TREE, ENGINE_VECTORIZED, make_engine
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.events import CostKind, NullListener
 from ..interp.runtime import LibraryRuntime
@@ -409,13 +409,13 @@ def profile_run(
     exec_config: ExecConfig = DEFAULT_CONFIG,
     contention_factor: float = 1.0,
     entry: str | None = None,
-    engine: str = ENGINE_COMPILED,
+    engine: str = ENGINE_TREE,
 ) -> ProfileResult:
     """Execute *program* once under *plan* and return its profile.
 
-    *engine* selects the execution engine (``"compiled"`` by default —
-    the scalar hot path; ``"tree"`` for the tree-walker).  Both yield
-    bit-identical profiles.
+    *engine* selects the execution engine (``"tree"`` by default: the
+    tree-walker lowers nothing, so a one-shot run pays only for
+    execution).  Every built-in engine yields a bit-identical profile.
     """
     listener = ScorePListener(plan)
     interp = make_engine(
@@ -454,8 +454,7 @@ def profile_run_batch(
     bit-identical to :func:`profile_run` of that configuration alone.
     When the program is not batch-eligible (the engine raises
     :class:`~repro.interp.VectorFallback`) every lane falls back to a
-    scalar compiled-engine :func:`profile_run` — same results, scalar
-    speed.
+    tree-walking :func:`profile_run` — same results, scalar speed.
     """
     from ..interp import VectorFallback, make_engine as _make_engine
     from ..interp.vectorize import VectorizedEngine
@@ -489,7 +488,7 @@ def profile_run_batch(
                 exec_config=exec_config,
                 contention_factor=contention_factors[lane],
                 entry=entry,
-                engine=ENGINE_COMPILED,
+                engine=ENGINE_TREE,
             )
             for lane in range(batch)
         ]

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..interp import ENGINE_COMPILED, make_engine
+from ..interp import ENGINE_TREE, make_engine
 from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.values import Value
 from ..ir.program import Program
@@ -80,8 +80,8 @@ class SPMDSimulator:
     ranks_per_node: int = 1
     network: NetworkModel = DEFAULT_NETWORK
     exec_config: ExecConfig = DEFAULT_CONFIG
-    #: Execution engine for the per-rank runs ("compiled" | "tree").
-    engine: str = ENGINE_COMPILED
+    #: Execution engine for the per-rank runs (default: the tree-walker).
+    engine: str = ENGINE_TREE
 
     def _runtime_for(self, rank: int) -> MPIRuntime:
         return MPIRuntime(

@@ -6,7 +6,7 @@ editing a central dict.  This module provides the same mechanism for the
 six pluggable component kinds of the repro pipeline:
 
 * **workloads** (``@register_workload``) — modelable applications;
-* **engines** (``@register_engine``) — execution engines (tree/compiled);
+* **engines** (``@register_engine``) — execution engines (tree/vectorized);
 * **noise models** (``@register_noise``) — measurement-noise generators;
 * **contention models** (``@register_contention``) — co-location slowdown
   laws;
@@ -172,7 +172,7 @@ register_model_backend = MODEL_BACKEND_REGISTRY.register
 
 #: Modules whose import populates the registries with bundled components.
 _BUILTIN_MODULES = (
-    "repro.interp",  # tree + compiled engines
+    "repro.interp",  # tree + vectorized engines
     "repro.measure.noise",  # none + gaussian noise
     "repro.mpisim.contention",  # none/logquad/bandwidth contention
     "repro.core.experiment_design",  # reduced/full-factorial/one-at-a-time

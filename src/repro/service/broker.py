@@ -291,7 +291,9 @@ class Broker:
         The design is fingerprinted configuration by configuration;
         store hits are adopted immediately (``cached``), within-job
         fingerprint duplicates lease only their first occurrence, and
-        the remaining misses are pooled in canonical design order.
+        the remaining misses are pooled in canonical design order.  An
+        engine the registry does not know raises
+        :class:`~repro.errors.RegistryError` before anything is queued.
         """
         configs = [dict(c) for c in design]
         parameters = tuple(workload.parameters)
@@ -331,12 +333,9 @@ class Broker:
             leader_of[fingerprints[index]] = index
             pending.append(index)
 
-        try:
-            batch_capable = bool(
-                ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch")
-            )
-        except Exception:
-            batch_capable = False
+        batch_capable = bool(
+            ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch")
+        )
         task_wire = measure_task_to_wire(
             workload, plan, noise, contention, repetitions, seed, engine
         )

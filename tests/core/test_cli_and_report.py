@@ -232,6 +232,28 @@ class TestCLISweepAndParallel:
         )
         assert rc == 0
 
+    def test_sweep_rejects_removed_engine(self, capsys):
+        """The closure compiler is gone: ``--engine`` takes its choices
+        from the engine registry, and argparse rejects the old name with
+        its one-line usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep", "synthetic",
+                    "--values", "p=2,4", "s=3,5",
+                    "--engine", "compiled",
+                ]
+            )
+        assert exc.value.code == 2
+        errors = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "invalid choice" in errors[0] and "compiled" in errors[0]
+        assert "tree" in errors[0] and "vectorized" in errors[0]
+
     def test_sweep_rejects_nonpositive_jobs_and_repetitions(self, capsys):
         for argv in (
             ["sweep", "synthetic", "--values", "p=2", "s=3", "--jobs", "0"],

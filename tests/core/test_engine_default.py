@@ -1,9 +1,9 @@
 """Campaigns on the default measurement engine equal the scalar engine.
 
-The default engine measures a whole design in one batched pass;
-``compiled`` runs it one configuration at a time.  On the paper's two
-applications (small 2x2 grids) both must yield the same measure, model
-and validate payloads and reproduce the Table 2 counts.
+The default engine measures a whole design in one batched pass; the
+tree-walker ``tree`` runs it one configuration at a time.  On the
+paper's two applications (small 2x2 grids) both must yield the same
+measure, model and validate payloads and reproduce the Table 2 counts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import json
 import pytest
 
 from repro.core.stages import STAGES, Campaign
-from repro.interp import DEFAULT_MEASUREMENT_ENGINE, ENGINE_COMPILED
+from repro.errors import RegistryError
+from repro.interp import DEFAULT_MEASUREMENT_ENGINE, ENGINE_TREE
 
 #: Paper Table 2: (functions, relevant loops) per application.
 TABLE2 = {"lulesh": (343, 29), "milc": (622, 55)}
@@ -50,23 +51,33 @@ def payloads(campaign: Campaign) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("app", sorted(GRIDS))
-def test_default_engine_campaign_equals_compiled(app):
+def test_default_engine_campaign_equals_tree(app):
     default = campaign_for(app)
-    compiled = campaign_for(app, engine=ENGINE_COMPILED)
-    assert default.engine == DEFAULT_MEASUREMENT_ENGINE != ENGINE_COMPILED
-    for campaign in (default, compiled):
+    tree = campaign_for(app, engine=ENGINE_TREE)
+    assert default.engine == DEFAULT_MEASUREMENT_ENGINE != ENGINE_TREE
+    for campaign in (default, tree):
         row = campaign.run().classification.table2_row()
         assert (row["functions"], row["loops_relevant"]) == TABLE2[app]
 
-    assert payloads(default) == payloads(compiled)
+    assert payloads(default) == payloads(tree)
     # The default took the batched path: every repetition of a design
     # point is one planned lane, deduplicated onto one executed lane.
     lanes = default.measure_telemetry["lanes"]
     points = default.artifacts["design"].size
     assert lanes["planned"] == 5 * points
     assert lanes["executed"] == points
-    assert compiled.measure_telemetry == {}
+    assert tree.measure_telemetry == {}
     # Engine identity keys the measure stage: caches and artifacts of
     # one engine never serve the other, while upstream stages share.
-    assert default.fingerprints["measure"] != compiled.fingerprints["measure"]
-    assert default.fingerprints["plan"] == compiled.fingerprints["plan"]
+    assert default.fingerprints["measure"] != tree.fingerprints["measure"]
+    assert default.fingerprints["plan"] == tree.fingerprints["plan"]
+
+
+def test_spec_rejects_removed_engine():
+    """A spec naming the deleted closure compiler fails fast, listing the
+    registered engines."""
+    spec = {"app": "synthetic", "parameters": {"p": [2, 4], "s": [3, 5]}}
+    with pytest.raises(RegistryError) as err:
+        Campaign.from_spec({**spec, "engine": "compiled"})
+    assert "unknown engine 'compiled'" in str(err.value)
+    assert "valid engines: tree, vectorized" in str(err.value)

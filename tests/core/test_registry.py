@@ -82,7 +82,7 @@ class TestBuiltinRegistrations:
         assert "size" in entry.metadata["params"]
 
     def test_bundled_engines_registered(self):
-        assert set(ENGINE_REGISTRY.names()) >= {"tree", "compiled"}
+        assert set(ENGINE_REGISTRY.names()) >= {"tree", "vectorized"}
 
     def test_bundled_noise_and_contention(self):
         assert set(NOISE_REGISTRY.names()) >= {"none", "gaussian"}
@@ -125,4 +125,4 @@ class TestEngineRegistryIntegration:
         workload = WORKLOAD_REGISTRY.create("synthetic")
         with pytest.raises(ValueError) as err:
             make_engine(workload.program(), "no-such-engine")
-        assert "compiled" in str(err.value) and "tree" in str(err.value)
+        assert "tree" in str(err.value) and "vectorized" in str(err.value)

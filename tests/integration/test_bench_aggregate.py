@@ -26,15 +26,15 @@ def test_one_record_overlays_a_two_record_summary(tmp_path):
     previous = {
         "record_count": 2,
         "speedups": {
-            "engine_speedup_speedup": 4.0,
+            "model_speedup_speedup": 4.0,
             "taint_speedup_speedup": 2.0,
         },
         "history": {
-            "engine_speedup_speedup": [4.0],
+            "model_speedup_speedup": [4.0],
             "taint_speedup_speedup": [2.0],
         },
         "benchmarks": {
-            "engine_speedup": {"speedup": 4.0},
+            "model_speedup": {"speedup": 4.0},
             "taint_speedup": {"speedup": 2.0, "host_cores": 1},
         },
     }
@@ -45,15 +45,15 @@ def test_one_record_overlays_a_two_record_summary(tmp_path):
 
     assert summary["record_count"] == 2
     assert summary["benchmarks"] == {
-        "engine_speedup": {"speedup": 4.0},
+        "model_speedup": {"speedup": 4.0},
         "taint_speedup": {"speedup": 6.0},
     }
     assert summary["speedups"] == {
-        "engine_speedup_speedup": 4.0,
+        "model_speedup_speedup": 4.0,
         "taint_speedup_speedup": 6.0,
     }
     assert summary["history"] == {
-        "engine_speedup_speedup": [4.0],
+        "model_speedup_speedup": [4.0],
         "taint_speedup_speedup": [2.0, 6.0],
     }
     # The committed summary itself is left as it was.

@@ -1,9 +1,9 @@
 """``close()`` lets an engine be freed by reference counting.
 
-A compiled engine's closures refer back to the engine, so a dropped
-engine used to be cyclic garbage that waited for a full collection (tens
-of thousands of objects per LULESH run).  Every built-in engine now
-breaks its cycles in ``close()``; these tests run LULESH at its taint
+The vectorized engine's closures refer back to the engine, so a dropped
+engine would be cyclic garbage that waited for a full collection (tens
+of thousands of objects per LULESH run).  Every built-in engine breaks
+its cycles in ``close()``; these tests run LULESH at its taint
 configuration with the collector disabled, close and drop the engine,
 and require that a collection then finds nothing.  The shadow engine
 does the same under taint, with planned nests in closed form and with
@@ -25,9 +25,9 @@ from repro.taint.engine import TaintEngine
 ENGINES = [entry.name for entry in ENGINE_REGISTRY]
 
 #: The shadow engine's two loop strategies, as ``fast_loops``:
-#: ``compiled`` applies the planner's closed-form plan to each planned
-#: nest, ``tree`` walks every trip (the genuine-iteration reference).
-SHADOW_LOOPS = {"compiled": True, "tree": False}
+#: ``closed_form`` applies the planner's closed-form plan to each planned
+#: nest, ``genuine`` walks every trip (the genuine-iteration reference).
+SHADOW_LOOPS = {"closed_form": True, "genuine": False}
 
 
 def cyclic_garbage(action) -> int:

@@ -1,11 +1,12 @@
-"""Differential property tests: compiled engine ≡ tree-walking engine.
+"""Differential property tests: vectorized engine ≡ tree-walking engine.
 
-The compiled engine must be *bit-identical* to the tree-walker — same
-``RunResult`` (value, steps, totals, per-function metrics, loop
-iterations), same execution-event streams, and the same raised errors at
-the same point — over randomized IR programs and over all bundled apps.
-These tests are the license for the measurement layer to default to the
-compiled engine.
+The vectorized engine must be *bit-identical* to the tree-walker, the
+scalar reference — same ``RunResult`` (value, steps, totals,
+per-function metrics, loop iterations), same execution-event streams,
+and the same raised errors at the same point — in scalar runs (a batch
+of width one) and in every lane of a batch, over randomized IR programs
+and over all bundled apps.  These tests are the license for the
+measurement layer to default to the vectorized engine.
 
 The **taint** analysis domain has one engine, the shadow-tracking
 tree-walker, with two loop modes: with ``fast_loops`` on it runs
@@ -24,7 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.interp import CostKind, ExecConfig, TableRuntime, make_engine
+from repro.interp import (
+    CostKind,
+    ExecConfig,
+    FastPathPlanner,
+    Interpreter,
+    TableRuntime,
+    VectorizedEngine,
+    make_engine,
+)
 from repro.interp.runtime import LibraryCall
 from repro.ir.builder import (
     ProgramBuilder,
@@ -105,9 +114,10 @@ def run_one(program, engine: str, args, config: ExecConfig):
 
 def assert_equivalent(program, args, config: ExecConfig) -> None:
     tree = run_one(program, "tree", args, config)
-    compiled = run_one(program, "compiled", args, config)
-    assert tree == compiled, (
-        f"engines diverged\ntree:     {tree!r}\ncompiled: {compiled!r}"
+    vectorized = run_one(program, "vectorized", args, config)
+    assert tree == vectorized, (
+        f"engines diverged\ntree:       {tree!r}\n"
+        f"vectorized: {vectorized!r}"
     )
 
 
@@ -275,21 +285,60 @@ def programs(draw):
     return pb.build(entry="main")
 
 
-class TestRandomizedDifferential:
-    @given(
-        program=programs(),
-        a=st.integers(0, 6),
-        b=st.integers(-2, 6),
-        fast_loops=st.booleans(),
+def _gen_total_expr(draw, names: list[str], depth: int):
+    """A random expression the planner proves cannot raise (``+ - *
+    min max`` over *names* and small constants), as a planned leaf call's
+    argument must be."""
+    if depth <= 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return var(draw(st.sampled_from(names)))
+        return const(draw(st.integers(-3, 5)))
+    return binop(
+        draw(st.sampled_from(ARITH_OPS)),
+        _gen_total_expr(draw, names, depth - 1),
+        _gen_total_expr(draw, names, depth - 1),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_engines_bit_identical(self, program, a, b, fast_loops):
-        # Bounded step budget: random assignments can reset a while
-        # counter into an infinite loop; both engines must then raise the
-        # identical limit error instead of hanging the test.
-        config = ExecConfig(fast_loops=fast_loops, step_limit=20_000)
-        assert_equivalent(program, {"a": a, "b": b}, config)
 
+
+def _gen_nest_level(draw, f, loop_vars: list[str], levels: int) -> None:
+    """Open one level of a planned pure-cost nest inside builder *f*.
+
+    Its start, stop and step read the tainted entry parameters as in
+    :func:`_gen_pure_body` (so a level may run zero trips); its body
+    holds cost intrinsics, ``leaf`` calls over the enclosing loop
+    variables, and, while *levels* remain, the next level."""
+    name = f"n{len(loop_vars)}"
+    start = draw(st.sampled_from([const(0), const(1), var("b")]))
+    step = draw(st.sampled_from([const(1), const(2), add(mod(var("a"), 2), 1)]))
+    with f.for_(name, start, _gen_stop(draw, ["a", "b"]), step):
+        scope = loop_vars + [name]
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.integers(0, 2))
+            if kind == 0:
+                f.work(float(draw(st.integers(1, 9))))
+            elif kind == 1:
+                f.mem_work(float(draw(st.integers(1, 9))))
+            else:
+                f.call("leaf", _gen_total_expr(draw, scope, 1))
+        if levels > 1:
+            _gen_nest_level(draw, f, scope, levels - 1)
+
+
+@st.composite
+def planned_nests(draw):
+    """``main(a, b)`` is one planned pure-cost nest of 2-3 levels."""
+    pb = ProgramBuilder()
+    with pb.function("leaf", ["x"], kind="accessor") as f:
+        f.assign("v", mul(var("x"), 2.0))
+        f.work(3.0)
+        f.ret(var("v"))
+    with pb.function("main", ["a", "b"]) as f:
+        _gen_nest_level(draw, f, [], draw(st.integers(2, 3)))
+        f.ret(var("a"))
+    return pb.build(entry="main")
+
+
+class TestRandomizedDifferential:
     @given(program=programs(), a=st.integers(0, 6), b=st.integers(0, 6))
     @settings(max_examples=25, deadline=None)
     def test_step_limit_errors_identical(self, program, a, b):
@@ -297,8 +346,8 @@ class TestRandomizedDifferential:
         the same message (which names the function and the limit)."""
         config = ExecConfig(step_limit=7)
         tree = run_one(program, "tree", {"a": a, "b": b}, config)
-        compiled = run_one(program, "compiled", {"a": a, "b": b}, config)
-        assert tree == compiled
+        vectorized = run_one(program, "vectorized", {"a": a, "b": b}, config)
+        assert tree == vectorized
 
 
 def _canon_lane(result, events):
@@ -320,8 +369,8 @@ def _canon_lane(result, events):
 
 
 class TestVectorizedDifferential:
-    """Vectorized engine ≡ tree/compiled — scalar runs and every lane of
-    every batch width (the license for the batched measurement layer)."""
+    """Vectorized engine ≡ tree — scalar runs and every lane of every
+    batch width (the license for the batched measurement layer)."""
 
     @given(
         program=programs(),
@@ -331,29 +380,25 @@ class TestVectorizedDifferential:
     )
     @settings(max_examples=60, deadline=None)
     def test_scalar_run_bit_identical(self, program, a, b, fast_loops):
+        # Bounded step budget: random assignments can reset a while
+        # counter into an infinite loop; both engines must then raise the
+        # identical limit error instead of hanging the test.
         config = ExecConfig(fast_loops=fast_loops, step_limit=20_000)
-        tree = run_one(program, "tree", {"a": a, "b": b}, config)
-        vectorized = run_one(program, "vectorized", {"a": a, "b": b}, config)
-        assert tree == vectorized, (
-            f"engines diverged\ntree:       {tree!r}\n"
-            f"vectorized: {vectorized!r}"
-        )
+        assert_equivalent(program, {"a": a, "b": b}, config)
 
     @given(program=programs())
     @settings(max_examples=60, deadline=None)
     def test_batch_lanes_bit_identical(self, program):
         """Widths 1 and 7, divergent per-lane arguments: every lane's
         result, metrics, and event stream must equal a dedicated
-        compiled-engine run of that lane — including raised errors."""
-        from repro.interp import CompiledEngine, VectorizedEngine
-
+        tree-walker run of that lane — including raised errors."""
         config = ExecConfig(step_limit=20_000)
         for width in (1, 7):
             args_list = [{"a": 3 + lane, "b": 4 - lane} for lane in range(width)]
             reference = []
             for args in args_list:
                 listener = RecordingListener()
-                engine = CompiledEngine(
+                engine = Interpreter(
                     program,
                     runtime=_runtime(),
                     config=config,
@@ -491,6 +536,20 @@ class TestTaintDifferential:
             program, {"a": a, "b": b}, config, _taint_policy(policy)
         )
 
+    @given(program=planned_nests(), a=st.integers(0, 6), b=st.integers(-2, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_planned_nest_reports_bit_identical(self, program, a, b):
+        """Every level of a planned multi-level nest records its sink in
+        closed form as genuine iteration does, under every policy."""
+        config = ExecConfig(step_limit=20_000)
+        nest = program.function("main").body[0]
+        plan = FastPathPlanner(program, config).plan("main", nest)
+        assert plan is not None and plan.nested
+        for policy in ("full", "dataflow", "implicit"):
+            assert_closed_form_matches(
+                program, {"a": a, "b": b}, config, _taint_policy(policy)
+            )
+
     @pytest.mark.parametrize("case", sorted(_error_programs()))
     @pytest.mark.parametrize("policy", ["full", "implicit"])
     def test_errors_identical(self, case, policy):
@@ -556,7 +615,7 @@ class TestAppDifferential:
         program = workload.program()
         plan = full_plan(program)
         profiles = []
-        for engine in ("tree", "compiled", "vectorized"):
+        for engine in ("tree", "vectorized"):
             setup = workload.setup(config)
             profiles.append(
                 profile_run(
@@ -569,9 +628,7 @@ class TestAppDifferential:
                     engine=engine,
                 )
             )
-        tree, compiled, vectorized = profiles
-        assert profile_to_dict(tree) == profile_to_dict(compiled)
-        assert tree.total_time() == compiled.total_time()
+        tree, vectorized = profiles
         assert profile_to_dict(tree) == profile_to_dict(vectorized)
         assert tree.total_time() == vectorized.total_time()
 

@@ -1,10 +1,11 @@
-"""Unit tests for the IR→closure compiler and the engine factory.
+"""Unit tests for the engine factory and the two built-in engines.
 
-The randomized differential suite (``test_compiled_differential.py``)
+The randomized differential suite (``test_engine_differential.py``)
 covers equivalence in bulk; these tests pin down the factory contract,
-the improved limit errors, and specific constructs whose compiled
+the improved limit errors, and specific constructs whose vectorized
 lowering is easy to get subtly wrong (short-circuiting, fast-path
-fallback, break/continue, recursion, re-runs).
+fallback, break/continue, recursion, re-runs), each compared with the
+tree-walker, the scalar reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.errors import (
     UndefinedVariableError,
 )
 from repro.interp import (
-    CompiledEngine,
     CostKind,
     ExecConfig,
     Interpreter,
@@ -41,7 +41,7 @@ from repro.ir.builder import (
     var,
 )
 
-from test_compiled_differential import (
+from test_engine_differential import (
     RecordingListener,
     assert_equivalent,
     run_one,
@@ -63,10 +63,6 @@ class TestMakeEngine:
         engine = make_engine(simple_program(), "tree")
         assert isinstance(engine, Interpreter)
 
-    def test_compiled_is_compiled_engine(self):
-        engine = make_engine(simple_program(), "compiled")
-        assert isinstance(engine, CompiledEngine)
-
     def test_default_is_tree(self):
         assert isinstance(make_engine(simple_program()), Interpreter)
 
@@ -74,18 +70,17 @@ class TestMakeEngine:
         with pytest.raises(ValueError) as err:
             make_engine(simple_program(), "jit")
         assert "jit" in str(err.value)
-        assert "compiled" in str(err.value)
-        assert "tree" in str(err.value)
+        assert "tree, vectorized" in str(err.value)
 
     def test_both_engines_same_value(self):
-        for name in ("tree", "compiled"):
+        for name in ("tree", "vectorized"):
             assert make_engine(simple_program(), name).run({"n": 5}).value == 10
 
 
 class TestLimitErrors:
     def test_step_limit_names_function_and_limit(self):
         config = ExecConfig(step_limit=10)
-        for engine in ("tree", "compiled"):
+        for engine in ("tree", "vectorized"):
             with pytest.raises(ExecutionLimitError) as err:
                 make_engine(simple_program(), engine, config=config).run(
                     {"n": 100}
@@ -103,7 +98,7 @@ class TestLimitErrors:
             f.ret(call("down", var("n")))
         prog = pb.build(entry="main")
         config = ExecConfig(max_call_depth=16)
-        for engine in ("tree", "compiled"):
+        for engine in ("tree", "vectorized"):
             with pytest.raises(ExecutionLimitError) as err:
                 make_engine(prog, engine, config=config).run({"n": 99})
             assert "'down'" in str(err.value)
@@ -114,8 +109,10 @@ class TestLimitErrors:
     def test_limit_errors_identical_across_engines(self):
         config = ExecConfig(step_limit=10)
         tree = run_one(simple_program(), "tree", {"n": 100}, config)
-        compiled = run_one(simple_program(), "compiled", {"n": 100}, config)
-        assert tree == compiled
+        vectorized = run_one(
+            simple_program(), "vectorized", {"n": 100}, config
+        )
+        assert tree == vectorized
         assert tree[0] == "error"
         assert tree[1] == "ExecutionLimitError"
 
@@ -267,34 +264,36 @@ class TestCompiledConstructs:
         with pb.function("main", []) as f:
             f.ret(call("two", 1, 2))
         prog = pb.build(entry="main")
-        tree = make_engine(prog, "tree")
-        compiled = make_engine(prog, "compiled")
-        with pytest.raises(ArityError) as tree_err:
-            tree._call_function("two", [1])
-        with pytest.raises(ArityError) as compiled_err:
-            compiled._functions["two"].call([1])
-        assert str(tree_err.value) == str(compiled_err.value)
+        with pytest.raises(ArityError) as err:
+            make_engine(prog, "tree")._call_function("two", [1])
+        assert str(err.value) == "function 'two' expects 2 argument(s), got 1"
 
     def test_missing_entry_argument_parity(self):
         prog = simple_program()
         config = ExecConfig()
         tree = run_one(prog, "tree", {}, config)
-        compiled = run_one(prog, "compiled", {}, config)
-        assert tree == compiled
+        vectorized = run_one(prog, "vectorized", {}, config)
+        assert tree == vectorized
         assert tree[0] == "error"
 
 
 class TestCompiledEngineBehavior:
     def test_metrics_accumulate_across_runs_like_tree(self):
+        """A reused tree-walker accumulates: three runs meter what three
+        fresh engines meter together."""
         prog = simple_program()
         tree = make_engine(prog, "tree")
-        compiled = make_engine(prog, "compiled")
         for _ in range(3):
             t = tree.run({"n": 4})
-            c = compiled.run({"n": 4})
-        assert t.steps == c.steps
-        assert t.metrics.totals == c.metrics.totals
-        assert t.metrics.loop_iterations == c.metrics.loop_iterations
+        fresh = [
+            make_engine(prog, "vectorized").run({"n": 4}) for _ in range(3)
+        ]
+        assert t.steps == sum(r.steps for r in fresh) == 33
+        assert t.metrics.totals == {
+            kind: sum(r.metrics.totals[kind] for r in fresh)
+            for kind in CostKind
+        }
+        assert t.metrics.loop_iterations == {("main", 0): 12}
 
     def test_library_calls_and_listener_events(self):
         pb = ProgramBuilder()
@@ -317,12 +316,5 @@ class TestCompiledEngineBehavior:
             ).run({"n": 21})
             return result.value, listener.events
 
-        assert run("tree") == run("compiled")
-        assert run("compiled")[0] == 42
-
-    def test_program_compiles_once_not_per_run(self):
-        prog = simple_program()
-        engine = make_engine(prog, "compiled")
-        fn = engine._functions["main"]
-        engine.run({"n": 3})
-        assert engine._functions["main"] is fn  # no recompilation
+        assert run("tree") == run("vectorized")
+        assert run("vectorized")[0] == 42

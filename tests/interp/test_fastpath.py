@@ -19,7 +19,7 @@ from repro.interp.fastpath import FastPathPlanner, leaf_unit_cost
 from repro.ir import ProgramBuilder, add, call, mul, var
 from repro.ir.builder import floordiv, load, mod, sub
 
-ENGINES = ["tree", "compiled", "vectorized"]
+ENGINES = ["tree", "vectorized"]
 
 
 def both_runs(prog, args):

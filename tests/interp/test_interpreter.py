@@ -204,7 +204,6 @@ class TestArrays:
         "engine, domain",
         [
             ("tree", None),
-            ("compiled", None),
             ("vectorized", None),
             ("tree", TaintDomain),
         ],

@@ -286,7 +286,7 @@ class TestSerialBatchedIdentity:
             BatchedExperimentRunner(
                 workload=workload,
                 plan=full_plan(workload.program()),
-                engine="compiled",
+                engine="tree",
             )
 
     def test_rejects_invalid_batch_size_and_jobs(self):
@@ -308,7 +308,7 @@ class TestSerialBatchedIdentity:
 class TestMeasureStageRouting:
     def test_vectorized_engine_routes_to_batched_runner(self):
         """``run_measure_stage`` with a batch-capable engine must produce
-        measurements bit-identical to the scalar engines' (and actually
+        measurements bit-identical to the scalar engine's (and actually
         use the batched runner underneath)."""
         from repro.core.stages import run_measure_stage
 
@@ -328,9 +328,9 @@ class TestMeasureStageRouting:
                 seed=4,
                 engine=engine,
             )
-            for engine in ("compiled", "vectorized")
+            for engine in ("tree", "vectorized")
         }
-        assert canonical(outputs["compiled"][0]) == canonical(
+        assert canonical(outputs["tree"][0]) == canonical(
             outputs["vectorized"][0]
         )
 
@@ -343,13 +343,13 @@ class TestEnginesCli:
         out = capsys.readouterr().out
         lines = {line.split()[0]: line for line in out.splitlines() if line}
         assert "supports_batch" in lines["vectorized"]
-        assert "supports_batch" not in lines["compiled"]
+        assert "supports_batch" not in lines["tree"]
 
     def test_sweep_accepts_vectorized_engine(self, capsys):
         from repro.cli import main
 
         outputs = []
-        for engine in ("compiled", "vectorized"):
+        for engine in ("tree", "vectorized"):
             assert (
                 main(
                     [

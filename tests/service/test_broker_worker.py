@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.apps.synthetic import (
     build_foo_example,
     build_multiplicative_example,
 )
-from repro.errors import LeaseTimeout, ServiceError
+from repro.errors import LeaseTimeout, RegistryError, ServiceError
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
@@ -68,7 +69,7 @@ def run_distributed(
     design,
     plan,
     *,
-    engine="compiled",
+    engine="tree",
     n_workers=2,
     store=None,
     lease_ttl=10.0,
@@ -243,7 +244,7 @@ class TestStoreDedupe:
         broker2 = Broker(store=store)
         sched2 = BrokerScheduler(broker2, timeout=5.0)
         second, _ = sched2.run_measure(
-            workload, design, plan, engine="compiled", **kw
+            workload, design, plan, engine="tree", **kw
         )
         assert sched2.last_stats.executed == 0
         assert sched2.last_stats.cached == len(design)
@@ -332,8 +333,63 @@ class TestFaultHandling:
                 contention=NoContention(),
                 repetitions=1,
                 seed=0,
-                engine="compiled",
+                engine="tree",
             )
+
+    def test_unknown_engine_rejected_before_queueing(self):
+        """An unregistered engine is a typed error at submission: no job
+        and no lease exist, and the connected workers keep serving."""
+        workload = make_workload("foo")
+        plan = full_plan(workload.program())
+        design = [{"a": 2.0, "b": 3.0}, {"a": 3.0, "b": 4.0}]
+        kw = dict(
+            noise=GaussianNoise(),
+            contention=NoContention(),
+            repetitions=1,
+            seed=0,
+        )
+        broker = Broker()
+        scheduler = BrokerScheduler(broker, timeout=10.0)
+        stop = threading.Event()
+        stats = [None, None]
+        threads = []
+        for i in range(2):
+            worker = Worker(
+                LocalBrokerTransport(broker),
+                worker_id=f"w{i}",
+                poll_interval=0.01,
+            )
+
+            def run(i=i, worker=worker):
+                stats[i] = worker.run(stop)
+
+            threads.append(threading.Thread(target=run, daemon=True))
+            threads[-1].start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(RegistryError, match="nonsense"):
+                scheduler.run_measure(
+                    workload, design, plan, engine="nonsense", **kw
+                )
+            assert time.monotonic() - started < 1.0
+            assert scheduler.last_job_id is None
+            with pytest.raises(ServiceError, match="unknown measure job"):
+                broker.job_stats("J1")
+            assert broker.queue_depth() == 0
+            assert broker.telemetry()["leases"] == []
+            measurements, _ = scheduler.run_measure(
+                workload, design, plan, engine="tree", **kw
+            )
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        serial, _ = ExperimentRunner(workload=workload, plan=plan, **kw).run(
+            design
+        )
+        assert canonical(measurements) == canonical(serial)
+        assert [s.fatal_error for s in stats] == [None, None]
+        assert sum(s.completed for s in stats) >= 1
 
 
 class TestBrokerSurface:
@@ -352,7 +408,7 @@ class TestBrokerSurface:
             contention=NoContention(),
             repetitions=1,
             seed=0,
-            engine="compiled",
+            engine="tree",
         )
         lease = broker.claim("w0")
         foreign = [i for i in (0, 1) if i not in lease["indices"]][0]
@@ -373,7 +429,7 @@ class TestBrokerSurface:
             contention=NoContention(),
             repetitions=1,
             seed=0,
-            engine="compiled",
+            engine="tree",
         )
         worker = Worker(LocalBrokerTransport(broker), worker_id="w0")
         lease = broker.claim("w0")

@@ -221,14 +221,14 @@ class TestMeasureTask:
         noise = GaussianNoise(relative_sigma=0.03)
         contention = LogQuadraticContention(beta=0.05)
         wire = measure_task_to_wire(
-            workload, plan, noise, contention, 4, 11, "compiled"
+            workload, plan, noise, contention, 4, 11, "tree"
         )
         task = measure_task_from_wire(json.loads(json.dumps(wire)))
         assert task.plan == plan
         assert isinstance(task.plan.mode, InstrumentationMode)
         assert task.noise == noise
         assert repr(task.contention) == repr(contention)
-        assert (task.repetitions, task.seed, task.engine) == (4, 11, "compiled")
+        assert (task.repetitions, task.seed, task.engine) == (4, 11, "tree")
         rebuilt = task.workload_spec.build()
         assert workload_repr(rebuilt) == workload_repr(workload)
 
@@ -237,7 +237,7 @@ class TestMeasureTask:
         plan = full_plan(workload.program())
         wire = measure_task_to_wire(
             workload, plan, GaussianNoise(), LogQuadraticContention(), 1, 0,
-            "compiled",
+            "tree",
         )
         wire["plan"] = to_wire("nonsense")
         with pytest.raises(ServiceError, match="InstrumentationPlan"):

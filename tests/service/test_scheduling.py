@@ -74,7 +74,7 @@ def submit_job(broker, n=8, engine="vectorized", repetitions=2, seed=1):
 def run_fleet(
     design,
     *,
-    engine="compiled",
+    engine="tree",
     n_workers=2,
     faults=(),
     batch_flags=(),

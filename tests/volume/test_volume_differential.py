@@ -50,7 +50,7 @@ from repro.taint.report import TaintReport
 from repro.volume import LoopCount, Term, VolumeReport, compute_volumes
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "interp"))
-from test_compiled_differential import _gen_block  # noqa: E402
+from test_engine_differential import _gen_block  # noqa: E402
 
 
 # ----------------------------------------------------------------------
