@@ -1,13 +1,13 @@
-"""Whole-sweep batched measurement speedup over the scalar serial runner.
+"""Whole-sweep batched measurement speedup over scalar serial measurement.
 
-The batched runner executes an entire design as one tensor pass per
-batch (``vectorized`` engine) and samples every noise stream through the
-vectorized ``perturb_block`` — versus the serial runner's one
-tree-walking interpreter run per configuration and ~20us of RNG stream
-setup per sample.  This benchmark times both runners end-to-end
-(profiling + noise sampling + merging) on the LULESH three-parameter
-sweep and asserts the batched runner's speedup *and* bit-identical
-``Measurements``.
+On the ``vectorized`` engine the runner executes an entire design as one
+tensor pass per chunk and samples every noise stream through the
+vectorized ``perturb_block`` — versus one tree-walking interpreter run
+per configuration and ~20us of RNG stream setup per sample on the
+``tree`` engine.  This benchmark times the one runner end-to-end
+(profiling + noise sampling + merging) on both engines over the LULESH
+three-parameter sweep and asserts the batched speedup *and*
+bit-identical ``Measurements``.
 
 Run with ``pytest benchmarks/bench_batch_speedup.py -s``.
 
@@ -26,7 +26,6 @@ import time
 
 from repro.apps.lulesh import LuleshWorkload
 from repro.measure import (
-    BatchedExperimentRunner,
     ExperimentRunner,
     full_factorial,
     full_plan,
@@ -74,7 +73,7 @@ def test_batch_speedup():
     serial_time, (m_serial, p_serial) = _time_runner(
         ExperimentRunner(**kwargs), design
     )
-    batched_runner = BatchedExperimentRunner(**kwargs)
+    batched_runner = ExperimentRunner(**kwargs, engine="vectorized")
     batched_time, (m_batched, p_batched) = _time_runner(
         batched_runner, design
     )

@@ -20,7 +20,7 @@ import time
 from repro.apps.synthetic import SyntheticWorkload, build_multiplicative_example
 from repro.interp.config import ExecConfig
 from repro.measure import (
-    ParallelExperimentRunner,
+    ExperimentRunner,
     full_factorial,
     full_plan,
     measurements_to_dict,
@@ -59,7 +59,7 @@ def test_parallel_scaling(tmp_path, bench_jobs):
     timings: dict[int, float] = {}
     digests: dict[int, str] = {}
     for jobs in job_counts:
-        runner = ParallelExperimentRunner(
+        runner = ExperimentRunner(
             workload=workload, plan=plan, repetitions=5, seed=3, n_jobs=jobs
         )
         started = time.perf_counter()
@@ -73,14 +73,14 @@ def test_parallel_scaling(tmp_path, bench_jobs):
 
     # Cached rerun: zero profile executions the second time around.
     cache_dir = tmp_path / "run-cache"
-    cold = ParallelExperimentRunner(
+    cold = ExperimentRunner(
         workload=workload, plan=plan, repetitions=5, seed=3,
         n_jobs=job_counts[-1], cache_dir=cache_dir,
     )
     started = time.perf_counter()
     cold_measurements, _ = cold.run(design)
     cold_time = time.perf_counter() - started
-    warm = ParallelExperimentRunner(
+    warm = ExperimentRunner(
         workload=workload, plan=plan, repetitions=5, seed=3,
         n_jobs=job_counts[-1], cache_dir=cache_dir,
     )

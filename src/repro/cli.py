@@ -304,20 +304,15 @@ def cmd_contention(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .measure.batched import BatchedExperimentRunner
     from .measure.experiment import full_factorial
     from .measure.instrumentation import full_plan
-    from .measure.parallel import ParallelExperimentRunner
+    from .measure.parallel import ExperimentRunner
 
     values = _parse_values(args.values)
     workload = _workload(args.app, tuple(values))
     design = full_factorial(values)
     _check_app_supports(workload, design[0], args.app)
-    if ENGINE_REGISTRY.entry(args.engine).metadata.get("supports_batch"):
-        runner_cls = BatchedExperimentRunner  # batch-axis sharding
-    else:
-        runner_cls = ParallelExperimentRunner
-    runner = runner_cls(
+    runner = ExperimentRunner(
         workload=workload,
         plan=full_plan(workload.program()),
         repetitions=args.repetitions,
@@ -338,8 +333,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{runner.last_stats.cached} from cache) "
         f"with {args.jobs} job(s) in {elapsed:.2f}s"
     )
-    lane_stats = getattr(runner, "last_lane_stats", None)
-    if lane_stats is not None and lane_stats.planned:
+    lane_stats = runner.last_lane_stats
+    if lane_stats.planned:
         print(
             f"lanes: {lane_stats.planned} planned "
             f"(configurations x repetitions), "

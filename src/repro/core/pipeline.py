@@ -91,15 +91,15 @@ class PerfTaintPipeline:
     modeler: Modeler = field(default_factory=Modeler)
     repetitions: int = 5
     seed: int = 0
-    #: Worker processes for the instrumented-experiments stage (1 = the
-    #: in-process serial runner).  Results are bit-identical for every
-    #: value: RNG streams are key-derived and merging is design-ordered.
+    #: Worker processes for the instrumented-experiments stage (1 =
+    #: inline, no pool).  Results are bit-identical for every value: RNG
+    #: streams are key-derived and merging is design-ordered.
     n_jobs: int = 1
     #: Run-cache directory; None disables caching.
     cache_dir: str | None = None
     #: Execution engine for the measurement stage ("vectorized", the
-    #: default, routes to the batched runner; "tree" runs one
-    #: configuration at a time).
+    #: default, runs tensor batches; "tree" runs one configuration at a
+    #: time).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
     #: Model-search backend for the model stage ("batched" | "loop");
     #: None keeps the modeler's own choice.  The built-ins select
@@ -185,10 +185,8 @@ class PerfTaintPipeline:
         """Run the instrumented experiments (see :func:`run_measure_stage`).
 
         The default ``vectorized`` engine measures the whole design in
-        one batched pass; a scalar ``engine`` uses the process-pool
-        runner when ``n_jobs > 1`` or a run cache is configured and the
-        plain serial runner otherwise.  All produce bit-identical
-        measurements.
+        one batched pass; a scalar ``engine`` runs one configuration at
+        a time.  All produce bit-identical measurements.
         """
         return run_measure_stage(
             self.workload,

@@ -31,12 +31,7 @@ from ..errors import CampaignSpecError, PipelineError
 from ..interp import DEFAULT_MEASUREMENT_ENGINE
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
-from ..measure.experiment import (
-    ConfigKey,
-    ExperimentRunner,
-    Measurements,
-    Workload,
-)
+from ..measure.experiment import ConfigKey, Measurements, Workload
 from ..measure.instrumentation import (
     InstrumentationMode,
     InstrumentationPlan,
@@ -45,10 +40,9 @@ from ..measure.instrumentation import (
     none_plan,
     taint_filter_plan,
 )
-from ..measure.batched import BatchedExperimentRunner
 from ..measure.io import DECODE_ERRORS, program_hash
 from ..measure.noise import GaussianNoise, NoiseModel
-from ..measure.parallel import ParallelExperimentRunner, workload_repr
+from ..measure.parallel import ExperimentRunner, workload_repr
 from ..measure.profiler import ProfileResult
 from ..modeling.modeler import Modeler
 from ..mpisim.contention import ContentionModel, NoContention
@@ -185,7 +179,7 @@ class MeasureScheduler(Protocol):
     Anything with this surface can run a campaign's measure stage — the
     campaign-service :class:`~repro.service.broker.BrokerScheduler`
     leases the design out to remote workers through it.  Implementations
-    MUST be bit-identical to the built-in runners (noise streams derived
+    MUST be bit-identical to the built-in runner (noise streams derived
     purely from ``(seed, function, configuration key, repetition)``,
     results merged in canonical design order): the scheduler is
     deliberately **not** part of the measure stage's fingerprint, so
@@ -224,20 +218,17 @@ def run_measure_stage(
     """Run the instrumented experiments.
 
     An explicit *scheduler* takes the whole stage (distributed
-    campaigns).  Otherwise the *engine* picks the runner.  A
-    batch-capable engine (``supports_batch`` registry metadata; the
-    default ``vectorized`` is one) goes to the whole-sweep
-    :class:`~repro.measure.batched.BatchedExperimentRunner`: one engine
-    build and one noise block per design, ``n_jobs`` sharding the batch
-    axis, and its own run cache.  A scalar engine (the tree-walker
-    ``tree``) runs one configuration at a time, on the process-pool
-    runner when ``n_jobs > 1`` or a run cache is set and on the plain
-    serial runner otherwise.  All paths produce bit-identical
-    measurements.
+    campaigns).  Otherwise the one
+    :class:`~repro.measure.parallel.ExperimentRunner` runs it on
+    *engine*: a batch-capable engine (``supports_batch`` registry
+    metadata; the default ``vectorized`` is one) as one tensor pass per
+    chunk, a scalar engine (the tree-walker ``tree``) one configuration
+    at a time, on ``n_jobs`` processes and with an optional run cache.
+    Every engine produces bit-identical measurements.
 
     A *telemetry* dict, when given, is filled in place with execution
-    accounting (currently the batched runner's lane plan under
-    ``"lanes"``).  Telemetry never enters any stage fingerprint.
+    accounting (the runner's lane plan under ``"lanes"``).  Telemetry
+    never enters any stage fingerprint.
     """
     if scheduler is not None:
         return scheduler.run_measure(
@@ -250,40 +241,6 @@ def run_measure_stage(
             seed=seed,
             engine=engine,
         )
-    if ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch"):
-        runner = BatchedExperimentRunner(
-            workload=workload,
-            plan=plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            engine=engine,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-        )
-        value = runner.run(design)
-        if telemetry is not None:
-            lanes = runner.last_lane_stats
-            telemetry["lanes"] = {
-                "planned": lanes.planned,
-                "executed": lanes.executed,
-                "deduped": lanes.deduped,
-            }
-        return value
-    if n_jobs > 1 or cache_dir is not None:
-        runner = ParallelExperimentRunner(
-            workload=workload,
-            plan=plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-            engine=engine,
-        )
-        return runner.run(design)
     runner = ExperimentRunner(
         workload=workload,
         plan=plan,
@@ -292,8 +249,18 @@ def run_measure_stage(
         repetitions=repetitions,
         seed=seed,
         engine=engine,
+        n_jobs=n_jobs,
+        cache_dir=cache_dir,
     )
-    return runner.run(design)
+    value = runner.run(design)
+    if telemetry is not None:
+        lanes = runner.last_lane_stats
+        telemetry["lanes"] = {
+            "planned": lanes.planned,
+            "executed": lanes.executed,
+            "deduped": lanes.deduped,
+        }
+    return value
 
 
 def run_model_stage(
@@ -588,7 +555,7 @@ class Campaign:
     #: opened as a ``LocalStore``; None disables persistence and resume.
     workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None
     #: Measure-stage executor override (e.g. the campaign service's
-    #: ``BrokerScheduler``); None keeps the built-in runner routing.
+    #: ``BrokerScheduler``); None runs the built-in runner.
     #: Schedulers are bit-identical by contract, so this field is not
     #: part of any stage fingerprint — local and distributed campaigns
     #: share cache and workspace entries.

@@ -70,14 +70,11 @@ register_engine(
 DEFAULT_MEASUREMENT_ENGINE = ENGINE_VECTORIZED
 
 
-def batch_capable_engines() -> tuple[str, ...]:
-    """Names of registered engines whose ``run_batch`` executes a whole
-    batch of lanes in one call (``supports_batch`` metadata)."""
-    return tuple(
-        entry.name
-        for entry in ENGINE_REGISTRY
-        if entry.metadata.get("supports_batch")
-    )
+def supports_batch(engine: str) -> bool:
+    """Whether the registered *engine* runs a whole batch of lanes in one
+    call (``supports_batch`` metadata).  An unknown name raises
+    :class:`~repro.errors.RegistryError`."""
+    return bool(ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch"))
 
 
 def make_engine(
@@ -130,8 +127,8 @@ __all__ = [
     "Value",
     "VectorFallback",
     "VectorizedEngine",
-    "batch_capable_engines",
     "leaf_unit_cost",
     "make_engine",
+    "supports_batch",
     "truthy",
 ]

@@ -1,14 +1,16 @@
-"""Experiment configurations, designs, and the measurement runner.
+"""Experiment configurations, designs, and one configuration's run.
 
 An experiment sweeps a set of model parameters over value lists (paper
 Table 2: 5x5 grids for LULESH/MILC), runs the profiled program per
 configuration, and collects *repetitions* of noisy per-function timings
 (5 in the paper, 125 measurements total for a 25-point design).
 
-The runner executes each configuration **once** (the simulator is
-deterministic) and derives repetitions by sampling the noise model with
+Each configuration executes **once** (the simulator is deterministic)
+and its repetitions come from sampling the noise model with
 per-(function, configuration, repetition) RNG streams — equivalent to
-repeating the run, at a fraction of the cost.
+repeating the run, at a fraction of the cost.  The runner that plans,
+executes and merges a whole design is
+:class:`~repro.measure.parallel.ExperimentRunner`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from ..interp.config import DEFAULT_CONFIG, ExecConfig
 from ..interp.runtime import LibraryRuntime
 from ..interp.values import Value
 from ..ir.program import Program
-from ..mpisim.contention import ContentionModel, NoContention
+from ..mpisim.contention import ContentionModel
 from .instrumentation import InstrumentationPlan
-from .noise import GaussianNoise, NoiseModel, rng_for
+from .noise import NoiseModel, rng_for
 from .profiler import APP_KEY, ProfileResult, profile_run
 
 ConfigKey = tuple[float, ...]
@@ -120,6 +122,23 @@ def one_at_a_time(
 def config_key(parameters: Sequence[str], config: Mapping[str, float]) -> ConfigKey:
     """Canonical hashable key of a configuration."""
     return tuple(float(config[p]) for p in parameters)
+
+
+def unique_configurations(
+    parameters: Sequence[str], design: Iterable[Mapping[str, float]]
+) -> tuple[list[dict[str, float]], list[ConfigKey]]:
+    """The design's configurations and keys, each key once, in order.
+
+    :class:`Measurements` hold one repetition list per configuration
+    key, so a repeated design point is measured once: it stays at its
+    first occurrence and later occurrences are dropped.  Every measure
+    path (the runner and the service broker) plans from this list, so a
+    repeated point yields ``repetitions`` samples wherever it runs.
+    """
+    unique: dict[ConfigKey, dict[str, float]] = {}
+    for config in design:
+        unique.setdefault(config_key(parameters, config), dict(config))
+    return list(unique.values()), list(unique)
 
 
 @dataclass
@@ -280,40 +299,20 @@ def run_configuration(
     return result
 
 
-def merge_results(
+def merge_results_dense(
     parameters: tuple[str, ...],
     results: Sequence[ConfigRunResult],
 ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
     """Combine per-configuration results into one measurements container.
 
-    Callers must pass *results* in canonical design order: merge order is
+    The one merge of the measure path (the runner and the service
+    broker).  Each configuration key appears once in *results* — both
+    drop repeated design points first (:func:`unique_configurations`)
+    — so each (function, key) repetition list is assigned wholesale,
+    one dict probe per (function, key) rather than one per sample.
+    Callers pass *results* in canonical design order: merge order is
     the only execution-order-dependent step, so fixing it here is what
-    makes parallel runs bit-identical to serial ones.
-    """
-    measurements = Measurements(parameters=parameters)
-    profiles: dict[ConfigKey, ProfileResult] = {}
-    for result in results:
-        profiles[result.key] = result.profile
-        for name, values in result.samples.items():
-            for value in values:
-                measurements.add(name, result.key, value)
-        for name, calls in result.calls.items():
-            measurements.calls.setdefault(name, {})[result.key] = calls
-    return measurements, profiles
-
-
-def merge_results_dense(
-    parameters: tuple[str, ...],
-    results: Sequence[ConfigRunResult],
-) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-    """:func:`merge_results` for whole-design result sets.
-
-    When every configuration key appears exactly once — the invariant of
-    canonical designs, and what the batched runner delivers — each
-    (function, key) repetition list can be assigned wholesale instead of
-    being grown ``append``-by-``append`` through :meth:`Measurements.add`
-    (one dict probe per sample, ~repetitions x configs x functions of
-    them per sweep).  Same output, one probe per (function, key).
+    makes parallel and distributed runs bit-identical to serial ones.
     """
     measurements = Measurements(parameters=parameters)
     profiles: dict[ConfigKey, ProfileResult] = {}
@@ -326,39 +325,3 @@ def merge_results_dense(
         for name, count in result.calls.items():
             calls.setdefault(name, {})[result.key] = count
     return measurements, profiles
-
-
-@dataclass
-class ExperimentRunner:
-    """Runs a design against a workload under one instrumentation plan."""
-
-    workload: Workload
-    plan: InstrumentationPlan
-    noise: NoiseModel = field(default_factory=GaussianNoise)
-    contention: ContentionModel = field(default_factory=NoContention)
-    repetitions: int = 5
-    seed: int = 0
-    #: Execution engine for the profiled runs (default: the tree-walker).
-    engine: str = ENGINE_TREE
-
-    def run(
-        self, design: Iterable[Mapping[str, float]]
-    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-        """Execute every configuration; return measurements and profiles."""
-        program = self.workload.program()
-        parameters = tuple(self.workload.parameters)
-        results = [
-            run_configuration(
-                program,
-                self.workload.setup(config),
-                self.plan,
-                self.noise,
-                self.contention,
-                self.repetitions,
-                self.seed,
-                config_key(parameters, config),
-                engine=self.engine,
-            )
-            for config in design
-        ]
-        return merge_results(parameters, results)

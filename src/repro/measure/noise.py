@@ -88,7 +88,7 @@ def rng_for(
 # ----------------------------------------------------------------------
 # batched sampling
 #
-# The batched runner draws thousands of per-(function, config, repetition)
+# A batched chunk draws thousands of per-(function, config, repetition)
 # samples per sweep.  ``default_rng(int)`` costs ~25us each — almost all
 # of it the pure-Python ``SeedSequence`` entropy mixing and PCG64 seeding.
 # Both steps are deterministic integer arithmetic, so we vectorize the

@@ -1,51 +1,58 @@
-"""Parallel, cached experiment execution.
+"""The measure runner: plan a design, execute its chunks, merge.
 
 The paper's measurement campaigns are embarrassingly parallel: every
 configuration of the design is an independent profiled run (benchbuild
 structures its experiments the same way — independent, cacheable jobs
-fanned out over workers).  This module fans configurations out over a
-``concurrent.futures`` process pool and merges the results **in canonical
-design order**, with every noise sample drawn from a purely key-derived
-RNG stream (:func:`~repro.measure.noise.rng_for`) — so the measurements
-are bit-identical regardless of worker count or completion order.
+fanned out over workers).  :class:`ExperimentRunner` is the one runner
+for every engine.  It plans the design once (configuration keys,
+setups, the run-cache probe, repeated points dropped), cuts the pending
+configurations into chunks — :func:`~repro.measure.batched.batch_chunks`
+groups for a batch-capable engine, one configuration per chunk for a
+scalar one — executes each chunk with
+:func:`~repro.measure.batched.run_chunk`, inline or on a
+``concurrent.futures`` process pool, and merges **in canonical design
+order** (:func:`~repro.measure.experiment.merge_results_dense`).  Every
+noise sample is drawn from a purely key-derived RNG stream
+(:func:`~repro.measure.noise.rng_for`), so the measurements are
+bit-identical for every engine, worker count and completion order.
 
-Workers do not unpickle live :class:`~repro.measure.experiment.Workload`
-objects (those may hold caches, runtimes, and other process-local state);
-they rebuild the workload from a :class:`WorkloadSpec` — a picklable
-(factory, args, kwargs) triple — and memoize the built workload per
-process so the program is constructed once per worker, not once per
-configuration.
+Pool workers do not unpickle live
+:class:`~repro.measure.experiment.Workload` objects (those may hold
+caches, runtimes, and other process-local state); they rebuild the
+workload from a :class:`WorkloadSpec` — a picklable (factory, args,
+kwargs) triple — and memoize the built workload per process so the
+program is constructed once per worker, not once per chunk.
 
 An optional ``cache_dir`` — a :class:`~repro.store.LocalStore`, probed
 with :func:`~repro.measure.io.cached_runs` — short-circuits
 configurations that were already measured with identical inputs (program
 content, configuration, instrumentation plan, execution config, noise
-model, seed, ...), making repeated sweeps and benchmark reruns nearly
-free.
+model, seed, engine, ...), making repeated sweeps and benchmark reruns
+nearly free.
 """
 
 from __future__ import annotations
 
 import pathlib
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ..interp import ENGINE_TREE
+from ..interp import ENGINE_TREE, supports_batch
 from ..ir.program import Program
 from ..mpisim.contention import ContentionModel, NoContention
 from ..registry import ENGINE_REGISTRY
 from ..store import LocalStore
+from .batched import LaneStats, batch_chunks, plan_lanes, run_chunk
 from .experiment import (
     ConfigKey,
     ConfigRunResult,
     Measurements,
     RunSetup,
     Workload,
-    config_key,
-    merge_results,
-    run_configuration,
+    merge_results_dense,
+    unique_configurations,
 )
 from .instrumentation import InstrumentationPlan
 from .io import cached_runs, program_hash, run_fingerprint, store_run
@@ -112,14 +119,13 @@ def configuration_fingerprints(
     Each setup carries everything the workload derives from its
     configuration point (entry args, exec config, runtime/network
     parameters) — fingerprint the derived state, not just the point.
-    The parallel runner, the batched runner, and the campaign-service
-    broker all key the ``runs`` namespace with this function, so a
-    configuration measured by any of them is a hit for all of them.
-    The engine enters by its registry identity (name plus import path),
-    as in the measure-stage fingerprint: re-registering a name with
-    another implementation misses the cache, and an unregistered name
-    raises :class:`~repro.errors.RegistryError` here, before anything
-    runs or is queued.
+    The runner and the campaign-service broker both key the ``runs``
+    namespace with this function, so a configuration measured by either
+    is a hit for both.  The engine enters by its registry identity
+    (name plus import path), as in the measure-stage fingerprint:
+    re-registering a name with another implementation misses the cache,
+    and an unregistered name raises :class:`~repro.errors.RegistryError`
+    here, before anything runs or is queued.
     """
     engine_identity = ENGINE_REGISTRY.identity(engine)
     digest = program_hash(program)
@@ -170,8 +176,8 @@ def spec_of(workload: Workload) -> WorkloadSpec:
 # worker side
 
 #: Per-process memo of built workloads, keyed by the pickled spec: each
-#: worker constructs the program once and reuses it for every
-#: configuration it is handed.
+#: worker constructs the program once and reuses it for every chunk it
+#: is handed.
 _WORKER_WORKLOADS: dict[bytes, Workload] = {}
 
 
@@ -184,37 +190,38 @@ def _workload_for(spec_blob: bytes) -> Workload:
 
 
 @dataclass(frozen=True)
-class _ConfigTask:
-    """One configuration's work order, shipped to a worker."""
+class _ChunkTask:
+    """One chunk of the design, shipped to a pool worker."""
 
-    index: int
+    indices: tuple[int, ...]
     spec_blob: bytes
-    config: tuple[tuple[str, float], ...]
+    configs: tuple[tuple[tuple[str, float], ...], ...]
+    keys: tuple[ConfigKey, ...]
     plan: InstrumentationPlan
     noise: NoiseModel
     contention: ContentionModel
     repetitions: int
     seed: int
-    key: ConfigKey
-    engine: str = ENGINE_TREE
+    engine: str
 
 
-def _run_task(task: _ConfigTask) -> tuple[int, ConfigRunResult]:
-    """Worker entry point: rebuild the workload, run one configuration."""
+def _run_chunk_task(
+    task: _ChunkTask,
+) -> tuple[tuple[int, ...], list[ConfigRunResult]]:
+    """Pool entry point: rebuild the workload, run one chunk."""
     workload = _workload_for(task.spec_blob)
-    setup = workload.setup(dict(task.config))
-    result = run_configuration(
+    results = run_chunk(
         workload.program(),
-        setup,
+        [workload.setup(dict(config)) for config in task.configs],
+        task.keys,
         task.plan,
         task.noise,
         task.contention,
         task.repetitions,
         task.seed,
-        task.key,
-        engine=task.engine,
+        task.engine,
     )
-    return task.index, result
+    return task.indices, results
 
 
 # ----------------------------------------------------------------------
@@ -234,15 +241,18 @@ class RunStats:
 
 
 @dataclass
-class ParallelExperimentRunner:
-    """Fan a design out over a process pool, with an optional run cache.
+class ExperimentRunner:
+    """Runs a design against a workload under one instrumentation plan.
 
-    Drop-in equivalent of :class:`~repro.measure.experiment.ExperimentRunner`:
-    for any design, ``run()`` returns bit-identical measurements for every
-    ``n_jobs`` value, because per-sample RNG streams depend only on
-    ``(seed, function, configuration, repetition)`` and results are merged
-    in design order.  ``n_jobs=1`` executes inline (no pool, no pickling)
-    but still honors the cache.
+    The one measure runner: any registered *engine* (default: the
+    tree-walker, the serial oracle), ``n_jobs`` worker processes
+    (``1`` executes inline: no pool, no pickling), and an optional run
+    cache under *cache_dir*.  For any design ``run()`` returns
+    bit-identical measurements for every engine and ``n_jobs``, because
+    per-sample RNG streams depend only on ``(seed, function,
+    configuration, repetition)`` and results merge in design order.  A
+    repeated design point is measured once, at its first occurrence
+    (:func:`~repro.measure.experiment.unique_configurations`).
     """
 
     workload: Workload
@@ -251,12 +261,12 @@ class ParallelExperimentRunner:
     contention: ContentionModel = field(default_factory=NoContention)
     repetitions: int = 5
     seed: int = 0
+    #: Execution engine for the profiled runs.  Its registry identity is
+    #: folded into cache fingerprints, so a cache populated by one
+    #: engine is never served to another.
+    engine: str = ENGINE_TREE
     n_jobs: int = 1
     cache_dir: str | pathlib.Path | None = None
-    #: Execution engine for the profiled runs (default: the tree-walker).
-    #: Its registry identity is folded into cache fingerprints, so a
-    #: cache populated by one engine is never served to another.
-    engine: str = ENGINE_TREE
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
@@ -266,21 +276,20 @@ class ParallelExperimentRunner:
         )
         #: Execution/cache counters of the most recent :meth:`run`.
         self.last_stats = RunStats()
-
-    # -- execution ---------------------------------------------------------
+        #: Lane accounting of the most recent :meth:`run`.
+        self.last_lane_stats = LaneStats()
 
     def run(
         self, design: Iterable[Mapping[str, float]]
     ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
         """Execute the design; return measurements and per-config profiles."""
-        configs = [dict(c) for c in design]
         parameters = tuple(self.workload.parameters)
+        configs, keys = unique_configurations(parameters, design)
         program = self.workload.program()
+        setups = [self.workload.setup(c) for c in configs]
 
         results: list[ConfigRunResult | None] = [None] * len(configs)
-        setups: list[RunSetup | None] = [None] * len(configs)
         if self._store is not None:
-            setups = [self.workload.setup(c) for c in configs]
             fingerprints = configuration_fingerprints(
                 self.workload,
                 program,
@@ -297,63 +306,71 @@ class ParallelExperimentRunner:
             results = [hits.get(fp) for fp in fingerprints]
         pending = [i for i, result in enumerate(results) if result is None]
 
-        if pending:
-            if self.n_jobs == 1:
-                for index in pending:
-                    setup = setups[index] or self.workload.setup(configs[index])
-                    results[index] = run_configuration(
-                        program,
-                        setup,
-                        self.plan,
-                        self.noise,
-                        self.contention,
-                        self.repetitions,
-                        self.seed,
-                        config_key(parameters, configs[index]),
-                        engine=self.engine,
-                    )
-            else:
-                self._run_pool(parameters, configs, pending, results)
-            if self._store is not None:
-                for index in pending:
-                    store_run(
-                        self._store, fingerprints[index], results[index]
-                    )
+        if supports_batch(self.engine):
+            chunks = batch_chunks(pending, setups, self.n_jobs)
+        else:
+            chunks = [[index] for index in pending]
+        lanes = LaneStats()
+        for chunk in chunks:
+            _, _, stats = plan_lanes(
+                [setups[i] for i in chunk], self.repetitions
+            )
+            lanes = lanes.merged(stats)
+
+        if self.n_jobs == 1 or len(chunks) < 2:
+            for chunk in chunks:
+                chunk_results = run_chunk(
+                    program,
+                    [setups[i] for i in chunk],
+                    [keys[i] for i in chunk],
+                    self.plan,
+                    self.noise,
+                    self.contention,
+                    self.repetitions,
+                    self.seed,
+                    self.engine,
+                )
+                for index, result in zip(chunk, chunk_results):
+                    results[index] = result
+        else:
+            self._run_pool(configs, keys, chunks, results)
+        if self._store is not None:
+            for index in pending:
+                store_run(self._store, fingerprints[index], results[index])
 
         self.last_stats = RunStats(
-            executed=sum(1 for r in results if not r.cached),
-            cached=sum(1 for r in results if r.cached),
+            executed=len(pending), cached=len(configs) - len(pending)
         )
-        return merge_results(parameters, results)
+        self.last_lane_stats = lanes
+        return merge_results_dense(parameters, results)
 
     def _run_pool(
         self,
-        parameters: tuple[str, ...],
         configs: Sequence[Mapping[str, float]],
-        pending: Sequence[int],
+        keys: Sequence[ConfigKey],
+        chunks: Sequence[Sequence[int]],
         results: list[ConfigRunResult | None],
     ) -> None:
         spec_blob = pickle.dumps(spec_of(self.workload))
         tasks = [
-            _ConfigTask(
-                index=index,
+            _ChunkTask(
+                indices=tuple(chunk),
                 spec_blob=spec_blob,
-                config=tuple(sorted(configs[index].items())),
+                configs=tuple(
+                    tuple(sorted(configs[i].items())) for i in chunk
+                ),
+                keys=tuple(keys[i] for i in chunk),
                 plan=self.plan,
                 noise=self.noise,
                 contention=self.contention,
                 repetitions=self.repetitions,
                 seed=self.seed,
-                key=config_key(parameters, configs[index]),
                 engine=self.engine,
             )
-            for index in pending
+            for chunk in chunks
         ]
         workers = min(self.n_jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_task, task) for task in tasks}
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, result = future.result()
+            for indices, chunk_results in pool.map(_run_chunk_task, tasks):
+                for index, result in zip(indices, chunk_results):
                     results[index] = result

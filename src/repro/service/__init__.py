@@ -11,9 +11,10 @@ This package promotes those two facts into a service:
 * :mod:`~repro.service.broker` — splits the measure stage into leases,
   hands them to workers, re-queues them on worker death or timeout, and
   merges results in deterministic design order (bit-identical to the
-  single-process runners for any worker count or failure schedule);
-* :mod:`~repro.service.worker` — pulls leases and executes them, routing
-  batch-capable engines to whole-chunk tensor passes;
+  local runner for any worker count or failure schedule);
+* :mod:`~repro.service.worker` — pulls leases and executes them with
+  the local runner's chunk executor (batch-capable engines as
+  whole-chunk tensor passes);
 * :mod:`~repro.service.remote_store` — the one store
   (:class:`~repro.store.LocalStore`: stage artifacts, run results and
   the server's journal) behind ``get``/``put``/``has`` HTTP endpoints,

@@ -4,15 +4,16 @@ The broker owns one side of the campaign service's central invariant:
 
     *for any worker count, worker mix, lease sizing, and failure
     schedule, a distributed measure stage is bit-identical to the
-    single-process runners.*
+    local runner.*
 
-It holds that invariant the same way the process-pool runners do —
-workers only ever compute :class:`~repro.measure.experiment.ConfigRunResult`
+It holds that invariant the same way the local runner does — workers
+only ever compute :class:`~repro.measure.experiment.ConfigRunResult`
 values whose noise streams are derived purely from
 ``(seed, function, configuration key, repetition)``, and the broker
-merges them **by design index**, never by completion order.  Which
-worker ran a chunk, how chunks were sized, and how many times work was
-re-queued after a crash are all invisible in the output.
+merges them **by design index**, never by completion order, with the
+runner's merge (:func:`~repro.measure.experiment.merge_results_dense`).
+Which worker ran a chunk, how chunks were sized, and how many times
+work was re-queued after a crash are all invisible in the output.
 
 Capability-aware leases: pending work lives in design-ordered pools
 (one per ``exec_config``/``entry`` group, the unit a batch-capable
@@ -43,11 +44,11 @@ namespace (keyed by
 :func:`~repro.measure.parallel.configuration_fingerprints`) with
 :func:`~repro.measure.io.cached_runs` before pooling — one batched
 ``has_many`` round trip — and publishes completed results back with
-:func:`~repro.measure.io.store_run`, exactly as the local runners do,
+:func:`~repro.measure.io.store_run`, exactly as the local runner does,
 so two campaigns sharing configurations execute each profiled run once
-between them.  Within a job, design indices sharing a fingerprint lease
-only their first occurrence; the result is broadcast to the duplicates
-on arrival.
+between them.  Within a job, a repeated design point is dropped at
+submission, as the local runner drops it
+(:func:`~repro.measure.experiment.unique_configurations`).
 
 Crash safety: given a :class:`~repro.service.journal.ServiceJournal`,
 every job checkpoints its merge progress under a **content fingerprint**
@@ -79,8 +80,8 @@ from ..measure.experiment import (
     ConfigRunResult,
     Measurements,
     Workload,
-    config_key,
-    merge_results,
+    merge_results_dense,
+    unique_configurations,
 )
 from ..measure.instrumentation import InstrumentationPlan
 from ..measure.io import cached_runs, config_run_result_from_dict, store_run
@@ -88,7 +89,8 @@ from ..measure.parallel import RunStats, configuration_fingerprints
 from ..mpisim.contention import ContentionModel
 from ..measure.noise import NoiseModel
 from ..measure.profiler import ProfileResult
-from ..registry import ENGINE_REGISTRY, load_builtin_components
+from ..interp import supports_batch
+from ..registry import load_builtin_components
 from .protocol import configs_to_wire, measure_task_to_wire
 
 #: Default seconds a claimed lease may stay unreported before reaping.
@@ -156,7 +158,6 @@ class MeasureJob:
     workload: Workload
     parameters: tuple[str, ...]
     configs: list[dict[str, float]]
-    keys: list[ConfigKey]
     fingerprints: list[str]
     task_wire: dict
     results: "list[ConfigRunResult | None]"
@@ -178,8 +179,6 @@ class MeasureJob:
     attempts: dict[int, int] = field(default_factory=dict)
     #: The job's engine carries ``supports_batch`` metadata.
     batch_capable: bool = False
-    #: Fingerprint-duplicate broadcast: leased leader -> duplicate indices.
-    duplicates: dict[int, list[int]] = field(default_factory=dict)
 
     @property
     def remaining(self) -> int:
@@ -288,16 +287,15 @@ class Broker:
     ) -> str:
         """Queue one measure stage; returns the job id.
 
-        The design is fingerprinted configuration by configuration;
-        store hits are adopted immediately (``cached``), within-job
-        fingerprint duplicates lease only their first occurrence, and
-        the remaining misses are pooled in canonical design order.  An
+        A repeated design point is kept at its first occurrence only,
+        the design is fingerprinted configuration by configuration,
+        store hits are adopted immediately (``cached``), and the
+        remaining misses are pooled in canonical design order.  An
         engine the registry does not know raises
         :class:`~repro.errors.RegistryError` before anything is queued.
         """
-        configs = [dict(c) for c in design]
         parameters = tuple(workload.parameters)
-        keys = [config_key(parameters, c) for c in configs]
+        configs, _ = unique_configurations(parameters, design)
         setups = [workload.setup(c) for c in configs]
         fingerprints = configuration_fingerprints(
             workload,
@@ -317,25 +315,10 @@ class Broker:
             if self.store is not None
             else {}
         )
-        results: "list[ConfigRunResult | None]" = [None] * len(configs)
-        pending: list[int] = []
-        duplicates: dict[int, list[int]] = {}
-        leader_of: dict[str, int] = {}
-        for index in range(len(configs)):
-            hit = hits.get(fingerprints[index])
-            if hit is not None:
-                results[index] = hit
-                continue
-            leader = leader_of.get(fingerprints[index])
-            if leader is not None:
-                duplicates.setdefault(leader, []).append(index)
-                continue
-            leader_of[fingerprints[index]] = index
-            pending.append(index)
-
-        batch_capable = bool(
-            ENGINE_REGISTRY.entry(engine).metadata.get("supports_batch")
-        )
+        results: "list[ConfigRunResult | None]" = [
+            hits.get(fingerprint) for fingerprint in fingerprints
+        ]
+        pending = [i for i, result in enumerate(results) if result is None]
         task_wire = measure_task_to_wire(
             workload, plan, noise, contention, repetitions, seed, engine
         )
@@ -349,18 +332,16 @@ class Broker:
                 workload=workload,
                 parameters=parameters,
                 configs=configs,
-                keys=keys,
                 fingerprints=fingerprints,
                 task_wire=task_wire,
                 results=results,
                 cached=sum(1 for r in results if r is not None),
                 recovered=recovered,
                 journal_key=journal_key,
-                batch_capable=batch_capable,
-                duplicates=duplicates,
+                batch_capable=supports_batch(engine),
             )
             self._jobs[job_id] = job
-            for group in batch_chunks(pending, setups, None, None):
+            for group in batch_chunks(pending, setups):
                 position = len(job.pending_groups)
                 job.pending_groups.append(list(group))
                 for index in group:
@@ -612,12 +593,6 @@ class Broker:
                     job.results[index] = result
                     job.executed += 1
                     to_publish.append((job.fingerprints[index], result))
-                # Broadcast to within-job fingerprint duplicates: same
-                # inputs, same bits, leased once.
-                for twin in job.duplicates.get(index, ()):
-                    if job.results[twin] is None:
-                        job.results[twin] = job.results[index]
-                        job.cached += 1
             if job.remaining == 0 and job.error is None:
                 job.done.set()
             self._record_completion_locked(lease)
@@ -826,7 +801,7 @@ class Broker:
             self._collected[job_id] = (job.executed, job.cached, job.recovered)
         if job.error is not None:
             raise job.error
-        return merge_results(job.parameters, job.results)
+        return merge_results_dense(job.parameters, job.results)
 
     def _counts(self, job_id: str) -> tuple[int, int, int]:
         """``(executed, cached, recovered)`` of a live or collected job."""

@@ -12,7 +12,7 @@ misinterpreting messages from a peer running a different repro version.
 Message bodies are built from two existing content-addressed currencies:
 
 * :class:`~repro.measure.parallel.WorkloadSpec` — the picklable
-  (factory, args, kwargs) recipe the process-pool runners already ship
+  (factory, args, kwargs) recipe the runner's process pool already ships
   to workers — encoded here as pure JSON via a small marked codec
   (:func:`to_wire` / :func:`from_wire`) that handles the dataclasses,
   enums, tuples, and module-level callables workload specs are made of;

@@ -499,12 +499,17 @@ class _Handler(BaseHTTPRequestHandler):
         body = b""
         if payload is not None:
             body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if self.command != "HEAD" and body:
-            self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            if self.command != "HEAD" and body:
+                self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away mid-response: there is nobody left to
+            # tell, and answering with a 500 would only fail again.
+            self.close_connection = True
 
     def _body(self) -> object:
         length = int(self.headers.get("Content-Length") or 0)

@@ -7,12 +7,11 @@ campaign server (``repro worker --server http://...``).  Both expose the
 same three calls (``claim`` / ``complete`` / ``fail``), so the execution
 path is identical wherever the broker lives.
 
-Engine routing mirrors the single-process runners: leases whose engine
-carries ``supports_batch`` registry metadata execute as **one tensor
-pass** via :func:`~repro.measure.batched.run_batch_configurations`
-(broker chunks are grouped to make that legal); every other engine runs
-configuration by configuration via
-:func:`~repro.measure.experiment.run_configuration`.  Either way the
+A lease executes through the local runner's chunk executor,
+:func:`~repro.measure.batched.run_chunk`: an engine that carries
+``supports_batch`` registry metadata runs the whole lease as **one
+tensor pass** (broker chunks are grouped to make that legal); every
+other engine runs it configuration by configuration.  Either way the
 results are bit-identical, because noise streams depend only on
 ``(seed, function, configuration key, repetition)``.
 
@@ -20,9 +19,9 @@ Capability claims: every claim advertises whether this worker executes
 leases as tensor batches (``supports_batch``) and its self-measured
 lanes/sec rate, so the broker can size each lease to the worker that is
 asking (see :class:`~repro.service.broker.Broker`).  ``batch=False``
-forces the per-configuration scalar path even for batch-capable engines
-— the deliberate "slow fallback worker" of a heterogeneous fleet, still
-bit-identical.
+calls the chunk executor once per configuration even for batch-capable
+engines — the deliberate "slow fallback worker" of a heterogeneous
+fleet, still bit-identical.
 
 Fault injection (tests and CI chaos): the ``REPRO_SERVICE_FAULT``
 environment variable (or the ``fault=`` argument) makes a worker
@@ -64,11 +63,11 @@ from ..errors import (
     ServiceError,
     TransientServiceError,
 )
-from ..measure.batched import run_batch_configurations
-from ..measure.experiment import config_key, run_configuration
+from ..measure.batched import run_chunk
+from ..measure.experiment import config_key
 from ..measure.io import config_run_result_to_dict
 from ..measure.parallel import WorkloadSpec
-from ..registry import ENGINE_REGISTRY, load_builtin_components
+from ..registry import load_builtin_components
 from .protocol import (
     capability_to_wire,
     configs_from_wire,
@@ -212,7 +211,7 @@ class Worker:
     tests); ``stop_when_idle`` exits once the queue drains instead of
     polling forever; ``idle_timeout`` bounds how long an idle worker
     polls before giving up.  ``batch=False`` opts out of tensor-batch
-    execution: leases run configuration by configuration even on
+    execution: leases run one configuration per chunk even on
     batch-capable engines (bit-identical, scalar speed), and the claim
     envelope advertises the reduced capability so the broker sizes
     leases accordingly.
@@ -425,34 +424,23 @@ class Worker:
         program = workload.program()
         setups = [workload.setup(c) for c in configs]
         keys = [config_key(parameters, c) for c in configs]
-        entry = ENGINE_REGISTRY.entry(task.engine)
-        if entry.metadata.get("supports_batch") and self.batch:
-            results = run_batch_configurations(
+        if self.batch:
+            chunks = [list(range(len(configs)))]
+        else:
+            chunks = [[i] for i in range(len(configs))]
+        results = []
+        for chunk in chunks:
+            results += run_chunk(
                 program,
-                setups,
-                keys,
+                [setups[i] for i in chunk],
+                [keys[i] for i in chunk],
                 task.plan,
                 task.noise,
                 task.contention,
                 task.repetitions,
                 task.seed,
-                engine=task.engine,
+                task.engine,
             )
-        else:
-            results = [
-                run_configuration(
-                    program,
-                    setup,
-                    task.plan,
-                    task.noise,
-                    task.contention,
-                    task.repetitions,
-                    task.seed,
-                    key,
-                    engine=task.engine,
-                )
-                for setup, key in zip(setups, keys)
-            ]
         return [
             {"index": index, "result": config_run_result_to_dict(result)}
             for index, result in zip(indices, results)

@@ -3,7 +3,7 @@
 A campaign workspace, a runner's ``cache_dir`` and a campaign server's
 state directory are all a :class:`LocalStore`: one JSON file per entry
 at ``<root>/<namespace>/<key>.json``.  Campaigns keep stage artifacts in
-the :data:`STAGE_NAMESPACE` (keys from :func:`stage_key`), the runners
+the :data:`STAGE_NAMESPACE` (keys from :func:`stage_key`), the runner
 and the broker keep per-configuration run results in the
 :data:`RUNS_NAMESPACE`, and the server adds its journal namespaces
 beside them — so a server started on a directory a local campaign
@@ -18,7 +18,7 @@ interleaved entry — the worst case is the same content being computed
 twice and the last writer winning with identical bytes.
 
 This module imports nothing from the rest of the package but its error
-types, so every layer (campaign stages, runners, service) can use it.
+types, so every layer (campaign stages, the runner, the service) can use it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import pytest
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.milc import MilcWorkload
 from repro.core.pipeline import PerfTaintPipeline
+from repro.interp import ENGINE_TREE
+from repro.measure import Measurements, config_key, run_configuration
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +89,65 @@ class GenuineIteration:
 def genuine_iteration():
     """The :class:`GenuineIteration` workload wrapper."""
     return GenuineIteration
+
+
+def run_serial_reference(
+    workload, design, plan, *, noise, contention, repetitions, seed
+):
+    """The measure path's independent oracle: ``run_configuration`` per
+    unique configuration (first occurrence) on the tree-walker, with
+    scalar ``rng_for`` noise, grown sample by sample through
+    :meth:`Measurements.add`.  It shares no code with the runner's chunk
+    executor, the batch engine, ``perturb_block`` or the dense merge.
+    Returns ``(measurements, profiles)``."""
+    parameters = tuple(workload.parameters)
+    program = workload.program()
+    measurements = Measurements(parameters=parameters)
+    profiles = {}
+    for config in design:
+        key = config_key(parameters, config)
+        if key in profiles:
+            continue
+        result = run_configuration(
+            program,
+            workload.setup(config),
+            plan,
+            noise,
+            contention,
+            repetitions,
+            seed,
+            key,
+            engine=ENGINE_TREE,
+        )
+        profiles[key] = result.profile
+        for name, values in result.samples.items():
+            for value in values:
+                measurements.add(name, key, value)
+        for name, calls in result.calls.items():
+            measurements.calls.setdefault(name, {})[key] = calls
+    return measurements, profiles
+
+
+@pytest.fixture(scope="session")
+def serial_reference():
+    """:func:`run_serial_reference`, the runner-independent oracle."""
+    return run_serial_reference
+
+
+@pytest.fixture(scope="session")
+def fixed_width_chunks():
+    """A factory of stand-ins for :func:`~repro.measure.batched.batch_chunks`
+    that cut pending configurations into chunks of a fixed width, so a
+    test can drive the runner through any partition."""
+
+    def factory(width):
+        def chunks(pending, setups, n_jobs=1):
+            pending = list(pending)
+            return [
+                pending[at : at + width]
+                for at in range(0, len(pending), width)
+            ]
+
+        return chunks
+
+    return factory

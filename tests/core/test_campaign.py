@@ -268,6 +268,7 @@ class TestFingerprintDeterminism:
         assert "frozenset" not in forward.fingerprint()
 
     def test_library_fingerprint_stable_across_hash_seeds(self):
+        import os
         import subprocess
         import sys
 
@@ -281,7 +282,14 @@ class TestFingerprintDeterminism:
         outputs = {
             subprocess.run(
                 [sys.executable, "-c", snippet],
-                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed},
+                # The caller's environment rides along (notably
+                # PYTHONDONTWRITEBYTECODE, so the child writes no
+                # bytecode caches into src/).
+                env={
+                    **os.environ,
+                    "PYTHONPATH": "src",
+                    "PYTHONHASHSEED": seed,
+                },
                 capture_output=True,
                 text=True,
                 cwd=EXAMPLES.parent,

@@ -60,13 +60,16 @@ def test_default_engine_campaign_equals_tree(app):
         assert (row["functions"], row["loops_relevant"]) == TABLE2[app]
 
     assert payloads(default) == payloads(tree)
-    # The default took the batched path: every repetition of a design
-    # point is one planned lane, deduplicated onto one executed lane.
-    lanes = default.measure_telemetry["lanes"]
+    # Both engines report the runner's lane accounting: every repetition
+    # of a design point is one planned lane, deduplicated onto one
+    # executed lane (a tensor-pass lane, or one tree-walker run).
     points = default.artifacts["design"].size
-    assert lanes["planned"] == 5 * points
-    assert lanes["executed"] == points
-    assert tree.measure_telemetry == {}
+    for campaign in (default, tree):
+        assert campaign.measure_telemetry["lanes"] == {
+            "planned": 5 * points,
+            "executed": points,
+            "deduped": 4 * points,
+        }
     # Engine identity keys the measure stage: caches and artifacts of
     # one engine never serve the other, while upstream stages share.
     assert default.fingerprints["measure"] != tree.fingerprints["measure"]

@@ -1,10 +1,10 @@
-"""Batched measurement layer: noise streams, runner identity, routing.
+"""Batched measurement layer: noise streams, runner identity, engines.
 
-The headline invariant: the batched runner's ``Measurements`` are
-bit-identical to the serial runner's for every batch size, worker count,
-and engine — because the vectorized engine reproduces per-lane profiles
-exactly and every noise sample's RNG stream depends only on
-(seed, function, configuration, repetition).
+The headline invariant: the runner's ``Measurements`` on the batched
+engine are bit-identical to the tree-walker's for every chunk width,
+worker count, and engine — because the vectorized engine reproduces
+per-lane profiles exactly and every noise sample's RNG stream depends
+only on (seed, function, configuration, repetition).
 """
 
 from __future__ import annotations
@@ -23,22 +23,20 @@ from repro.apps.synthetic import (
     build_multiplicative_example,
     make_scaling_workload,
 )
+import repro.measure.parallel as parallel_mod
 from repro.errors import RegistryError
 from repro.measure import (
-    BatchedExperimentRunner,
     ExperimentRunner,
     GaussianNoise,
     NoNoise,
     full_factorial,
     full_plan,
     measurements_to_dict,
-    merge_results,
     merge_results_dense,
     perturb_block,
     profile_run,
     profile_run_batch,
     profile_to_dict,
-    require_batch_engine,
     rng_for,
     stream_seed,
 )
@@ -135,7 +133,9 @@ class TestVectorizedNoiseStreams:
 
 
 class TestMergeDense:
-    def test_matches_append_merge_on_unique_keys(self):
+    def test_matches_append_merge_on_unique_keys(self, serial_reference):
+        """The dense merge equals growing the container sample by sample
+        through :meth:`Measurements.add` (the reference's merge)."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0], "s": [4.0, 5.0]})
@@ -158,7 +158,15 @@ class TestMergeDense:
             for config in design
         ]
         dense = merge_results_dense(parameters, results)
-        appended = merge_results(parameters, results)
+        appended = serial_reference(
+            workload,
+            design,
+            plan,
+            noise=runner.noise,
+            contention=runner.contention,
+            repetitions=runner.repetitions,
+            seed=runner.seed,
+        )
         assert canonical(dense[0]) == canonical(appended[0])
         assert set(dense[1]) == set(appended[1])
         assert canonical(dense[0]) == canonical(measurements)
@@ -210,7 +218,7 @@ BUILDERS = {
 class TestSerialBatchedIdentity:
     @pytest.mark.parametrize("case", sorted(BUILDERS))
     def test_random_designs_bit_identical(self, case):
-        """Property: serial and batched runs agree on random designs."""
+        """Property: tree-walker and batched runs agree on random designs."""
         builder, parameters = BUILDERS[case]
         rng = random.Random(hash(case) & 0xFFFF)
         workload = SyntheticWorkload(builder=builder, parameters=parameters)
@@ -232,8 +240,12 @@ class TestSerialBatchedIdentity:
         )
         m_serial, p_serial = serial.run(design)
 
-        batched = BatchedExperimentRunner(
-            workload=workload, plan=plan, repetitions=reps, seed=seed
+        batched = ExperimentRunner(
+            workload=workload,
+            plan=plan,
+            repetitions=reps,
+            seed=seed,
+            engine="vectorized",
         )
         m_batched, p_batched = batched.run(design)
 
@@ -247,15 +259,23 @@ class TestSerialBatchedIdentity:
 
     @pytest.mark.parametrize("batch_size", [1, 3, None])
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_every_batch_size_and_worker_count(self, batch_size, n_jobs):
-        """Serial ≡ batched for any (batch size × worker count) split."""
+    def test_every_batch_size_and_worker_count(
+        self, batch_size, n_jobs, monkeypatch, fixed_width_chunks
+    ):
+        """Serial ≡ batched for any (chunk width × worker count) split:
+        the runner is driven through chunks of *batch_size* lanes
+        (``None``: its own chunking), inline or on the process pool."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [4.0, 6.0]})
         kwargs = dict(workload=workload, plan=plan, repetitions=3, seed=11)
         m_serial, _ = ExperimentRunner(**kwargs).run(design)
-        runner = BatchedExperimentRunner(
-            **kwargs, batch_size=batch_size, n_jobs=n_jobs
+        if batch_size is not None:
+            monkeypatch.setattr(
+                parallel_mod, "batch_chunks", fixed_width_chunks(batch_size)
+            )
+        runner = ExperimentRunner(
+            **kwargs, engine="vectorized", n_jobs=n_jobs
         )
         m_batched, _ = runner.run(design)
         assert canonical(m_serial) == canonical(m_batched)
@@ -269,54 +289,55 @@ class TestSerialBatchedIdentity:
             plan=plan,
             repetitions=2,
             seed=3,
+            engine="vectorized",
             cache_dir=tmp_path / "cache",
         )
-        cold = BatchedExperimentRunner(**kwargs)
+        cold = ExperimentRunner(**kwargs)
         m_cold, _ = cold.run(design)
         assert cold.last_stats.executed == len(design)
-        warm = BatchedExperimentRunner(**kwargs)
+        warm = ExperimentRunner(**kwargs)
         m_warm, _ = warm.run(design)
         assert warm.last_stats.executed == 0
         assert warm.last_stats.cached == len(design)
         assert canonical(m_warm) == canonical(m_cold)
 
-    def test_rejects_scalar_engine(self):
+    def test_rejects_unknown_engine(self):
+        """Every registered engine runs; an unknown name is a typed
+        error naming the registered ones, before anything executes."""
         workload = make_scaling_workload()
-        with pytest.raises(RegistryError, match="vectorized"):
-            BatchedExperimentRunner(
-                workload=workload,
-                plan=full_plan(workload.program()),
-                engine="tree",
-            )
+        runner = ExperimentRunner(
+            workload=workload,
+            plan=full_plan(workload.program()),
+            engine="nonsense",
+        )
+        with pytest.raises(RegistryError, match="tree, vectorized"):
+            runner.run([{"p": 2.0, "s": 3.0}])
 
     def test_rejects_invalid_batch_size_and_jobs(self):
+        """``batch_size`` is not a runner knob (chunks come from the
+        engine's capability and ``n_jobs``); ``n_jobs`` must be >= 1."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
+        with pytest.raises(TypeError, match="batch_size"):
+            ExperimentRunner(workload=workload, plan=plan, batch_size=0)
         with pytest.raises(ValueError):
-            BatchedExperimentRunner(
-                workload=workload, plan=plan, batch_size=0
-            )
-        with pytest.raises(ValueError):
-            BatchedExperimentRunner(workload=workload, plan=plan, n_jobs=0)
-
-    def test_require_batch_engine_names_capable_set(self):
-        require_batch_engine("vectorized")
-        with pytest.raises(RegistryError, match="repro engines"):
-            require_batch_engine("tree")
+            ExperimentRunner(workload=workload, plan=plan, n_jobs=0)
 
 
 class TestMeasureStageRouting:
     def test_vectorized_engine_routes_to_batched_runner(self):
-        """``run_measure_stage`` with a batch-capable engine must produce
-        measurements bit-identical to the scalar engine's (and actually
-        use the batched runner underneath)."""
+        """``run_measure_stage`` on a batch-capable engine produces
+        measurements bit-identical to the scalar engine's, and reports
+        lane accounting for both."""
         from repro.core.stages import run_measure_stage
 
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0], "s": [4.0, 5.0]})
-        outputs = {
-            engine: run_measure_stage(
+        outputs = {}
+        for engine in ("tree", "vectorized"):
+            telemetry = {}
+            outputs[engine] = run_measure_stage(
                 workload,
                 design,
                 plan,
@@ -327,9 +348,13 @@ class TestMeasureStageRouting:
                 repetitions=3,
                 seed=4,
                 engine=engine,
+                telemetry=telemetry,
             )
-            for engine in ("tree", "vectorized")
-        }
+            assert telemetry["lanes"] == {
+                "planned": 3 * len(design),
+                "executed": len(design),
+                "deduped": 2 * len(design),
+            }
         assert canonical(outputs["tree"][0]) == canonical(
             outputs["vectorized"][0]
         )

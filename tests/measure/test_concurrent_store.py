@@ -20,7 +20,7 @@ import pytest
 
 from repro.apps.synthetic import SyntheticWorkload, build_foo_example
 from repro.measure import (
-    ParallelExperimentRunner,
+    ExperimentRunner,
     cached_runs,
     full_plan,
     measurements_to_dict,
@@ -145,7 +145,7 @@ def run_sweep(root: str) -> tuple[int, str]:
     workload = SyntheticWorkload(
         builder=build_foo_example, parameters=("a", "b")
     )
-    runner = ParallelExperimentRunner(
+    runner = ExperimentRunner(
         workload=workload,
         plan=full_plan(workload.program()),
         noise=GaussianNoise(),

@@ -17,7 +17,7 @@ from repro.apps.synthetic import make_scaling_workload
 from repro.interp import Interpreter
 from repro.measure.instrumentation import full_plan
 from repro.measure.io import measurements_to_dict, run_fingerprint
-from repro.measure.parallel import ParallelExperimentRunner
+from repro.measure.parallel import ExperimentRunner
 from repro.registry import ENGINE_REGISTRY, register_engine
 
 DESIGN = [
@@ -27,9 +27,9 @@ DESIGN = [
 ]
 
 
-def _runner(engine: str, cache_dir) -> ParallelExperimentRunner:
+def _runner(engine: str, cache_dir) -> ExperimentRunner:
     workload = make_scaling_workload()
-    return ParallelExperimentRunner(
+    return ExperimentRunner(
         workload=workload,
         plan=full_plan(workload.program()),
         repetitions=2,

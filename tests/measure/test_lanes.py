@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from repro.apps.synthetic import make_scaling_workload
 from repro.interp.runtime import NoLibraryRuntime, TableRuntime
 from repro.interp.vectorize import lane_signature, plan_unique_lanes
+import repro.measure.parallel as parallel_mod
 from repro.measure import (
-    BatchedExperimentRunner,
     ExperimentRunner,
     GaussianNoise,
     LaneStats,
@@ -136,8 +136,9 @@ class TestPlanLanes:
 
 class TestDedupBitIdentity:
     def test_duplicated_setups_match_undeduped_run(self):
-        """dedup=True broadcast == dedup=False per-slot execution,
-        profile values and noise samples alike."""
+        """The broadcast of one representative lane to its duplicate
+        slots == running every slot as its own one-lane batch, profile
+        values and noise samples alike."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         configs = [
@@ -150,8 +151,9 @@ class TestDedupBitIdentity:
         parameters = tuple(workload.parameters)
         setups = [workload.setup(c) for c in configs]
         keys = [config_key(parameters, c) for c in configs]
-        outputs = {
-            dedup: run_batch_configurations(
+
+        def run(setups, keys):
+            return run_batch_configurations(
                 workload.program(),
                 setups,
                 keys,
@@ -160,52 +162,68 @@ class TestDedupBitIdentity:
                 NoContention(),
                 3,
                 17,
-                dedup=dedup,
             )
-            for dedup in (True, False)
-        }
-        assert [result_repr(r) for r in outputs[True]] == [
-            result_repr(r) for r in outputs[False]
+
+        broadcast = run(setups, keys)
+        per_slot = [
+            run([setup], [key])[0] for setup, key in zip(setups, keys)
+        ]
+        assert [result_repr(r) for r in broadcast] == [
+            result_repr(r) for r in per_slot
         ]
 
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_runner_is_bit_identical_to_serial(self, dedup):
+    def test_runner_is_bit_identical_to_serial(self):
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [4.0, 6.0]})
         kwargs = dict(workload=workload, plan=plan, repetitions=4, seed=9)
         m_serial, _ = ExperimentRunner(**kwargs).run(design)
-        runner = BatchedExperimentRunner(**kwargs, dedup=dedup)
+        runner = ExperimentRunner(**kwargs, engine="vectorized")
         m_batched, _ = runner.run(design)
         assert canonical(m_serial) == canonical(m_batched)
 
     def test_runner_lane_stats_count_the_grid(self):
+        """Every engine reports lanes: one executed per configuration,
+        repetitions deduplicated."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [4.0, 6.0]})
-        runner = BatchedExperimentRunner(
-            workload=workload, plan=plan, repetitions=5, seed=9
-        )
-        runner.run(design)
-        stats = runner.last_lane_stats
-        assert stats.planned == len(design) * 5
-        assert stats.executed == len(design)
-        assert stats.deduped == len(design) * 4
+        for engine in ("tree", "vectorized"):
+            runner = ExperimentRunner(
+                workload=workload,
+                plan=plan,
+                repetitions=5,
+                seed=9,
+                engine=engine,
+            )
+            runner.run(design)
+            stats = runner.last_lane_stats
+            assert stats.planned == len(design) * 5
+            assert stats.executed == len(design)
+            assert stats.deduped == len(design) * 4
 
-    def test_lane_stats_invariant_under_sharding(self):
+    def test_lane_stats_invariant_under_sharding(
+        self, monkeypatch, fixed_width_chunks
+    ):
         """Dedup is per chunk, but a unique design plans the same grid
-        for every (batch_size, n_jobs) split."""
+        for every (chunk width, n_jobs) split."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [4.0, 6.0]})
+        real_chunks = parallel_mod.batch_chunks
         plans = set()
-        for batch_size, n_jobs in [(None, 1), (2, 1), (None, 2), (1, 2)]:
-            runner = BatchedExperimentRunner(
+        for width, n_jobs in [(None, 1), (2, 1), (None, 2), (1, 2)]:
+            monkeypatch.setattr(
+                parallel_mod,
+                "batch_chunks",
+                real_chunks if width is None else fixed_width_chunks(width),
+            )
+            runner = ExperimentRunner(
                 workload=workload,
                 plan=plan,
                 repetitions=3,
                 seed=1,
-                batch_size=batch_size,
+                engine="vectorized",
                 n_jobs=n_jobs,
             )
             runner.run(design)
@@ -225,18 +243,16 @@ def _uniform_setups(n: int) -> list[RunSetup]:
 class TestBatchChunksProperties:
     @given(
         n=st.integers(min_value=0, max_value=40),
-        batch_size=st.one_of(st.none(), st.integers(1, 50)),
         n_jobs=st.one_of(st.none(), st.integers(1, 8)),
     )
-    def test_partition_invariants(self, n, batch_size, n_jobs):
+    def test_partition_invariants(self, n, n_jobs):
         """Chunks are a partition: order-preserving, non-empty, complete."""
         setups = _uniform_setups(n)
         pending = list(range(n))
-        chunks = batch_chunks(pending, setups, batch_size, n_jobs)
+        chunks = batch_chunks(pending, setups, n_jobs)
         assert [i for chunk in chunks for i in chunk] == pending
         assert all(chunk for chunk in chunks)
-        if batch_size is not None:
-            assert all(len(chunk) <= batch_size for chunk in chunks)
+        assert len(chunks) == min(n_jobs or 1, n)
 
     @given(n=st.integers(1, 40), n_jobs=st.integers(2, 8))
     def test_split_is_balanced(self, n, n_jobs):
@@ -244,26 +260,22 @@ class TestBatchChunksProperties:
         chunk per worker (up to the group size) — no idle worker on an
         uneven split."""
         setups = _uniform_setups(n)
-        chunks = batch_chunks(list(range(n)), setups, None, n_jobs)
+        chunks = batch_chunks(list(range(n)), setups, n_jobs)
         assert len(chunks) == min(n_jobs, n)
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
 
     def test_empty_design(self):
-        assert batch_chunks([], [], None, 4) == []
-
-    def test_batch_size_larger_than_group(self):
-        setups = _uniform_setups(3)
-        assert batch_chunks([0, 1, 2], setups, 10, None) == [[0, 1, 2]]
+        assert batch_chunks([], [], 4) == []
 
     def test_single_lane_groups(self):
         setups = _uniform_setups(1)
-        assert batch_chunks([0], setups, None, 8) == [[0]]
+        assert batch_chunks([0], setups, 8) == [[0]]
 
     @pytest.mark.parametrize("n_jobs", [None, 1])
     def test_no_worker_hint_keeps_groups_whole(self, n_jobs):
         setups = _uniform_setups(5)
-        assert batch_chunks(list(range(5)), setups, None, n_jobs) == [
+        assert batch_chunks(list(range(5)), setups, n_jobs) == [
             [0, 1, 2, 3, 4]
         ]
 
@@ -271,7 +283,7 @@ class TestBatchChunksProperties:
         """5 lanes over 4 workers must be 4 chunks [2,1,1,1] — the old
         ceil-division split produced only 3 chunks and idled a worker."""
         setups = _uniform_setups(5)
-        chunks = batch_chunks(list(range(5)), setups, None, 4)
+        chunks = batch_chunks(list(range(5)), setups, 4)
         assert [len(c) for c in chunks] == [2, 1, 1, 1]
 
     def test_groups_split_on_entry_boundaries(self):
@@ -283,5 +295,5 @@ class TestBatchChunksProperties:
             exec_config=setups[2].exec_config,
             entry="other",
         )
-        chunks = batch_chunks(list(range(4)), setups, None, 1)
+        chunks = batch_chunks(list(range(4)), setups, 1)
         assert chunks == [[0, 1], [2], [3]]

@@ -1,10 +1,13 @@
-"""Parallel execution engine: determinism, caching, specs, shared state.
+"""The measure runner: determinism, caching, specs, shared state.
 
 The headline invariant under test: serial and parallel runs of the same
-design produce bit-identical ``Measurements`` regardless of worker count,
-submission order, or completion order, because every noise sample's RNG
-stream is derived purely from (seed, function, configuration, repetition)
-and results are merged in canonical design order.
+design produce bit-identical ``Measurements`` regardless of engine,
+worker count, submission order, or completion order, because every
+noise sample's RNG stream is derived purely from (seed, function,
+configuration, repetition) and results are merged in canonical design
+order.  The runner is checked against an independent oracle
+(``serial_reference``: ``run_configuration`` per unique configuration on
+the tree-walker, merged sample by sample).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.interp.config import DEFAULT_CONFIG
 from repro.libdb import MPI_DATABASE
 from repro.measure import (
     ExperimentRunner,
-    ParallelExperimentRunner,
+    GaussianNoise,
     WorkloadSpec,
     config_run_result_from_dict,
     config_run_result_to_dict,
@@ -41,8 +44,8 @@ from repro.measure import (
     profile_to_dict,
     spec_of,
 )
-from repro.measure.parallel import _run_task, _ConfigTask
-from repro.mpisim.contention import LogQuadraticContention
+from repro.measure.parallel import _ChunkTask, _run_chunk_task
+from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.mpisim.network import DEFAULT_NETWORK
 from repro.store import RUNS_NAMESPACE, LocalStore
 
@@ -72,8 +75,9 @@ def random_design(parameters, rng):
 class TestSerialParallelIdentity:
     @pytest.mark.parametrize("case", sorted(BUILDERS))
     @pytest.mark.parametrize("trial", [0, 1])
-    def test_random_designs_bit_identical(self, case, trial):
-        """Property: serial and pooled runs agree on random designs."""
+    def test_random_designs_bit_identical(self, case, trial, serial_reference):
+        """Property: the oracle, inline runs and pooled runs agree on
+        random designs."""
         builder, parameters = BUILDERS[case]
         rng = random.Random(hash((case, trial)) & 0xFFFF)
         workload = SyntheticWorkload(builder=builder, parameters=parameters)
@@ -82,19 +86,29 @@ class TestSerialParallelIdentity:
         seed = rng.randint(0, 1000)
         reps = rng.randint(1, 4)
 
+        m_reference, p_reference = serial_reference(
+            workload,
+            design,
+            plan,
+            noise=GaussianNoise(),
+            contention=NoContention(),
+            repetitions=reps,
+            seed=seed,
+        )
         serial = ExperimentRunner(
             workload=workload, plan=plan, repetitions=reps, seed=seed
         )
         m_serial, p_serial = serial.run(design)
 
-        parallel = ParallelExperimentRunner(
+        parallel = ExperimentRunner(
             workload=workload, plan=plan, repetitions=reps, seed=seed,
             n_jobs=2,
         )
         m_parallel, p_parallel = parallel.run(design)
 
+        assert canonical(m_reference) == canonical(m_serial)
         assert canonical(m_serial) == canonical(m_parallel)
-        assert set(p_serial) == set(p_parallel)
+        assert set(p_reference) == set(p_serial) == set(p_parallel)
         assert parallel.last_stats.executed == len(design)
 
     def test_design_order_independent_per_key(self):
@@ -120,23 +134,96 @@ class TestSerialParallelIdentity:
             contention=LogQuadraticContention(beta=0.1),
         )
         m1, _ = ExperimentRunner(**kwargs).run(design)
-        m2, _ = ParallelExperimentRunner(**kwargs, n_jobs=2).run(design)
+        m2, _ = ExperimentRunner(**kwargs, n_jobs=2).run(design)
         assert canonical(m1) == canonical(m2)
 
     def test_rejects_nonpositive_jobs(self):
         workload = make_scaling_workload()
         with pytest.raises(ValueError):
-            ParallelExperimentRunner(
+            ExperimentRunner(
                 workload=workload,
                 plan=full_plan(workload.program()),
                 n_jobs=0,
             )
 
 
+#: A design with a repeated point: (2, 3) appears twice.
+REPEATED_DESIGN = [{"p": 2, "s": 3}, {"p": 2, "s": 3}, {"p": 4, "s": 3}]
+
+
+def assert_measured_once(result, reference, repetitions):
+    """*result* equals the oracle's measurements and profiles, with
+    *repetitions* samples per (function, key): each point measured once."""
+    (measurements, profiles), (m_ref, p_ref) = result, reference
+    assert canonical(measurements) == canonical(m_ref)
+    assert {k: profile_to_dict(v) for k, v in profiles.items()} == {
+        k: profile_to_dict(v) for k, v in p_ref.items()
+    }
+    assert measurements.configs() == [(2.0, 3.0), (4.0, 3.0)]
+    for per_key in measurements.data.values():
+        assert {len(v) for v in per_key.values()} == {repetitions}
+
+
+class TestRepeatedDesignPoint:
+    """A repeated design point is measured once, at its first occurrence,
+    by every engine and worker count, with or without a run cache."""
+
+    REPETITIONS = 3
+
+    def _reference(self, workload, serial_reference):
+        return serial_reference(
+            workload,
+            REPEATED_DESIGN,
+            full_plan(workload.program()),
+            noise=GaussianNoise(),
+            contention=NoContention(),
+            repetitions=self.REPETITIONS,
+            seed=5,
+        )
+
+    def _runner(self, workload, **kw):
+        return ExperimentRunner(
+            workload=workload,
+            plan=full_plan(workload.program()),
+            repetitions=self.REPETITIONS,
+            seed=5,
+            **kw,
+        )
+
+    @pytest.mark.parametrize("engine", ["tree", "vectorized"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_every_engine_and_worker_count(
+        self, engine, n_jobs, serial_reference
+    ):
+        workload = make_scaling_workload()
+        runner = self._runner(workload, engine=engine, n_jobs=n_jobs)
+        assert_measured_once(
+            runner.run(REPEATED_DESIGN),
+            self._reference(workload, serial_reference),
+            self.REPETITIONS,
+        )
+        assert runner.last_stats.executed == 2
+        assert runner.last_lane_stats.executed == 2
+
+    @pytest.mark.parametrize("engine", ["tree", "vectorized"])
+    def test_with_a_run_cache(self, engine, tmp_path, serial_reference):
+        workload = make_scaling_workload()
+        reference = self._reference(workload, serial_reference)
+        for executed in (2, 0):
+            runner = self._runner(
+                workload, engine=engine, cache_dir=tmp_path / "c"
+            )
+            assert_measured_once(
+                runner.run(REPEATED_DESIGN), reference, self.REPETITIONS
+            )
+            assert runner.last_stats.executed == executed
+            assert runner.last_stats.cached == 2 - executed
+
+
 class TestRunCache:
     def _runner(self, cache_dir, n_jobs=1, seed=2):
         workload = make_scaling_workload()
-        return ParallelExperimentRunner(
+        return ExperimentRunner(
             workload=workload,
             plan=full_plan(workload.program()),
             repetitions=3,
@@ -185,7 +272,7 @@ class TestRunCache:
     def test_differing_plan_misses(self, tmp_path):
         workload = make_scaling_workload()
         design = [{"p": 2.0, "s": 3.0}]
-        a = ParallelExperimentRunner(
+        a = ExperimentRunner(
             workload=workload, plan=full_plan(workload.program()),
             repetitions=2, cache_dir=tmp_path / "c",
         )
@@ -193,7 +280,7 @@ class TestRunCache:
         narrowed = dataclasses.replace(
             full_plan(workload.program()), functions=frozenset({"kernel"})
         )
-        b = ParallelExperimentRunner(
+        b = ExperimentRunner(
             workload=workload, plan=narrowed,
             repetitions=2, cache_dir=tmp_path / "c",
         )
@@ -263,28 +350,29 @@ class TestWorkloadSpec:
         assert spec.build().name == "plain"
 
     def test_worker_task_round_trip(self):
-        """The worker entry point runs standalone on a pickled task."""
+        """The pool entry point runs standalone on a pickled chunk task,
+        for a scalar and a batch engine alike."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
-        task = _ConfigTask(
-            index=0,
-            spec_blob=pickle.dumps(workload.spec()),
-            config=(("p", 2.0), ("s", 3.0)),
-            plan=plan,
-            noise=ExperimentRunner.__dataclass_fields__[
-                "noise"
-            ].default_factory(),
-            contention=ExperimentRunner.__dataclass_fields__[
-                "contention"
-            ].default_factory(),
-            repetitions=2,
-            seed=0,
-            key=(2.0, 3.0),
-        )
-        index, result = _run_task(pickle.loads(pickle.dumps(task)))
-        assert index == 0
-        assert result.key == (2.0, 3.0)
-        assert len(result.samples) > 0
+        for engine in ("tree", "vectorized"):
+            task = _ChunkTask(
+                indices=(0, 1),
+                spec_blob=pickle.dumps(workload.spec()),
+                configs=((("p", 2.0), ("s", 3.0)), (("p", 4.0), ("s", 3.0))),
+                keys=((2.0, 3.0), (4.0, 3.0)),
+                plan=plan,
+                noise=GaussianNoise(),
+                contention=NoContention(),
+                repetitions=2,
+                seed=0,
+                engine=engine,
+            )
+            indices, results = _run_chunk_task(
+                pickle.loads(pickle.dumps(task))
+            )
+            assert indices == (0, 1)
+            assert [r.key for r in results] == [(2.0, 3.0), (4.0, 3.0)]
+            assert all(len(r.samples) > 0 for r in results)
 
 
 def canonical_program(workload) -> str:

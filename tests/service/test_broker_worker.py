@@ -28,8 +28,8 @@ from repro.measure import (
     full_factorial,
     full_plan,
     measurements_to_dict,
+    profile_to_dict,
 )
-from repro.measure.batched import BatchedExperimentRunner
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.service import (
@@ -196,9 +196,9 @@ class TestBitIdentity:
                 assert stats[slot].crashed
 
     def test_vectorized_engine_runs_leases_as_batches(self):
-        # A supports_batch engine routes whole leases through
-        # run_batch_configurations; results must equal the batched
-        # runner's (itself bit-identical to serial).
+        # A supports_batch engine runs whole leases as one tensor pass;
+        # results must equal the local runner's on the same engine
+        # (itself bit-identical to serial).
         workload = make_workload("multiplicative")
         design = full_factorial({"p": [2.0, 3.0], "s": [4.0, 5.0]})
         plan = full_plan(workload.program())
@@ -208,7 +208,7 @@ class TestBitIdentity:
             repetitions=3,
             seed=5,
         )
-        batched, _ = BatchedExperimentRunner(
+        batched, _ = ExperimentRunner(
             workload=workload, plan=plan, engine="vectorized", **kw
         ).run(design)
         distributed, _, _, stats = run_distributed(
@@ -219,6 +219,38 @@ class TestBitIdentity:
         done = [s for s in stats if s is not None]
         assert sum(s.configurations for s in done) == len(design)
         assert sum(s.completed for s in done) < len(design)
+
+
+    @pytest.mark.parametrize("engine", ["tree", "vectorized"])
+    def test_repeated_design_point_is_measured_once(
+        self, engine, serial_reference
+    ):
+        """A repeated design point leases once and merges once: the
+        distributed measurements and profiles equal the local oracle's,
+        ``repetitions`` samples per key."""
+        workload = make_workload("additive")
+        design = [{"p": 2, "s": 3}, {"p": 2, "s": 3}, {"p": 4, "s": 3}]
+        plan = full_plan(workload.program())
+        kw = dict(
+            noise=GaussianNoise(),
+            contention=NoContention(),
+            repetitions=3,
+            seed=5,
+        )
+        reference, reference_profiles = serial_reference(
+            workload, design, plan, **kw
+        )
+        distributed, profiles, scheduler, _ = run_distributed(
+            workload, design, plan, engine=engine, **kw
+        )
+        assert canonical(distributed) == canonical(reference)
+        assert {k: profile_to_dict(v) for k, v in profiles.items()} == {
+            k: profile_to_dict(v) for k, v in reference_profiles.items()
+        }
+        for per_key in distributed.data.values():
+            assert {len(v) for v in per_key.values()} == {3}
+        assert scheduler.last_stats.executed == 2
+        assert scheduler.last_stats.cached == 0
 
 
 class TestStoreDedupe:

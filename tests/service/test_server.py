@@ -316,3 +316,37 @@ class TestTelemetryEndpoint:
         assert "workers (" in out
         assert "leases (" in out
         assert "completed" in out
+
+
+class _GoneClient:
+    """A response stream whose peer has hung up."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClientGoneMidResponse:
+    @pytest.mark.parametrize(
+        "path", ["/api/v1/health", "/api/v1/campaigns/C404"]
+    )
+    def test_broken_pipe_ends_request_quietly(self, server, capsys, path):
+        """A client that disconnects before its response is written (a
+        success or an error reply) ends the request: no exception, no
+        retried 500, nothing on stderr, and the connection closes."""
+        import io
+
+        from repro.service.server import _Handler
+
+        _url, httpd = server
+        handler = _Handler.__new__(_Handler)
+        handler.server = httpd
+        handler.client_address = ("127.0.0.1", 0)
+        handler.rfile = io.BytesIO(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+        handler.wfile = _GoneClient()
+        handler.close_connection = False
+        handler.handle_one_request()
+        assert handler.close_connection
+        assert capsys.readouterr().err == ""
