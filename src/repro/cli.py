@@ -327,11 +327,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     samples = sum(
         len(v) for per_fn in measurements.data.values() for v in per_fn.values()
     )
+    # A repeated design point is measured once (unique_configurations).
+    repeated = len(design) - runner.last_stats.total
     print(
         f"swept {len(design)} configurations "
         f"({runner.last_stats.executed} executed, "
-        f"{runner.last_stats.cached} from cache) "
-        f"with {args.jobs} job(s) in {elapsed:.2f}s"
+        f"{runner.last_stats.cached} from cache"
+        + (f", {repeated} repeated" if repeated else "")
+        + f") with {args.jobs} job(s) in {elapsed:.2f}s"
     )
     lane_stats = runner.last_lane_stats
     if lane_stats.planned:

@@ -567,7 +567,6 @@ class Campaign:
         if isinstance(self.workspace, (str, pathlib.Path)):
             self.workspace = LocalStore(self.workspace)
         self._program = None
-        self._program_fp: "str | None" = None
         #: Artifacts of the most recent :meth:`run`, keyed by stage name.
         self.artifacts: dict[str, object] = {}
         #: Stage fingerprints of the most recent :meth:`run`.
@@ -588,10 +587,8 @@ class Campaign:
         return self._program
 
     def program_fingerprint(self) -> str:
-        """Content hash of the workload's program, computed once."""
-        if self._program_fp is None:
-            self._program_fp = program_hash(self.program())
-        return self._program_fp
+        """Content hash of the workload's program (memoised on it)."""
+        return program_hash(self.program())
 
     # -- fingerprints -----------------------------------------------------
 

@@ -39,6 +39,20 @@ style: a non-uniform ``If`` splits the active lane set and runs both
 bodies on disjoint index sets; a ``For`` whose trip count differs by
 lane iterates on a shrinking active set.  Each lane still observes its
 own events in its own program order, so per-lane streams replay exactly.
+
+Work is paid per lane only where lanes differ:
+
+* A **library call** runs each active lane's runtime once, in lane
+  order, then groups the lanes by their exact cost-kind sequence and
+  emits one ``enter``, one ``cost`` per kind (amounts compressed to the
+  group) and one ``exit`` per group.  When every lane charges the same
+  kinds in the same order — MPI routines always do — the one group is
+  the call's own lane set.
+* A planned **pure-cost nest** whose operands (bounds at every level it
+  enters, intrinsic arguments) are uniform on the active lanes runs once
+  through the scalar planner, the tree-walker's own rule, with its
+  events on the lane set.  Counting nests and nests with an operand
+  that differs by lane run on the planner's vector mirror.
 """
 
 from __future__ import annotations
@@ -68,6 +82,7 @@ from .fastpath import (
     LoopPlan,
     _pure_arith,
     apply_array_updates,
+    charge_result,
     summarize,
     trip_counts,
 )
@@ -107,6 +122,14 @@ class VectorFallback(Exception):
 
 def _bail(reason: str):
     raise VectorFallback(reason)
+
+
+class _LaneVector(Exception):
+    """An operand of a planned nest differs by lane."""
+
+
+#: :meth:`VectorizedEngine._plan_uniform`'s answer for such a nest.
+_LANE_VECTOR = object()
 
 
 def _is_vec(value) -> bool:
@@ -748,6 +771,12 @@ class _VecCompiler:
             if plan is None:
                 run_genuine(frame, idx)
                 return
+            if not plan.counters:
+                outcome = engine._plan_uniform(plan, tbl, frame, idx)
+                if outcome is None:
+                    run_genuine(frame, idx)
+                if outcome is not _LANE_VECTOR:
+                    return
             outcome = engine._plan_exec(plan, tbl, frame, idx)
             if outcome is None:  # conversion failure: all lanes invalid
                 run_genuine(frame, idx)
@@ -1225,14 +1254,6 @@ class VectorizedEngine:
             _bail("partially defined return value")
         return value
 
-    def _lane_arg(self, value, pos: int):
-        """Library-call argument for compressed position *pos*."""
-        if _is_vec(value):
-            return float(value[pos])
-        if isinstance(value, (BatchedArray, PartialCell)):
-            _bail("array/partial value passed to library call")
-        return value  # uniform: pass the exact Python object
-
     # -- frame access --------------------------------------------------
 
     def _read(self, frame: _Frame, name: str, idx):
@@ -1375,21 +1396,39 @@ class VectorizedEngine:
         return fn
 
     def _call_library(self, name: str, args, idx):
-        lanes = idx if idx is not None else self._all
+        """Call every active lane's runtime, in lane order, then emit one
+        enter/cost.../exit group per distinct cost-kind sequence: each
+        lane still sees its own call's events in the tree-walker's order.
+        """
+        base = idx if idx is not None else self._all
+        lanes = base.tolist()
         runtimes = self._runtimes
-        if not all(runtimes[int(l)].handles(name) for l in lanes):
+        if not all(runtimes[lane].handles(name) for lane in lanes):
             _bail(f"library function {name!r} not handled on all lanes")
-        values = []
-        for k in range(len(lanes)):
-            lane = int(lanes[k])
-            largs = [self._lane_arg(a, k) for a in args]
-            result = runtimes[lane].call(name, largs)
-            one = lanes[k : k + 1]
-            self._enter(name, one)
-            for kind, amount in result.costs.items():
-                self._charge(kind, float(amount), one)
-            self._exit(name, one)
-            values.append(result.value)
+        columns = []
+        for arg in args:
+            if _is_vec(arg):
+                columns.append(arg.tolist())
+            elif isinstance(arg, (BatchedArray, PartialCell)):
+                _bail("array/partial value passed to library call")
+            else:
+                columns.append([arg] * len(lanes))  # the exact object
+        rows = zip(*columns) if columns else [()] * len(lanes)
+        results = [
+            runtimes[lane].call(name, list(row))
+            for lane, row in zip(lanes, rows)
+        ]
+        groups: dict[tuple, list[int]] = {}
+        for pos, result in enumerate(results):
+            groups.setdefault(tuple(result.costs), []).append(pos)
+        for kinds, members in groups.items():
+            sel = idx if len(groups) == 1 else base[members]
+            self._enter(name, sel)
+            for kind in kinds:
+                amounts = [float(results[pos].costs[kind]) for pos in members]
+                self._charge(kind, np.array(amounts), sel)
+            self._exit(name, sel)
+        values = [result.value for result in results]
         first = values[0]
         if all(v is None for v in values):
             return None
@@ -1483,7 +1522,46 @@ class VectorizedEngine:
             out[k] = v
         return out
 
-    # -- fast-path mirror ----------------------------------------------
+    # -- fast-path plans ------------------------------------------------
+
+    def _plan_uniform(self, plan: LoopPlan, tbl, frame: _Frame, idx):
+        """Run pure-cost nest *plan* once for every active lane, through
+        the scalar planner, when every operand it reads (bounds at every
+        level it enters, intrinsic arguments) is uniform.
+
+        Applies the result as ``Interpreter._apply_closed_form`` does,
+        with every event on *idx*, and returns True; returns None when
+        the plan is invalid (the caller runs the loop genuinely), and
+        :data:`_LANE_VECTOR`, with nothing emitted, at the first operand
+        that differs by lane (the caller takes the vector mirror)."""
+
+        def evaluate(expr):
+            value = tbl[id(expr)](frame, idx)
+            if _is_vec(value):
+                raise _LaneVector
+            return value
+
+        try:
+            result = self._planner.execute(plan, evaluate)
+        except _LaneVector:
+            return _LANE_VECTOR
+        if result is None:
+            return None
+        charge_result(
+            result,
+            lambda kind, amount: self._charge(kind, amount, idx),
+            lambda fn, loop_id, iters: self._iters(fn, loop_id, iters, idx),
+            lambda callee, count, uc, um: self._agg(callee, count, uc, um, idx),
+        )
+        for name, value in result.scalars.items():
+            self._assign(frame, name, value, idx)
+        loop = plan.loop
+        trips = result.loop_iterations.get((plan.function, loop.loop_id), 0)
+        start = evaluate(loop.start)
+        if trips:
+            start = start + trips * evaluate(loop.step)
+        self._assign(frame, loop.var, start, idx)
+        return True
 
     def _plan_exec(self, plan: LoopPlan, tbl, frame: _Frame, idx):
         """Vector mirror of ``FastPathPlanner.execute`` + the
@@ -1674,11 +1752,9 @@ class VectorizedEngine:
         n = len(multiplier)
         # the scalar planner's rule, lane by lane: lanes whose closed form
         # would not be exact run genuinely
-        trip, ok = trip_counts(
-            np.broadcast_to(np.asarray(start, dtype=np.float64), (n,)),
-            np.broadcast_to(np.asarray(stop, dtype=np.float64), (n,)),
-            np.broadcast_to(np.asarray(step, dtype=np.float64), (n,)),
-        )
+        trip, ok = trip_counts(start, stop, step)
+        if trip.ndim == 0:  # every bound of this level uniform
+            trip = np.full(n, trip)
         valid &= ok | ~live
         live = live & ok
         if not live.any():

@@ -2,13 +2,15 @@
 
 A :class:`Program` is a set of named :class:`Function` objects plus an entry
 point.  Finalizing a program assigns stable ids to every loop and branch
-and validates structure; its call graph is built on first use and kept.
+and validates structure; its call graph and content digest are computed
+on first use and kept.
 Analyses (:mod:`repro.staticanalysis`, :mod:`repro.ir.cfg`, ...) and the
 interpreters all operate on finalized programs.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -77,6 +79,7 @@ class Program:
     _callgraph: CallGraph | None = field(
         default=None, repr=False, compare=False
     )
+    _digest: str | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -108,6 +111,7 @@ class Program:
         if self.entry not in self.functions:
             raise IRError(f"entry function '{self.entry}' not defined")
         self._callgraph = None
+        self._digest = None
         for fn in self.functions.values():
             loop_id = 0
             for loop in iter_loops(fn.body):
@@ -140,6 +144,17 @@ class Program:
         if self._callgraph is None:
             self._callgraph = build_callgraph(self)
         return self._callgraph
+
+    def digest(self) -> str:
+        """sha256 of the canonical printed form, computed on first use
+        and kept until the next :meth:`finalize` (every run-cache key and
+        stage fingerprint of one campaign shares it)."""
+        if self._digest is None:
+            from .printer import format_program
+
+            text = format_program(self)
+            self._digest = hashlib.sha256(text.encode()).hexdigest()
+        return self._digest
 
     def defined_names(self) -> frozenset[str]:
         """Names of all program-defined functions."""

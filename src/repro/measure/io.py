@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import MeasurementError, ReproError
-from ..ir.printer import format_program
 from ..ir.program import Program
 from ..modeling.hypothesis import Model, ModelStats
 from ..modeling.terms import TermSpec
@@ -199,9 +198,9 @@ def config_run_result_from_dict(payload: Mapping) -> ConfigRunResult:
 
 
 def program_hash(program: Program) -> str:
-    """Content hash of a program (its canonical printed form)."""
-    text = format_program(program)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Content hash of a program (its canonical printed form), computed
+    once per finalized program (:meth:`~repro.ir.program.Program.digest`)."""
+    return program.digest()
 
 
 def run_fingerprint(

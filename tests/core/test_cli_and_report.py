@@ -168,8 +168,7 @@ class TestCLISweepAndParallel:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "swept 4 configurations" in out
-        assert "4 executed" in out
+        assert "swept 4 configurations (4 executed, 0 from cache) " in out
 
     def test_sweep_cache_reuse(self, capsys, tmp_path):
         argv = [
@@ -183,6 +182,22 @@ class TestCLISweepAndParallel:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "0 executed, 4 from cache" in out
+
+    def test_sweep_counts_repeated_points(self, capsys):
+        """A repeated design point is measured once; the summary line
+        accounts for every point of the design."""
+        argv = [
+            "sweep", "synthetic",
+            "--values", "p=2,2,4", "s=3,5",
+            "--repetitions", "2",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert (
+            "swept 6 configurations (4 executed, 0 from cache, 2 repeated)"
+            in out
+        )
+        assert "collected 24 measurements" in out
 
     def test_sweep_unknown_app_one_line_error(self):
         with pytest.raises(SystemExit) as exc:

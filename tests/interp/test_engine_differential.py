@@ -53,7 +53,7 @@ from repro.ir.builder import (
 )
 from repro.measure.instrumentation import full_plan
 from repro.measure.io import profile_to_dict
-from repro.measure.profiler import profile_run
+from repro.measure.profiler import profile_run, profile_run_batch
 
 
 class RecordingListener:
@@ -78,12 +78,26 @@ class RecordingListener:
         self.events.append(("agg", callee, count, unit_compute, unit_memory))
 
 
+def _lib_cost(x) -> LibraryCall:
+    """A routine whose cost kinds, their order and their amounts depend
+    on its argument, so the lanes of one call site charge differently."""
+    amount = float(abs(x)) + 0.5
+    costs = (
+        {},
+        {CostKind.COMM: amount},
+        {CostKind.COMPUTE: 1.0, CostKind.COMM: amount},
+        {CostKind.COMM: 2.0, CostKind.COMPUTE: amount},
+    )[int(x) % 4]
+    return LibraryCall(value=x + 1, costs=costs)
+
+
 def _runtime() -> TableRuntime:
     rt = TableRuntime()
     rt.register(
         "LIB_scale",
         lambda x: LibraryCall(value=x * 2, costs={CostKind.COMM: 5.0}),
     )
+    rt.register("LIB_cost", _lib_cost)
     return rt
 
 
@@ -213,7 +227,9 @@ def _gen_block(draw, f, names: list[str], depth: int, in_loop: bool) -> None:
             f.assign(f"t{len(names)}", load(arr, mod(_gen_expr(draw, names, 1), 4)))
             names.append(f"t{len(names)}")
         else:  # call (program function or library routine)
-            callee = draw(st.sampled_from(["leaf", "helper", "LIB_scale"]))
+            callee = draw(
+                st.sampled_from(["leaf", "helper", "LIB_scale", "LIB_cost"])
+            )
             target = f"t{len(names)}"
             if callee == "helper":
                 f.assign(
@@ -424,6 +440,43 @@ class TestVectorizedDifferential:
                 f"lanes diverged at width {width}\n"
                 f"reference: {reference!r}\ngot:       {got!r}"
             )
+
+    @given(program=programs())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_profiles_bit_identical(self, program):
+        """``profile_run_batch`` ≡ the tree-walker's ``profile_run`` on
+        every lane: node values, the first-touch node order (which
+        ``profile_to_dict`` sorts away) and the flat view that folds the
+        nodes in that order — or the same error."""
+        config = ExecConfig(step_limit=20_000)
+        plan = full_plan(program)
+        args_list = [{"a": 3 + lane, "b": 4 - lane} for lane in range(7)]
+
+        def batch():
+            return profile_run_batch(
+                program,
+                args_list,
+                plan,
+                runtimes=[_runtime() for _ in args_list],
+                exec_config=config,
+            )
+
+        try:
+            reference = [
+                profile_run(
+                    program, args, plan, runtime=_runtime(), exec_config=config
+                )
+                for args in args_list
+            ]
+        except Exception as exc:  # noqa: BLE001 - error parity
+            with pytest.raises(type(exc)) as err:
+                batch()
+            assert str(err.value) == str(exc)
+            return
+        for want, got in zip(reference, batch()):
+            assert profile_to_dict(got) == profile_to_dict(want)
+            assert list(got.nodes) == list(want.nodes)
+            assert got.flat() == want.flat()
 
 
 def run_taint(program, args, config: ExecConfig, policy=None):

@@ -24,9 +24,11 @@ from repro.interp import (
     ExecConfig,
     Interpreter,
     TableRuntime,
+    VectorizedEngine,
     make_engine,
 )
 from repro.interp.runtime import LibraryCall
+from repro.interp.vectorize import EventRecorder
 from repro.ir.builder import (
     ProgramBuilder,
     add,
@@ -40,6 +42,8 @@ from repro.ir.builder import (
     sub,
     var,
 )
+from repro.measure.instrumentation import full_plan
+from repro.measure.profiler import BatchedScorePListener, profile_run
 
 from test_engine_differential import (
     RecordingListener,
@@ -318,3 +322,59 @@ class TestCompiledEngineBehavior:
 
         assert run("tree") == run("vectorized")
         assert run("vectorized")[0] == 42
+
+
+class TestUniformNests:
+    """Pure-cost nests whose operands are uniform on the active lanes run
+    once through the scalar planner, with events on the lane set."""
+
+    def test_batch_matches_tree_per_lane(self):
+        pb = ProgramBuilder()
+        with pb.function("leaf", ["x"], kind="accessor") as f:
+            f.assign("v", mul(var("x"), 2.0))
+            f.work(3.0)
+            f.ret(var("v"))
+        with pb.function("main", ["n", "w"]) as f:
+            # 2**56 trips in all: past float64's exact integers
+            with f.for_("i", 0, var("n")):
+                with f.for_("j", 0, var("n")):
+                    f.work(1.0)
+            # a fractional step: the plan is invalid, the loop iterates
+            with f.for_("k", 0, 3, step=0.5):
+                f.work(2.0)
+            # uniform bounds, a work amount that differs by lane
+            with f.for_("m", 0, 5):
+                f.work(var("w"))
+            # a leaf call in a uniform nest under a divergent branch
+            with f.if_(gt(var("w"), 2)):
+                with f.for_("q", 0, 4):
+                    f.call("leaf", var("q"))
+            f.ret(add(add(var("i"), var("j")), add(var("k"), var("m"))))
+        prog = pb.build(entry="main")
+        plan = full_plan(prog)
+        args_list = [{"n": 2**28, "w": lane} for lane in range(5)]
+
+        # Vector listeners make any fallback raise: the batch must stay
+        # in the tensor pass.
+        recorder = EventRecorder(len(args_list))
+        profiler = BatchedScorePListener(plan, len(args_list))
+        batch = VectorizedEngine(prog).run_batch(
+            args_list, vector_listeners=[recorder, profiler]
+        )
+        for lane, args in enumerate(args_list):
+            listener = RecordingListener()
+            want = Interpreter(prog, listener=listener).run(args)
+            got = batch[lane]
+            events = RecordingListener()
+            recorder.replay(lane, events)
+            assert got.value == want.value == 2**29 + 8.0
+            assert got.steps == want.steps
+            assert got.metrics.totals == want.metrics.totals
+            assert got.metrics.functions == want.metrics.functions
+            assert got.metrics.loop_iterations == want.metrics.loop_iterations
+            assert events.events == listener.events
+            profile = profile_run(prog, args, plan)
+            nodes = profiler.lane_nodes(lane)
+            assert list(nodes) == list(profile.nodes)
+            assert nodes == profile.nodes
+            assert profiler.lane_loop_iterations(lane) == profile.loop_iterations
