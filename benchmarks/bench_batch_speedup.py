@@ -24,20 +24,19 @@ import json
 import os
 import time
 
+from repro.codec import encode
 from repro.apps.lulesh import LuleshWorkload
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
-    profile_to_dict,
 )
 
 from conftest import report
 
 
 def _canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def _time_runner(runner, design, rounds: int = 3):
@@ -93,7 +92,7 @@ def test_batch_speedup():
     assert identical
     assert set(p_serial) == set(p_batched)
     for key in p_serial:
-        assert profile_to_dict(p_serial[key]) == profile_to_dict(
+        assert encode(p_serial[key]) == encode(
             p_batched[key]
         )
 

@@ -17,13 +17,13 @@ import json
 import os
 import time
 
+from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_multiplicative_example
 from repro.interp.config import ExecConfig
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
 )
 
 from conftest import report
@@ -47,7 +47,7 @@ def _workload() -> SyntheticWorkload:
 
 
 def _canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def test_parallel_scaling(tmp_path, bench_jobs):

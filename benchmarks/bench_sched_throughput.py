@@ -38,13 +38,13 @@ import sys
 import threading
 import time
 
+from repro.codec import encode
 from repro.apps.lulesh import LuleshWorkload
 from repro.interp.config import ExecConfig
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
@@ -57,7 +57,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def _spawn_fleet(url: str, specs: list[dict]) -> list[subprocess.Popen]:

@@ -43,14 +43,13 @@ import sys
 import threading
 import time
 
+from repro.codec import encode
 from repro.apps.lulesh import LuleshWorkload
 from repro.interp.config import ExecConfig
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
-    profile_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
@@ -63,7 +62,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def _spawn_workers(url: str, n: int) -> list[subprocess.Popen]:
@@ -162,7 +161,7 @@ def test_service_throughput(tmp_path):
         assert identical
         assert set(p_serial) == set(p_dist)
         for key in p_serial:
-            assert profile_to_dict(p_serial[key]) == profile_to_dict(
+            assert encode(p_serial[key]) == encode(
                 p_dist[key]
             )
         assert executed == len(design)

@@ -25,7 +25,8 @@ import os
 import time
 from dataclasses import replace
 
-from repro.core.artifacts import artifact_fingerprint, taint_report_to_dict
+from repro.codec import encode
+from repro.core.artifacts import artifact_fingerprint
 from repro.core.stages import run_taint_stage
 from repro.libdb.mpi_models import MPI_DATABASE
 from repro.taint.policy import FULL_POLICY
@@ -76,8 +77,8 @@ def test_taint_speedup(lulesh_workload):
     # The speedup must never come at the cost of a single diverging bit:
     # same records, same parameter sets, same canonical payload.
     assert genuine_report == closed_report
-    genuine_fp = artifact_fingerprint(taint_report_to_dict(genuine_report))
-    closed_fp = artifact_fingerprint(taint_report_to_dict(closed_report))
+    genuine_fp = artifact_fingerprint(encode(genuine_report))
+    closed_fp = artifact_fingerprint(encode(closed_report))
     assert genuine_fp == closed_fp
 
     lines = [

@@ -169,7 +169,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_taint(args: argparse.Namespace) -> int:
-    from .core.artifacts import artifact_fingerprint, taint_report_to_dict
+    from .codec import encode
+    from .core.artifacts import artifact_fingerprint
 
     workload = _workload(args.app)
     taint = PerfTaintPipeline(workload=workload).analyze_taint()
@@ -186,7 +187,7 @@ def cmd_taint(args: argparse.Namespace) -> int:
     # stage digest the stage-digest tests pin).
     print(
         "  report fingerprint: "
-        f"{artifact_fingerprint(taint_report_to_dict(taint))}"
+        f"{artifact_fingerprint(encode(taint))}"
     )
     if taint.warnings:
         print("warnings:")

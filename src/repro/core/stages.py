@@ -9,12 +9,13 @@ The paper's pipeline (Figure 2) is a DAG of nine stages::
 
 Each :class:`Stage` declares its upstream artifacts, the campaign
 configuration that participates in its identity, and how its output
-serializes (see :mod:`repro.core.artifacts`).  A :class:`Campaign` runs
-the DAG in order, fingerprints every stage from its config plus its
-parents' fingerprints, and — when a workspace is attached — persists each
-artifact and **resumes**: a rerun whose fingerprint is unchanged loads the
-artifact instead of recomputing, so editing only modeling parameters
-re-fits models without re-measuring anything.
+serializes (its artifact type, encoded by :mod:`repro.codec`).  A
+:class:`Campaign` runs the DAG in order, fingerprints every stage from
+its config plus its parents' fingerprints, and — when a workspace is
+attached — persists each artifact and **resumes**: a rerun whose
+fingerprint is unchanged loads the artifact instead of recomputing, so
+editing only modeling parameters re-fits models without re-measuring
+anything.
 
 The stage *computations* are module-level functions shared with
 :class:`~repro.core.pipeline.PerfTaintPipeline` (now a thin wrapper over
@@ -27,7 +28,8 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
-from ..errors import CampaignSpecError, PipelineError
+from ..codec import decode, encode
+from ..errors import ArtifactError, CampaignSpecError, PipelineError
 from ..interp import DEFAULT_MEASUREMENT_ENGINE
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
@@ -40,7 +42,7 @@ from ..measure.instrumentation import (
     none_plan,
     taint_filter_plan,
 )
-from ..measure.io import DECODE_ERRORS, program_hash
+from ..measure.io import program_hash
 from ..measure.noise import GaussianNoise, NoiseModel
 from ..measure.parallel import ExperimentRunner, workload_repr
 from ..measure.profiler import ProfileResult
@@ -328,24 +330,13 @@ def _values_repr(values: Mapping[str, Sequence[float]]) -> list:
     return sorted((str(k), [float(v) for v in vs]) for k, vs in values.items())
 
 
-def _measure_payload(value: tuple) -> dict:
-    measurements, profiles = value
-    return art.measure_bundle_to_dict(measurements, profiles)
-
-
-def _volumes_payload(value: tuple) -> dict:
-    volumes, deps = value
+def _codec(artifact: object) -> dict:
+    """``to_payload``/``from_payload`` of a stage whose artifact has the
+    type *artifact* (:mod:`repro.codec`)."""
     return {
-        "volumes": art.volume_report_to_dict(volumes),
-        "dependencies": art.dependencies_to_dict(deps),
+        "to_payload": lambda value: encode(value, artifact),
+        "from_payload": lambda payload: decode(artifact, payload),
     }
-
-
-def _volumes_from_payload(payload: Mapping) -> tuple:
-    return (
-        art.volume_report_from_dict(payload["volumes"]),
-        art.dependencies_from_dict(payload["dependencies"]),
-    )
 
 
 #: The paper's stage graph, in topological order.  ``repro stages`` lists
@@ -362,8 +353,7 @@ STAGES: dict[str, Stage] = {
                 "program": c.program_fingerprint(),
                 "library": c.library.fingerprint(),
             },
-            to_payload=art.static_report_to_dict,
-            from_payload=art.static_report_from_dict,
+            **_codec(StaticReport),
         ),
         Stage(
             name="taint",
@@ -380,8 +370,7 @@ STAGES: dict[str, Stage] = {
                 "policy": repr(c.policy),
                 "library": c.library.fingerprint(),
             },
-            to_payload=art.taint_report_to_dict,
-            from_payload=art.taint_report_from_dict,
+            **_codec(TaintReport),
         ),
         Stage(
             name="volumes",
@@ -389,8 +378,7 @@ STAGES: dict[str, Stage] = {
             description="symbolic volumes + dependency classes (4.2-4.3, A2)",
             compute=lambda c, a: run_volumes_stage(c.program(), a["taint"]),
             config=lambda c: {"program": c.program_fingerprint()},
-            to_payload=_volumes_payload,
-            from_payload=_volumes_from_payload,
+            **_codec(tuple[VolumeReport, ProgramDependencies]),
         ),
         Stage(
             name="classify",
@@ -400,8 +388,7 @@ STAGES: dict[str, Stage] = {
                 c.program(), a["static"], a["taint"]
             ),
             config=lambda c: {"program": c.program_fingerprint()},
-            to_payload=art.classification_to_dict,
-            from_payload=art.classification_from_dict,
+            **_codec(Classification),
         ),
         Stage(
             name="design",
@@ -418,8 +405,7 @@ STAGES: dict[str, Stage] = {
                 "values": _values_repr(c.parameter_values),
                 "strategy": DESIGN_REGISTRY.identity(c.design_strategy),
             },
-            to_payload=art.design_to_dict,
-            from_payload=art.design_from_dict,
+            **_codec(DesignDecision),
         ),
         Stage(
             name="plan",
@@ -432,8 +418,7 @@ STAGES: dict[str, Stage] = {
                 "program": c.program_fingerprint(),
                 "mode": c.mode.value,
             },
-            to_payload=art.plan_to_dict,
-            from_payload=art.plan_from_dict,
+            **_codec(InstrumentationPlan),
         ),
         Stage(
             name="measure",
@@ -462,8 +447,7 @@ STAGES: dict[str, Stage] = {
                 "seed": int(c.seed),
                 "engine": ENGINE_REGISTRY.identity(c.engine),
             },
-            to_payload=_measure_payload,
-            from_payload=art.measure_bundle_from_dict,
+            **_codec(tuple[Measurements, dict[ConfigKey, ProfileResult]]),
         ),
         Stage(
             name="model",
@@ -494,8 +478,7 @@ STAGES: dict[str, Stage] = {
                     else None
                 ),
             },
-            to_payload=art.models_to_dict,
-            from_payload=art.models_from_dict,
+            **_codec(dict[str, ModelComparison]),
         ),
         Stage(
             name="validate",
@@ -505,8 +488,7 @@ STAGES: dict[str, Stage] = {
                 a["measure"][0], a["model"], a["taint"]
             ),
             config=lambda c: {},
-            to_payload=art.findings_to_dict,
-            from_payload=art.findings_from_dict,
+            **_codec(list[ContentionFinding]),
         ),
     )
 }
@@ -617,7 +599,7 @@ class Campaign:
             if payload is not None:
                 try:
                     value = stage.from_payload(payload)
-                except DECODE_ERRORS:
+                except ArtifactError:
                     pass  # a miss: recomputed, and overwritten below
                 else:
                     self.artifacts[stage.name] = value

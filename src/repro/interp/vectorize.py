@@ -1847,31 +1847,3 @@ def lane_signature(args, runtime=None) -> "str | None":
     else:
         return None  # stateful runtime without a declared config
     return f"args({', '.join(parts)}) runtime({rt})"
-
-
-def plan_unique_lanes(
-    args_list, runtimes=None
-) -> "tuple[list[int], list[int]]":
-    """Collapse duplicate lanes of a planned batch.
-
-    Returns ``(representatives, slot_to_rep)``: ``representatives`` are
-    the original slot indices to actually execute (in first-occurrence
-    order), and ``slot_to_rep[slot]`` maps every original slot to its
-    position in ``representatives``.  Lanes whose
-    :func:`lane_signature` is ``None`` always represent themselves.
-    """
-    if runtimes is None:
-        runtimes = [None] * len(args_list)
-    representatives: list[int] = []
-    slot_to_rep: list[int] = []
-    seen: dict[str, int] = {}
-    for slot, (args, runtime) in enumerate(zip(args_list, runtimes)):
-        signature = lane_signature(args, runtime)
-        rep = seen.get(signature) if signature is not None else None
-        if rep is None:
-            rep = len(representatives)
-            representatives.append(slot)
-            if signature is not None:
-                seen[signature] = rep
-        slot_to_rep.append(rep)
-    return representatives, slot_to_rep

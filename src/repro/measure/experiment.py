@@ -155,6 +155,16 @@ class Measurements:
     #: Per-configuration call counts (function -> key -> calls per run).
     calls: dict[str, dict[ConfigKey, int]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        arity = len(self.parameters)
+        for table in (self.data, self.calls):
+            for fn, per_fn in table.items():
+                if any(len(key) != arity for key in per_fn):
+                    raise ValueError(
+                        f"configuration arity mismatch for '{fn}': "
+                        f"expected {arity} values per key"
+                    )
+
     def add(self, function: str, key: ConfigKey, value: float) -> None:
         self.data.setdefault(function, {}).setdefault(key, []).append(value)
 
@@ -237,7 +247,7 @@ class ConfigRunResult:
     ``samples[function]`` holds the per-repetition noisy measurements in
     repetition order; ``calls[function]`` the call count of the single
     profiled run.  The container is picklable and JSON-able (see
-    :mod:`repro.measure.io`) so it can cross process boundaries and live
+    :mod:`repro.codec`) so it can cross process boundaries and live
     in the on-disk run cache.
     """
 
@@ -245,9 +255,9 @@ class ConfigRunResult:
     profile: ProfileResult
     samples: dict[str, list[float]] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
-    #: True when the result was served from a run cache (never pickled
-    #: into the cache itself; set on load).
-    cached: bool = False
+    #: True when the result was served from a run cache: provenance, not
+    #: part of the value (never stored; set on load).
+    cached: bool = field(default=False, compare=False)
 
 
 def run_configuration(

@@ -85,7 +85,7 @@ class Model:
     terms: tuple[TermSpec, ...]
     coefficients: np.ndarray
     stats: ModelStats
-    metadata: dict = field(default_factory=dict)
+    metadata: dict[str, str] = field(default_factory=dict)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Evaluate the model on configuration matrix *X*.

@@ -6,8 +6,9 @@ stage artifact is already content-addressed by a sha256 fingerprint.
 This package promotes those two facts into a service:
 
 * :mod:`~repro.service.protocol` — the versioned JSON wire protocol:
+  :mod:`repro.codec` bodies built from
   :class:`~repro.measure.parallel.WorkloadSpec` recipes and per-stage /
-  per-run fingerprints *are* the message format;
+  per-run fingerprints;
 * :mod:`~repro.service.broker` — splits the measure stage into leases,
   hands them to workers, re-queues them on worker death or timeout, and
   merges results in deterministic design order (bit-identical to the
@@ -40,16 +41,8 @@ from .broker import Broker, BrokerScheduler, Lease, MeasureJob, measure_job_key
 from .journal import CampaignHistory, ServiceJournal
 from .protocol import (
     PROTOCOL_VERSION,
-    capability_from_wire,
-    capability_to_wire,
     envelope,
-    from_wire,
-    measure_task_from_wire,
-    measure_task_to_wire,
     open_envelope,
-    to_wire,
-    workload_spec_from_wire,
-    workload_spec_to_wire,
 )
 from .remote_store import RemoteStore
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
@@ -75,15 +68,7 @@ __all__ = [
     "Worker",
     "measure_job_key",
     "retry_call",
-    "capability_from_wire",
-    "capability_to_wire",
     "envelope",
-    "from_wire",
-    "measure_task_from_wire",
-    "measure_task_to_wire",
     "open_envelope",
     "serve",
-    "to_wire",
-    "workload_spec_from_wire",
-    "workload_spec_to_wire",
 ]

@@ -43,9 +43,10 @@ Fleet-wide dedupe: given a store, the broker probes the ``runs``
 namespace (keyed by
 :func:`~repro.measure.parallel.configuration_fingerprints`) with
 :func:`~repro.measure.io.cached_runs` before pooling — one batched
-``has_many`` round trip — and publishes completed results back with
-:func:`~repro.measure.io.store_run`, exactly as the local runner does,
-so two campaigns sharing configurations execute each profiled run once
+``has_many`` round trip — and publishes each completed result back as
+the run-cache entry the worker sent (the entry the local runner's
+:func:`~repro.measure.io.store_run` writes), so two campaigns sharing
+configurations execute each profiled run once
 between them.  Within a job, a repeated design point is dropped at
 submission, as the local runner drops it
 (:func:`~repro.measure.experiment.unique_configurations`).
@@ -73,7 +74,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..errors import LeaseTimeout, ServiceError
+from ..codec import decode, encode
+from ..errors import ArtifactError, LeaseTimeout, ServiceError
 from ..measure.batched import batch_chunks
 from ..measure.experiment import (
     ConfigKey,
@@ -84,14 +86,15 @@ from ..measure.experiment import (
     unique_configurations,
 )
 from ..measure.instrumentation import InstrumentationPlan
-from ..measure.io import cached_runs, config_run_result_from_dict, store_run
-from ..measure.parallel import RunStats, configuration_fingerprints
+from ..measure.io import cached_runs
+from ..measure.parallel import RunStats, configuration_fingerprints, spec_of
 from ..mpisim.contention import ContentionModel
 from ..measure.noise import NoiseModel
 from ..measure.profiler import ProfileResult
 from ..interp import supports_batch
 from ..registry import load_builtin_components
-from .protocol import configs_to_wire, measure_task_to_wire
+from ..store import RUNS_NAMESPACE
+from .protocol import Configs, LeaseResult, MeasureTask
 
 #: Default seconds a claimed lease may stay unreported before reaping.
 DEFAULT_LEASE_TTL = 30.0
@@ -319,9 +322,19 @@ class Broker:
             hits.get(fingerprint) for fingerprint in fingerprints
         ]
         pending = [i for i, result in enumerate(results) if result is None]
-        task_wire = measure_task_to_wire(
-            workload, plan, noise, contention, repetitions, seed, engine
+        task = MeasureTask(
+            spec_of(workload), plan, noise, contention, repetitions, seed, engine
         )
+        try:
+            task_wire = encode(task)
+        except ArtifactError as exc:
+            name = getattr(workload, "name", type(workload).__name__)
+            raise ServiceError(
+                f"workload '{name}' cannot cross the service wire: {exc} — "
+                "give the workload class a spec() method returning a "
+                "WorkloadSpec with an importable factory (see "
+                "repro.measure.parallel.WorkloadSpec)"
+            ) from exc
         journal_key, recovered = self._job_checkpoint(
             task_wire, fingerprints, results
         )
@@ -501,9 +514,7 @@ class Broker:
             "job": lease.job_id,
             "attempt": lease.attempt,
             "indices": list(lease.indices),
-            "configs": configs_to_wire(
-                job.configs[i] for i in lease.indices
-            ),
+            "configs": encode([job.configs[i] for i in lease.indices], Configs),
             "fingerprints": [job.fingerprints[i] for i in lease.indices],
             "task": job.task_wire,
         }
@@ -547,17 +558,17 @@ class Broker:
     def complete(self, lease_id: str, results: Sequence[Mapping]) -> None:
         """Accept a worker's results for a lease.
 
-        Results are ``{"index": int, "result": <ConfigRunResult dict>}``
-        entries.  A completion for a lease that was already reaped (the
-        worker outlived its TTL) is silently dropped — the re-pooled
-        work recomputes the same bit-identical values, so duplicated
-        work is the designed cost of crash recovery, never corruption.
-        The same first-writer-wins rule covers straggler splits: ceded
-        indices stay valid on the original lease, and whichever copy
-        reports first fills the slot.
+        *results* are encoded :class:`~repro.service.protocol.LeaseResult`
+        bodies; once they decode, each new result's payload is stored as
+        received — it is already the run-cache entry.  A completion for a
+        lease that was already reaped (the worker outlived its TTL) is
+        silently dropped — the re-pooled work recomputes the same
+        bit-identical values, so duplicated work is the designed cost of
+        crash recovery, never corruption.  The same first-writer-wins
+        rule covers straggler splits: ceded indices stay valid on the
+        original lease, and whichever copy reports first fills the slot.
         """
-        decoded: list[tuple[int, ConfigRunResult]] = []
-        to_publish: list[tuple[str, ConfigRunResult]] = []
+        to_publish: list[tuple[str, object]] = []
         with self._lock:
             lease = self._active.pop(str(lease_id), None)
             if lease is None:
@@ -568,37 +579,32 @@ class Broker:
                 # split's slower half): every slot is already filled.
                 self._record_completion_locked(lease)
                 return
-            for entry in results:
-                if not isinstance(entry, Mapping):
-                    raise ServiceError(
-                        f"malformed lease result for {lease_id}: "
-                        "expected {'index': ..., 'result': ...} entries"
-                    )
-                index = int(entry["index"])
+            for raw in results:
+                index = raw.get("index") if isinstance(raw, Mapping) else None
                 if index not in lease.indices:
                     raise ServiceError(
                         f"lease {lease_id} reported result for design "
-                        f"index {index}, which it does not hold"
+                        f"index {index!r}, which it does not hold"
                     )
-                try:
-                    result = config_run_result_from_dict(entry["result"])
-                except Exception as exc:
-                    raise ServiceError(
-                        f"lease {lease_id} result for index {index} "
-                        f"does not decode: {exc}"
-                    ) from exc
-                decoded.append((index, result))
-            for index, result in decoded:
-                if job.results[index] is None:
-                    job.results[index] = result
+            try:
+                decoded = decode(list[LeaseResult], results)
+            except ArtifactError as exc:
+                raise ServiceError(
+                    f"lease {lease_id} results do not decode: {exc}"
+                ) from exc
+            for entry, raw in zip(decoded, results):
+                if job.results[entry.index] is None:
+                    job.results[entry.index] = entry.result
                     job.executed += 1
-                    to_publish.append((job.fingerprints[index], result))
+                    to_publish.append(
+                        (job.fingerprints[entry.index], raw["result"])
+                    )
             if job.remaining == 0 and job.error is None:
                 job.done.set()
             self._record_completion_locked(lease)
         if self.store is not None:
-            for fingerprint, result in to_publish:
-                store_run(self.store, fingerprint, result)
+            for fingerprint, payload in to_publish:
+                self.store.put(RUNS_NAMESPACE, fingerprint, payload)
         self._checkpoint_job(job)
 
     def _record_completion_locked(self, lease: Lease) -> None:

@@ -57,12 +57,13 @@ import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
+from ..codec import decode
 from ..core.stages import STAGES, Campaign
 from ..errors import ReproError, ServiceError
 from ..store import STAGE_NAMESPACE, LocalStore, stage_key
 from .broker import Broker, BrokerScheduler
 from .journal import CampaignHistory, ServiceJournal
-from .protocol import capability_from_wire, envelope, open_envelope
+from .protocol import Capability, envelope, open_envelope
 from .remote_store import http_json, raise_for_error
 from .retry import RetryPolicy, retry_call
 
@@ -650,13 +651,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif rest == ["leases", "claim"]:
             body = open_envelope(self._body(), "lease.claim")
-            worker, supports_batch, lanes_per_sec = capability_from_wire(
-                body if isinstance(body, Mapping) else {}
-            )
+            claim = decode(Capability, body)
             lease = self.service.broker.claim(
-                worker,
-                supports_batch=supports_batch,
-                lanes_per_sec=lanes_per_sec,
+                claim.worker,
+                supports_batch=claim.supports_batch,
+                lanes_per_sec=claim.lanes_per_sec,
             )
             self._send(200, envelope("lease.grant", {"lease": lease}))
         elif rest is not None and len(rest) == 3 and rest[0] == "leases":

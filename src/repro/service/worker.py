@@ -63,16 +63,17 @@ from ..errors import (
     ServiceError,
     TransientServiceError,
 )
+from ..codec import decode, encode
 from ..measure.batched import run_chunk
 from ..measure.experiment import config_key
-from ..measure.io import config_run_result_to_dict
 from ..measure.parallel import WorkloadSpec
 from ..registry import load_builtin_components
 from .protocol import (
-    capability_to_wire,
-    configs_from_wire,
+    Capability,
+    Configs,
+    LeaseResult,
+    MeasureTask,
     envelope,
-    measure_task_from_wire,
     open_envelope,
 )
 
@@ -164,7 +165,7 @@ class HttpBrokerTransport:
         body = self._post(
             "/api/v1/leases/claim",
             "lease.claim",
-            capability_to_wire(worker, **dict(capability or {})),
+            encode(Capability(worker, **dict(capability or {}))),
             "lease.grant",
         )
         lease = body.get("lease") if isinstance(body, Mapping) else None
@@ -400,8 +401,8 @@ class Worker:
     def execute(self, lease: Mapping) -> list[dict]:
         """Run one lease; returns wire-ready ``{"index", "result"}`` rows."""
         try:
-            task = measure_task_from_wire(lease["task"])
-            configs = configs_from_wire(lease["configs"])
+            task = decode(MeasureTask, lease["task"])
+            configs = decode(Configs, lease["configs"])
             indices = [int(i) for i in lease["indices"]]
         except (ProtocolVersionMismatch, ServiceError):
             raise
@@ -413,7 +414,7 @@ class Worker:
                 f"lease {lease.get('lease')!r} does not decode: {exc!r}"
             ) from exc
         workload = self._workload_for(
-            lease["task"]["workload"], task.workload_spec
+            lease["task"]["workload_spec"], task.workload_spec
         )
         if len(configs) != len(indices):
             raise ServiceError(
@@ -442,6 +443,6 @@ class Worker:
                 task.engine,
             )
         return [
-            {"index": index, "result": config_run_result_to_dict(result)}
+            encode(LeaseResult(index, result))
             for index, result in zip(indices, results)
         ]

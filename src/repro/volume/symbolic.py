@@ -18,7 +18,8 @@ tuples and non-zero coefficients, and are ordered by ``(len(factors),
 factors)``; factors compare by :attr:`LoopCount.sort_key`, which each
 count computes once, at construction.  The form is built in one place,
 from a ``{factor tuple: coefficient}`` map (:meth:`Volume.from_map`;
-``Volume(terms)`` merges its terms into such a map first).
+``Volume(terms)`` merges its terms into such a map first, unless they
+already are canonical, as decoded volumes are).
 
 Accumulators.  Composition adds into such maps (:func:`accumulate`) and
 canonicalises once, at the end, instead of re-merging and re-sorting a
@@ -155,14 +156,34 @@ def _canonical_terms(merged: Mapping[Factors, float]) -> tuple[Term, ...]:
     return tuple([Term(coef, key) for key, coef in items])
 
 
+def _is_canonical(terms: tuple[Term, ...]) -> bool:
+    """Whether *terms* already are their canonical form: float non-zero
+    coefficients and strictly increasing ``(len(factors), factors)``, so
+    :func:`_canonical_terms` would rebuild equal terms."""
+    last = None
+    for term in terms:
+        if type(term.coefficient) is not float or not term.coefficient:
+            return False
+        key = _term_order((term.factors, 0.0))
+        if last is not None and not last < key:
+            return False
+        last = key
+    return True
+
+
 class Volume:
     """A sum of terms, canonicalized by merging equal factor products."""
 
     __slots__ = ("terms",)
+    terms: tuple[Term, ...]
 
     def __init__(self, terms: Iterable[Term] = ()) -> None:
+        terms = tuple(terms)
+        if _is_canonical(terms):  # e.g. decoded terms: nothing to merge
+            self.terms = terms
+            return
         merged = accumulate({}, ((t.factors, t.coefficient) for t in terms))
-        self.terms: tuple[Term, ...] = _canonical_terms(merged)
+        self.terms = _canonical_terms(merged)
 
     @classmethod
     def from_map(cls, merged: Mapping[Factors, float]) -> "Volume":

@@ -151,3 +151,43 @@ def fixed_width_chunks():
         return chunks
 
     return factory
+
+
+#: The campaign benchmark's smoke designs.
+SMOKE_VALUES = {
+    "lulesh": {"p": [27, 64], "size": [6, 9]},
+    "milc": {"p": [4, 8], "size": [16, 32]},
+}
+
+
+def smoke_spec(app: str, seed: int = 21) -> dict:
+    """The benchmark's smoke campaign of *app*: gaussian noise, five
+    repetitions, black-box comparison, CoV threshold 0.1, one job."""
+    spec = {
+        "app": app,
+        "parameters": SMOKE_VALUES[app],
+        "noise": "gaussian",
+        "repetitions": 5,
+        "compare_black_box": True,
+        "cov_threshold": 0.1,
+        "jobs": 1,
+        "seed": seed,
+    }
+    if app == "lulesh":
+        spec["contention"] = {"model": "logquad", "beta": 0.06}
+    return spec
+
+
+@pytest.fixture(scope="session")
+def smoke_campaigns(tmp_path_factory):
+    """app -> (finished smoke campaign at seed 21, its filled workspace).
+    Tests copy the workspace before changing it."""
+    from repro.core.stages import Campaign
+
+    out = {}
+    for app in SMOKE_VALUES:
+        workspace = tmp_path_factory.mktemp(f"smoke-{app}")
+        campaign = Campaign.from_spec(smoke_spec(app), workspace=workspace)
+        campaign.run()
+        out[app] = (campaign, workspace)
+    return out

@@ -15,12 +15,11 @@ import pytest
 
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.synthetic import SyntheticWorkload, build_additive_example, make_scaling_workload
-from repro.core import artifacts as art
+from repro.codec import encode
 from repro.core.pipeline import PerfTaintPipeline
 from repro.core.stages import STAGES, Campaign
 from repro.errors import CampaignSpecError, RegistryError
 from repro.interp import DEFAULT_MEASUREMENT_ENGINE
-from repro.measure.io import measurements_to_dict, profile_to_dict
 from repro.measure.noise import GaussianNoise, NoNoise
 from repro.store import STAGE_NAMESPACE, LocalStore, stage_key
 
@@ -33,22 +32,20 @@ def result_canon(result) -> str:
     """Canonical JSON of a full PerfTaintResult, for equality checks."""
     return json.dumps(
         {
-            "static": art.static_report_to_dict(result.static),
-            "taint": art.taint_report_to_dict(result.taint),
-            "volumes": art.volume_report_to_dict(result.volumes),
-            "dependencies": art.dependencies_to_dict(result.dependencies),
-            "classification": art.classification_to_dict(
-                result.classification
-            ),
-            "design": art.design_to_dict(result.design),
-            "plan": art.plan_to_dict(result.plan),
-            "measurements": measurements_to_dict(result.measurements),
+            "static": encode(result.static),
+            "taint": encode(result.taint),
+            "volumes": encode(result.volumes),
+            "dependencies": encode(result.dependencies),
+            "classification": encode(result.classification),
+            "design": encode(result.design),
+            "plan": encode(result.plan),
+            "measurements": encode(result.measurements),
             "profiles": [
-                [list(key), profile_to_dict(profile)]
+                [list(key), encode(profile)]
                 for key, profile in sorted(result.profiles.items())
             ],
-            "models": art.models_to_dict(result.models),
-            "findings": art.findings_to_dict(result.contention_findings),
+            "models": STAGES["model"].to_payload(result.models),
+            "findings": STAGES["validate"].to_payload(result.contention_findings),
         },
         sort_keys=True,
     )
@@ -233,7 +230,7 @@ class TestWorkspaceResume:
         rewritten = STAGES["design"].from_payload(
             store.get(STAGE_NAMESPACE, key)
         )
-        assert art.design_to_dict(rewritten) == art.design_to_dict(
+        assert encode(rewritten) == encode(
             first.artifacts["design"]
         )
 

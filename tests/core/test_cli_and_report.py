@@ -83,8 +83,8 @@ class TestCLICommands:
         has printed: the taint stage digests that
         tests/integration/test_stage_digests.py pins."""
         pinned = {
-            "lulesh": "60c31fcbb1db76ed04e9d33a58143f643bdab87f75872628d42942ebbb33d270",
-            "milc": "d2480be34364b64c2e7d0bcdfbfa562e05827ddb1c24f7e588106672017bda1b",
+            "lulesh": "625f56609f9aa49cf9486cb2ab9a926aff2cf1e579f61f49c8384ba94bf65954",
+            "milc": "5cb42ef5805ebcbccdd4a2b59ca0c9773c4eb6fbbfd59f4278b4b5d8168064ac",
         }
         for app, fingerprint in pinned.items():
             assert main(["taint", "--app", app]) == 0

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encode
 from repro.interp import (
     CostKind,
     ExecConfig,
@@ -52,7 +53,6 @@ from repro.ir.builder import (
     var,
 )
 from repro.measure.instrumentation import full_plan
-from repro.measure.io import profile_to_dict
 from repro.measure.profiler import profile_run, profile_run_batch
 
 
@@ -446,7 +446,7 @@ class TestVectorizedDifferential:
     def test_batch_profiles_bit_identical(self, program):
         """``profile_run_batch`` ≡ the tree-walker's ``profile_run`` on
         every lane: node values, the first-touch node order (which
-        ``profile_to_dict`` sorts away) and the flat view that folds the
+        the codec's payload sorts away) and the flat view that folds the
         nodes in that order — or the same error."""
         config = ExecConfig(step_limit=20_000)
         plan = full_plan(program)
@@ -474,7 +474,7 @@ class TestVectorizedDifferential:
             assert str(err.value) == str(exc)
             return
         for want, got in zip(reference, batch()):
-            assert profile_to_dict(got) == profile_to_dict(want)
+            assert encode(got) == encode(want)
             assert list(got.nodes) == list(want.nodes)
             assert got.flat() == want.flat()
 
@@ -628,7 +628,6 @@ class TestTaintDifferential:
 
     @staticmethod
     def _assert_app_taint_matches(workload, genuine_iteration) -> None:
-        from repro.core.artifacts import taint_report_to_dict
         from repro.core.stages import run_taint_stage
         from repro.libdb.mpi_models import MPI_DATABASE
         from repro.taint.policy import FULL_POLICY
@@ -641,7 +640,7 @@ class TestTaintDifferential:
         assert closed == genuine
         # The canonical artifact payload (what campaign workspaces
         # persist) must match bit for bit as well.
-        assert taint_report_to_dict(closed) == taint_report_to_dict(genuine)
+        assert encode(closed) == encode(genuine)
 
     def test_lulesh(self, genuine_iteration):
         from repro.apps.lulesh import LuleshWorkload
@@ -682,7 +681,7 @@ class TestAppDifferential:
                 )
             )
         tree, vectorized = profiles
-        assert profile_to_dict(tree) == profile_to_dict(vectorized)
+        assert encode(tree) == encode(vectorized)
         assert tree.total_time() == vectorized.total_time()
 
     def test_lulesh(self):

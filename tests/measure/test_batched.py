@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.codec import encode
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.synthetic import (
     SyntheticWorkload,
@@ -31,12 +32,10 @@ from repro.measure import (
     NoNoise,
     full_factorial,
     full_plan,
-    measurements_to_dict,
     merge_results_dense,
     perturb_block,
     profile_run,
     profile_run_batch,
-    profile_to_dict,
     rng_for,
     stream_seed,
 )
@@ -45,7 +44,7 @@ from repro.measure.noise import _seedseq_words
 
 def canonical(measurements) -> str:
     """Byte-exact canonical form of a measurements container."""
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +200,7 @@ class TestProfileRunBatch:
                 exec_config=setup.exec_config,
                 entry=setup.entry,
             )
-            assert profile_to_dict(profile) == profile_to_dict(scalar)
+            assert encode(profile) == encode(scalar)
             assert profile.total_time() == scalar.total_time()
 
 
@@ -252,7 +251,7 @@ class TestSerialBatchedIdentity:
         assert canonical(m_serial) == canonical(m_batched)
         assert set(p_serial) == set(p_batched)
         for key in p_serial:
-            assert profile_to_dict(p_serial[key]) == profile_to_dict(
+            assert encode(p_serial[key]) == encode(
                 p_batched[key]
             )
         assert batched.last_stats.executed == len(design)

@@ -18,16 +18,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_foo_example
 from repro.measure import (
     ExperimentRunner,
     cached_runs,
     full_plan,
-    measurements_to_dict,
     store_run,
 )
 from repro.measure.experiment import run_configuration
-from repro.measure.io import config_run_result_to_dict
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
 from repro.store import LocalStore
@@ -91,7 +90,7 @@ class TestConcurrentWriters:
     def test_run_cache_same_fingerprint(self, tmp_path):
         root = tmp_path / "cache"
         expected = json.dumps(
-            config_run_result_to_dict(make_result()), sort_keys=True
+            encode(make_result()), sort_keys=True
         )
         store = LocalStore(root)
 
@@ -100,7 +99,7 @@ class TestConcurrentWriters:
             if hit is None:
                 return None
             got = json.dumps(
-                config_run_result_to_dict(hit), sort_keys=True
+                encode(hit), sort_keys=True
             )
             return got, got == expected
 
@@ -108,7 +107,7 @@ class TestConcurrentWriters:
         final = cached_runs(store, ["racefp"]).get("racefp")
         assert final is not None and final.cached
         assert (
-            json.dumps(config_run_result_to_dict(final), sort_keys=True)
+            json.dumps(encode(final), sort_keys=True)
             == expected
         )
         # A torn read would have been quarantined and read as a miss.
@@ -162,7 +161,7 @@ def run_sweep(root: str) -> tuple[int, str]:
     measurements, _ = runner.run(design)
     return (
         runner.last_stats.executed,
-        json.dumps(measurements_to_dict(measurements), sort_keys=True),
+        json.dumps(encode(measurements), sort_keys=True),
     )
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 
+from repro.codec import encode
 from repro.apps.synthetic import make_scaling_workload
 from repro.interp import Interpreter
 from repro.measure.instrumentation import full_plan
-from repro.measure.io import measurements_to_dict, run_fingerprint
+from repro.measure.io import run_fingerprint
 from repro.measure.parallel import ExperimentRunner
 from repro.registry import ENGINE_REGISTRY, register_engine
 
@@ -60,7 +61,7 @@ class TestEngineCacheIsolation:
         assert tree_again.last_stats.cached == len(DESIGN)
 
         # And the engines agree bit-for-bit on the measurements anyway.
-        canon = lambda m: json.dumps(measurements_to_dict(m), sort_keys=True)
+        canon = lambda m: json.dumps(encode(m), sort_keys=True)
         assert canon(first) == canon(second) == canon(third)
 
     def test_reregistered_engine_name_misses_the_cache(self, tmp_path):

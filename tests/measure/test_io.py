@@ -1,19 +1,16 @@
 """Measurement/model serialization round-trip tests."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.errors import MeasurementError
+from repro.codec import decode, encode
+from repro.errors import ArtifactError, MeasurementError
 from repro.measure.experiment import Measurements
-from repro.measure.io import (
-    load_measurements,
-    measurements_from_dict,
-    measurements_to_dict,
-    model_from_dict,
-    model_to_dict,
-    save_measurements,
-)
+from repro.measure.io import load_measurements, save_measurements
 from repro.modeling import Modeler, fit_constant
+from repro.modeling.hypothesis import Model
 
 
 def sample_measurements():
@@ -29,7 +26,7 @@ def sample_measurements():
 class TestMeasurementsRoundTrip:
     def test_dict_round_trip(self):
         original = sample_measurements()
-        restored = measurements_from_dict(measurements_to_dict(original))
+        restored = decode(Measurements, encode(original))
         assert restored.parameters == original.parameters
         assert restored.data == original.data
         assert restored.calls == original.calls
@@ -43,23 +40,34 @@ class TestMeasurementsRoundTrip:
 
     def test_points_preserved(self):
         original = sample_measurements()
-        restored = measurements_from_dict(measurements_to_dict(original))
+        restored = decode(Measurements, encode(original))
         X0, y0 = original.points("kernel")
         X1, y1 = restored.points("kernel")
         np.testing.assert_allclose(X0, X1)
         np.testing.assert_allclose(y0, y1)
 
-    def test_bad_version_rejected(self):
-        payload = measurements_to_dict(sample_measurements())
+    def test_bad_version_rejected(self, tmp_path):
+        path = tmp_path / "meas.json"
+        save_measurements(sample_measurements(), path)
+        payload = json.loads(path.read_text())
         payload["version"] = 99
+        path.write_text(json.dumps(payload))
         with pytest.raises(MeasurementError):
-            measurements_from_dict(payload)
+            load_measurements(path)
 
     def test_arity_mismatch_rejected(self):
-        payload = measurements_to_dict(sample_measurements())
-        payload["data"]["kernel"][0]["config"] = [1.0]
-        with pytest.raises(MeasurementError):
-            measurements_from_dict(payload)
+        payload = encode(sample_measurements())
+        payload["data"]["kernel"][0][0] = [1.0]
+        with pytest.raises(ArtifactError, match="arity"):
+            decode(Measurements, payload)
+
+    def test_call_arity_mismatch_rejected(self):
+        # The arity check covers the call counts too: a three-value key
+        # of a two-parameter study is not silently accepted.
+        payload = encode(sample_measurements())
+        payload["calls"]["kernel"][0][0] = [1.0, 2.0, 7.0]
+        with pytest.raises(ArtifactError, match="arity"):
+            decode(Measurements, payload)
 
 
 class TestModelRoundTrip:
@@ -67,7 +75,7 @@ class TestModelRoundTrip:
         x = np.array([4.0, 8.0, 16.0, 32.0, 64.0]).reshape(-1, 1)
         y = 3 * x[:, 0] ** 2 + 5
         model = Modeler().model(x, y, ("p",))
-        restored = model_from_dict(model_to_dict(model))
+        restored = decode(Model, encode(model))
         assert restored.parameters == model.parameters
         np.testing.assert_allclose(
             restored.predict(x), model.predict(x)
@@ -79,12 +87,12 @@ class TestModelRoundTrip:
         model = fit_constant(
             np.ones((3, 1)), np.array([4.0, 5.0, 6.0]), ("p",)
         )
-        restored = model_from_dict(model_to_dict(model))
+        restored = decode(Model, encode(model))
         assert restored.is_constant
         assert restored.predict_one({"p": 100}) == pytest.approx(5.0)
 
     def test_metadata_preserved(self):
         model = fit_constant(np.ones((2, 1)), np.array([1.0, 1.0]), ("p",))
         model.metadata["prior"] = "constant"
-        restored = model_from_dict(model_to_dict(model))
+        restored = decode(Model, encode(model))
         assert restored.metadata == {"prior": "constant"}

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.codec import encode
 from repro.apps.synthetic import make_scaling_workload
 from repro.interp.runtime import NoLibraryRuntime, TableRuntime
-from repro.interp.vectorize import lane_signature, plan_unique_lanes
+from repro.interp.vectorize import lane_signature
 import repro.measure.parallel as parallel_mod
 from repro.measure import (
     ExperimentRunner,
@@ -29,9 +30,7 @@ from repro.measure import (
     config_key,
     full_factorial,
     full_plan,
-    measurements_to_dict,
     plan_lanes,
-    profile_to_dict,
     run_batch_configurations,
 )
 from repro.measure.experiment import RunSetup
@@ -40,13 +39,13 @@ from repro.mpisim.runtime import MPIConfig, MPIRuntime
 
 
 def canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def result_repr(result) -> tuple:
     return (
         result.key,
-        profile_to_dict(result.profile),
+        encode(result.profile),
         dict(result.calls),
         {name: list(values) for name, values in result.samples.items()},
     )
@@ -83,21 +82,6 @@ class TestLaneSignature:
         assert a != c
 
 
-class TestPlanUniqueLanes:
-    def test_duplicates_collapse(self):
-        args = [{"p": 2.0}, {"p": 3.0}, {"p": 2.0}, {"p": 3.0}, {"p": 2.0}]
-        representatives, slot_to_rep = plan_unique_lanes(args)
-        assert representatives == [0, 1]
-        assert slot_to_rep == [0, 1, 0, 1, 0]
-
-    def test_opaque_lane_never_shared(self):
-        blob = object()
-        args = [{"p": blob}, {"p": blob}]
-        representatives, slot_to_rep = plan_unique_lanes(args)
-        assert representatives == [0, 1]
-        assert slot_to_rep == [0, 1]
-
-
 class TestPlanLanes:
     def _setups(self, configs):
         workload = make_scaling_workload()
@@ -132,6 +116,16 @@ class TestPlanLanes:
         reps, slot_to_rep, _ = plan_lanes([setups[0], split])
         assert reps == [0, 1]
         assert slot_to_rep == [0, 1]
+
+    def test_opaque_lane_never_shared(self):
+        # Args without a lane signature (an opaque object) never share
+        # a lane, not even with an identical setup.
+        blob = object()
+        setups = [RunSetup(args={"p": blob}), RunSetup(args={"p": blob})]
+        reps, slot_to_rep, stats = plan_lanes(setups)
+        assert reps == [0, 1]
+        assert slot_to_rep == [0, 1]
+        assert stats.executed == 2
 
 
 class TestDedupBitIdentity:

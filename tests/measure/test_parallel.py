@@ -28,6 +28,7 @@ from repro.apps.synthetic import (
     build_multiplicative_example,
     make_scaling_workload,
 )
+from repro.codec import decode, encode
 from repro.errors import DesignError
 from repro.interp.config import DEFAULT_CONFIG
 from repro.libdb import MPI_DATABASE
@@ -35,16 +36,13 @@ from repro.measure import (
     ExperimentRunner,
     GaussianNoise,
     WorkloadSpec,
-    config_run_result_from_dict,
-    config_run_result_to_dict,
     full_factorial,
     full_plan,
-    measurements_to_dict,
-    profile_from_dict,
-    profile_to_dict,
     spec_of,
 )
+from repro.measure.experiment import ConfigRunResult
 from repro.measure.parallel import _ChunkTask, _run_chunk_task
+from repro.measure.profiler import ProfileResult
 from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.mpisim.network import DEFAULT_NETWORK
 from repro.store import RUNS_NAMESPACE, LocalStore
@@ -52,7 +50,7 @@ from repro.store import RUNS_NAMESPACE, LocalStore
 
 def canonical(measurements) -> str:
     """Byte-exact canonical form of a measurements container."""
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 BUILDERS = {
@@ -156,8 +154,8 @@ def assert_measured_once(result, reference, repetitions):
     *repetitions* samples per (function, key): each point measured once."""
     (measurements, profiles), (m_ref, p_ref) = result, reference
     assert canonical(measurements) == canonical(m_ref)
-    assert {k: profile_to_dict(v) for k, v in profiles.items()} == {
-        k: profile_to_dict(v) for k, v in p_ref.items()
+    assert {k: encode(v) for k, v in profiles.items()} == {
+        k: encode(v) for k, v in p_ref.items()
     }
     assert measurements.configs() == [(2.0, 3.0), (4.0, 3.0)]
     for per_key in measurements.data.values():
@@ -308,14 +306,14 @@ class TestRunCache:
             ExperimentRunner.__dataclass_fields__["noise"].default_factory(),
             LogQuadraticContention(), 3, 0, (2.0, 3.0),
         )
-        back = config_run_result_from_dict(config_run_result_to_dict(result))
+        back = decode(ConfigRunResult, encode(result))
         assert back.key == result.key
         assert back.samples == result.samples
         assert back.calls == result.calls
-        assert profile_to_dict(back.profile) == profile_to_dict(result.profile)
-        assert profile_to_dict(
-            profile_from_dict(profile_to_dict(result.profile))
-        ) == profile_to_dict(result.profile)
+        assert encode(back.profile) == encode(result.profile)
+        assert encode(
+            decode(ProfileResult, encode(result.profile))
+        ) == encode(result.profile)
 
     def test_cache_len_and_contains(self, tmp_path):
         store = LocalStore(tmp_path / "c")

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_foo_example
 from repro.errors import ArtifactError
 from repro.measure import cached_runs, full_plan, store_run
 from repro.measure.experiment import run_configuration
-from repro.measure.io import config_run_result_to_dict
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
 from repro.store import (
@@ -68,7 +68,7 @@ def test_run_cache_reads_indented_entry(tmp_path):
     _reindent(tmp_path / RUNS_NAMESPACE / "fp.json")
     hit = cached_runs(store, ["fp"])["fp"]
     assert hit.cached
-    assert config_run_result_to_dict(hit) == config_run_result_to_dict(
+    assert encode(hit) == encode(
         result
     )
 

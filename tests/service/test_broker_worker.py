@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.codec import encode
 from repro.apps.synthetic import (
     SyntheticWorkload,
     build_additive_example,
@@ -27,8 +28,6 @@ from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
-    profile_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import LogQuadraticContention, NoContention
@@ -42,7 +41,7 @@ from repro.service import (
 
 
 def canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 BUILDERS = {
@@ -244,8 +243,8 @@ class TestBitIdentity:
             workload, design, plan, engine=engine, **kw
         )
         assert canonical(distributed) == canonical(reference)
-        assert {k: profile_to_dict(v) for k, v in profiles.items()} == {
-            k: profile_to_dict(v) for k, v in reference_profiles.items()
+        assert {k: encode(v) for k, v in profiles.items()} == {
+            k: encode(v) for k, v in reference_profiles.items()
         }
         for per_key in distributed.data.values():
             assert {len(v) for v in per_key.values()} == {3}

@@ -1,4 +1,4 @@
-"""Wire protocol: envelopes, the marked codec, workload spec round trips.
+"""Wire protocol: envelopes, the marked form, typed body round trips.
 
 Every value the campaign service ships between processes must survive a
 JSON round trip *exactly* — the service's bit-identity guarantee starts
@@ -21,7 +21,8 @@ from repro.apps.synthetic import (
     build_foo_example,
     make_scaling_workload,
 )
-from repro.errors import ProtocolVersionMismatch, ServiceError
+from repro.codec import decode, encode
+from repro.errors import ArtifactError, ProtocolVersionMismatch, ServiceError
 from repro.interp.config import ExecConfig
 from repro.measure.instrumentation import (
     InstrumentationMode,
@@ -29,26 +30,26 @@ from repro.measure.instrumentation import (
 )
 from repro.measure.io import program_hash
 from repro.measure.noise import GaussianNoise
-from repro.measure.parallel import spec_of, workload_repr
+from repro.measure.parallel import WorkloadSpec, spec_of, workload_repr
 from repro.mpisim.contention import LogQuadraticContention
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    configs_from_wire,
-    configs_to_wire,
+    Configs,
+    MeasureTask,
     envelope,
-    from_wire,
-    measure_task_from_wire,
-    measure_task_to_wire,
     open_envelope,
-    to_wire,
-    workload_spec_from_wire,
-    workload_spec_to_wire,
 )
 
 
-def wire_trip(value):
-    """Encode, push through real JSON, decode."""
-    return from_wire(json.loads(json.dumps(to_wire(value))))
+def wire_trip(value, cls=object):
+    """Encode as *cls*, push through real JSON, decode."""
+    return decode(cls, json.loads(json.dumps(encode(value, cls))))
+
+
+def measure_task(workload, plan, noise, contention, repetitions, seed, engine):
+    return MeasureTask(
+        spec_of(workload), plan, noise, contention, repetitions, seed, engine
+    )
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +87,7 @@ class TestEnvelope:
 
 
 # ----------------------------------------------------------------------
-# the marked value codec
+# the marked form of untyped values
 
 
 class TestCodec:
@@ -155,24 +156,24 @@ class TestCodec:
         def local():  # pragma: no cover - never called
             pass
 
-        with pytest.raises(ServiceError, match="module scope"):
-            to_wire(local)
+        with pytest.raises(ArtifactError, match="module scope"):
+            encode(local, object)
 
     def test_unresolvable_ref_names_module(self):
-        with pytest.raises(ServiceError, match="no_such_module"):
-            from_wire({"__kind__": "ref", "ref": "no_such_module:thing"})
+        with pytest.raises(ArtifactError, match="no_such_module"):
+            decode(object, {"__kind__": "ref", "ref": "no_such_module:thing"})
 
     def test_missing_attribute_named(self):
-        with pytest.raises(ServiceError, match="no attribute"):
-            from_wire({"__kind__": "ref", "ref": "json:not_a_thing"})
+        with pytest.raises(ArtifactError, match="no attribute"):
+            decode(object, {"__kind__": "ref", "ref": "json:not_a_thing"})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ServiceError, match="unknown wire value kind"):
-            from_wire({"__kind__": "flux-capacitor"})
+        with pytest.raises(ArtifactError, match="unknown value kind"):
+            decode(object, {"__kind__": "flux-capacitor"})
 
     def test_unencodable_object_rejected(self):
-        with pytest.raises(ServiceError, match="cannot encode"):
-            to_wire(object())
+        with pytest.raises(ArtifactError, match="cannot encode"):
+            encode(object(), object)
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +195,8 @@ class TestWorkloadSpec:
     def test_round_trip_rebuilds_identical_workload(self, name):
         workload = WORKLOADS[name]()
         spec = spec_of(workload)
-        payload = json.loads(json.dumps(workload_spec_to_wire(spec)))
-        rebuilt = workload_spec_from_wire(payload).build()
+        payload = json.loads(json.dumps(encode(spec)))
+        rebuilt = decode(WorkloadSpec, payload).build()
         # Identity is what the cache fingerprints see: same program
         # content, same workload repr (defaults, network, exec config).
         assert workload_repr(rebuilt) == workload_repr(workload)
@@ -204,10 +205,10 @@ class TestWorkloadSpec:
         )
 
     def test_factory_must_resolve_to_callable(self):
-        payload = workload_spec_to_wire(spec_of(LuleshWorkload()))
-        payload["factory"] = to_wire("not-a-callable")
-        with pytest.raises(ServiceError, match="callable"):
-            workload_spec_from_wire(payload)
+        payload = encode(spec_of(LuleshWorkload()))
+        payload["factory"] = encode("not-a-callable", object)
+        with pytest.raises(ArtifactError, match="factory: .*callable"):
+            decode(WorkloadSpec, payload)
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +221,10 @@ class TestMeasureTask:
         plan = full_plan(workload.program())
         noise = GaussianNoise(relative_sigma=0.03)
         contention = LogQuadraticContention(beta=0.05)
-        wire = measure_task_to_wire(
-            workload, plan, noise, contention, 4, 11, "tree"
+        wire = encode(
+            measure_task(workload, plan, noise, contention, 4, 11, "tree")
         )
-        task = measure_task_from_wire(json.loads(json.dumps(wire)))
+        task = decode(MeasureTask, json.loads(json.dumps(wire)))
         assert task.plan == plan
         assert isinstance(task.plan.mode, InstrumentationMode)
         assert task.noise == noise
@@ -235,22 +236,22 @@ class TestMeasureTask:
     def test_bad_plan_rejected(self):
         workload = LuleshWorkload()
         plan = full_plan(workload.program())
-        wire = measure_task_to_wire(
-            workload, plan, GaussianNoise(), LogQuadraticContention(), 1, 0,
-            "tree",
+        wire = encode(
+            measure_task(
+                workload, plan, GaussianNoise(), LogQuadraticContention(), 1,
+                0, "tree",
+            )
         )
-        wire["plan"] = to_wire("nonsense")
-        with pytest.raises(ServiceError, match="InstrumentationPlan"):
-            measure_task_from_wire(wire)
+        wire["plan"] = "nonsense"
+        with pytest.raises(ArtifactError, match="MeasureTask payload at plan"):
+            decode(MeasureTask, wire)
 
     def test_configs_round_trip_preserves_floats(self):
         configs = [
             {"p": 27.0, "size": 0.1},
             {"p": 2.0 / 3.0, "size": 1e-12},
         ]
-        result = configs_from_wire(
-            json.loads(json.dumps(configs_to_wire(configs)))
-        )
+        result = wire_trip(configs, Configs)
         assert result == configs
 
 

@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_additive_example
 from repro.errors import (
     ProtocolVersionMismatch,
@@ -40,7 +41,6 @@ from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
@@ -66,7 +66,7 @@ SPEC = {
 
 
 def canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def make_workload() -> SyntheticWorkload:

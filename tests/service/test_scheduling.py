@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.codec import encode
 from repro.apps.synthetic import (
     SyntheticWorkload,
     build_additive_example,
@@ -23,7 +24,6 @@ from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
@@ -37,7 +37,7 @@ from repro.service.worker import FAULT_ENV, SLOW_ENV
 
 
 def canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def make_workload() -> SyntheticWorkload:

@@ -12,9 +12,10 @@ import threading
 
 import pytest
 
+from repro.codec import encode
 from repro.core.stages import STAGES, Campaign
 from repro.errors import ServiceError
-from repro.measure import cached_runs, measurements_to_dict, store_run
+from repro.measure import cached_runs, store_run
 from repro.service import (
     HttpBrokerTransport,
     RemoteStore,
@@ -99,10 +100,10 @@ class TestCampaignLifecycle:
             artifact = client.artifact(first_id, "measure")
             assert artifact["stage"] == "measure"
             assert artifact["fingerprint"] == first["fingerprints"]["measure"]
-            wire_measure = artifact["payload"]["measurements"]
+            wire_measure = artifact["payload"][0]  # [measurements, profiles]
             assert wire_measure == json.loads(
                 json.dumps(
-                    measurements_to_dict(local_result.measurements)
+                    encode(local_result.measurements)
                 )
             )
         finally:

@@ -14,13 +14,13 @@ import sys
 import threading
 import time
 
+from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_additive_example
 from repro.core.stages import STAGES
 from repro.measure import (
     ExperimentRunner,
     full_factorial,
     full_plan,
-    measurements_to_dict,
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
@@ -45,7 +45,7 @@ def wait_for(predicate, timeout=120.0, poll=0.02):
 
 
 def canonical(measurements) -> str:
-    return json.dumps(measurements_to_dict(measurements), sort_keys=True)
+    return json.dumps(encode(measurements), sort_keys=True)
 
 
 def test_finished_campaigns_are_released(tmp_path):

@@ -4,7 +4,7 @@ The oracle below is the calculus as first written: a :class:`FoldVolume`
 re-merges and re-sorts the whole running sum on every ``+``, and
 :class:`FoldAnalyzer` walks every function twice, once for the exclusive
 and once for the inclusive volumes.  :func:`repro.volume.compute_volumes`
-must produce the same JSON bytes (:func:`volume_report_to_dict`): the same
+must produce the same JSON bytes (:func:`repro.codec.encode`): the same
 coefficients, down to the last bit, in the same factor and term order.
 Its warnings are the oracle's with duplicates removed, since the oracle
 warns about an unexecuted loop once per pass (and per re-walk).  Both
@@ -31,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import encode
 from repro.apps.synthetic import (
     build_additive_example,
     build_algorithm_selection_example,
@@ -38,7 +39,6 @@ from repro.apps.synthetic import (
     build_foo_example,
     build_multiplicative_example,
 )
-from repro.core.artifacts import volume_report_to_dict
 from repro.ir import ProgramBuilder, add, call, lt, var
 from repro.ir.callgraph import build_callgraph
 from repro.ir.expr import Call
@@ -189,7 +189,7 @@ class FoldAnalyzer:
 
 
 def report_bytes(report: VolumeReport) -> str:
-    return json.dumps(volume_report_to_dict(report))
+    return json.dumps(encode(report))
 
 
 def assert_same_volumes(program, taint: TaintReport) -> VolumeReport:
