@@ -30,6 +30,7 @@ bit-identity assertions always apply.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from repro.measure import (
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
-from repro.service import BrokerScheduler, serve
+from repro.service import serve
 
 from conftest import report
 
@@ -117,13 +118,19 @@ def _mixed_fleet_specs(**extra) -> list[dict]:
 
 
 def _run_distributed(broker, workload, design, plan, kw, timeout=600.0):
-    scheduler = BrokerScheduler(broker, timeout=timeout)
-    started = time.perf_counter()
-    measurements, _ = scheduler.run_measure(
-        workload, design, plan, engine="vectorized", **kw
+    """Time the runner on *design* with *broker* as its executor."""
+    runner = ExperimentRunner(
+        workload=workload,
+        plan=plan,
+        engine="vectorized",
+        cache_dir=broker.store,
+        scheduler=functools.partial(broker.run_plan, timeout=timeout),
+        **kw,
     )
+    started = time.perf_counter()
+    measurements, _ = runner.run(design)
     elapsed = time.perf_counter() - started
-    return elapsed, measurements, scheduler
+    return elapsed, measurements, runner
 
 
 def test_sched_throughput(tmp_path):
@@ -175,11 +182,11 @@ def test_sched_throughput(tmp_path):
             _run_distributed(
                 httpd.service.broker, workload, warmup, plan, kw
             )
-            elapsed, measurements, scheduler = _run_distributed(
+            elapsed, measurements, runner = _run_distributed(
                 httpd.service.broker, workload, design, plan, kw
             )
             assert _canonical(measurements) == reference
-            assert scheduler.last_stats.executed == len(design)
+            assert runner.last_stats.executed == len(design)
             results[mode] = elapsed
         finally:
             _stop_fleet(fleet)
@@ -208,12 +215,12 @@ def test_sched_throughput(tmp_path):
     )
     try:
         time.sleep(1.0)
-        _, faulted, scheduler = _run_distributed(
+        _, faulted, runner = _run_distributed(
             httpd.service.broker, fault_workload, design, fault_plan, kw
         )
         faults_identical = _canonical(faulted) == _canonical(fault_serial)
         assert faults_identical
-        assert scheduler.last_stats.executed == len(design)
+        assert runner.last_stats.executed == len(design)
     finally:
         _stop_fleet(fleet)
         httpd.shutdown()

@@ -8,8 +8,8 @@ ephemeral port, attaches four ``python -m repro worker`` subprocesses
 sweep twice:
 
 * serial — ``ExperimentRunner.run(design)`` in this process;
-* distributed — ``BrokerScheduler.run_measure(...)`` through the
-  broker, every byte crossing a real socket.
+* distributed — ``ExperimentRunner.run(design)`` with the broker's
+  ``run_plan`` as its executor, every byte crossing a real socket.
 
 The sweep uses ``ExecConfig(fast_loops=False)`` so each configuration
 carries real interpreter work (~1 s) rather than being dominated by
@@ -53,7 +53,7 @@ from repro.measure import (
 )
 from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
-from repro.service import BrokerScheduler, serve
+from repro.service import serve
 
 from conftest import report
 
@@ -90,6 +90,19 @@ def _spawn_workers(url: str, n: int) -> list[subprocess.Popen]:
     ]
 
 
+def _fleet_runner(broker, workload, plan, **kw) -> ExperimentRunner:
+    """The measure runner with *broker* as its executor, probing the
+    store the broker publishes to."""
+    return ExperimentRunner(
+        workload=workload,
+        plan=plan,
+        engine="tree",
+        cache_dir=broker.store,
+        scheduler=broker.run_plan,
+        **kw,
+    )
+
+
 def test_service_throughput(tmp_path):
     min_speedup = float(
         os.environ.get("REPRO_BENCH_SERVICE_MIN_SPEEDUP", "2.0")
@@ -116,15 +129,15 @@ def test_service_throughput(tmp_path):
         # the benchmark times steady-state throughput, not Python
         # start-up or first-lease code paths.
         time.sleep(1.0)
-        BrokerScheduler(httpd.service.broker).run_measure(
-            workload,
-            full_factorial({"p": [8.0, 27.0, 64.0, 125.0], "size": [4.0]}),
-            plan,
+        broker = httpd.service.broker
+        kw = dict(
             noise=noise,
             contention=contention,
             repetitions=repetitions,
             seed=0,
-            engine="tree",
+        )
+        _fleet_runner(broker, workload, plan, **kw).run(
+            full_factorial({"p": [8.0, 27.0, 64.0, 125.0], "size": [4.0]})
         )
 
         started = time.perf_counter()
@@ -138,21 +151,12 @@ def test_service_throughput(tmp_path):
         ).run(design)
         serial_time = time.perf_counter() - started
 
-        scheduler = BrokerScheduler(httpd.service.broker)
+        runner = _fleet_runner(broker, workload, plan, **kw)
         started = time.perf_counter()
-        m_dist, p_dist = scheduler.run_measure(
-            workload,
-            design,
-            plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=0,
-            engine="tree",
-        )
+        m_dist, p_dist = runner.run(design)
         distributed_time = time.perf_counter() - started
         speedup = serial_time / distributed_time
-        executed = scheduler.last_stats.executed
+        executed = runner.last_stats.executed
 
         # Distribution must not move a single bit: same samples, same
         # per-configuration profiles, regardless of which worker ran
@@ -168,18 +172,9 @@ def test_service_throughput(tmp_path):
 
         # The shared run store makes repeats free fleet-wide: a second
         # identical submission executes nothing.
-        warm = BrokerScheduler(httpd.service.broker)
+        warm = _fleet_runner(broker, workload, plan, **kw)
         started = time.perf_counter()
-        m_warm, _ = warm.run_measure(
-            workload,
-            design,
-            plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=0,
-            engine="tree",
-        )
+        m_warm, _ = warm.run(design)
         warm_time = time.perf_counter() - started
         assert warm.last_stats.executed == 0
         assert warm.last_stats.cached == len(design)

@@ -28,7 +28,6 @@ from .core.pipeline import PerfTaintPipeline, PerfTaintResult
 from .core.stages import (
     STAGES,
     Campaign,
-    MeasureScheduler,
     Stage,
     run_classify_stage,
     run_design_stage,
@@ -52,7 +51,6 @@ from .errors import (
 )
 from .service import (
     Broker,
-    BrokerScheduler,
     CampaignService,
     RemoteStore,
     ServiceClient,
@@ -97,7 +95,6 @@ __all__ = [
     "AnalysisDomain",
     "ArtifactError",
     "Broker",
-    "BrokerScheduler",
     "CONTENTION_REGISTRY",
     "Campaign",
     "CampaignService",
@@ -108,7 +105,6 @@ __all__ = [
     "LeaseTimeout",
     "LocalStore",
     "MODEL_BACKEND_REGISTRY",
-    "MeasureScheduler",
     "Modeler",
     "ModelSearchBackend",
     "NOISE_REGISTRY",

@@ -381,45 +381,6 @@ def cmd_segments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec_file(path: str) -> dict:
-    """Load a campaign spec mapping from a TOML (or JSON) file."""
-    import json
-    import pathlib
-
-    if pathlib.Path(path).suffix.lower() == ".json":
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read spec file '{path}': {exc}")
-        except ValueError as exc:
-            raise SystemExit(
-                f"error: spec file '{path}' is not valid JSON: {exc}"
-            )
-    else:
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python < 3.11
-            raise SystemExit(
-                "error: reading TOML specs needs Python >= 3.11; "
-                "submit a JSON spec instead"
-            ) from None
-        try:
-            with open(path, "rb") as handle:
-                data = tomllib.load(handle)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot read spec file '{path}': {exc}")
-        except tomllib.TOMLDecodeError as exc:
-            raise SystemExit(
-                f"error: spec file '{path}' is not valid TOML: {exc}"
-            )
-    if not isinstance(data, dict):
-        raise SystemExit(
-            f"error: spec file '{path}' must contain a mapping"
-        )
-    return data
-
-
 def _print_campaign_status(status: dict) -> None:
     print(f"campaign {status.get('id')}: {status.get('state')}")
     if status.get("recovered"):
@@ -531,7 +492,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_submit(args: argparse.Namespace) -> int:
     from .service import ServiceClient
 
-    spec = _load_spec_file(args.spec)
+    spec = Campaign.read_spec(args.spec)
     client = ServiceClient(args.server)
     campaign_id = client.submit(spec)
     print(f"submitted campaign {campaign_id} to {args.server}")
@@ -702,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
-        help="run a declarative campaign spec (TOML) with resumable "
+        help="run a declarative campaign spec (TOML/JSON) with resumable "
         "stage artifacts",
     )
     p.add_argument("spec", help="path to a campaign spec file")

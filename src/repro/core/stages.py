@@ -19,14 +19,18 @@ anything.
 
 The stage *computations* are module-level functions shared with
 :class:`~repro.core.pipeline.PerfTaintPipeline` (now a thin wrapper over
-``Campaign``), so both entry points produce bit-identical results.
+``Campaign``), so both entry points produce bit-identical results.  The
+measure stage is planned and merged by the one
+:class:`~repro.measure.parallel.ExperimentRunner`; ``Campaign.scheduler``
+only says who runs its chunks (in process, or the campaign service's
+broker), so it is not part of any fingerprint.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..codec import decode, encode
 from ..errors import ArtifactError, CampaignSpecError, PipelineError
@@ -44,7 +48,7 @@ from ..measure.instrumentation import (
 )
 from ..measure.io import program_hash
 from ..measure.noise import GaussianNoise, NoiseModel
-from ..measure.parallel import ExperimentRunner, workload_repr
+from ..measure.parallel import ExperimentRunner, MeasurePlan, workload_repr
 from ..measure.profiler import ProfileResult
 from ..modeling.modeler import Modeler
 from ..mpisim.contention import ContentionModel, NoContention
@@ -175,33 +179,6 @@ def run_plan_stage(
     return taint_filter_plan(program, taint, static)
 
 
-class MeasureScheduler(Protocol):
-    """Pluggable executor for the measure stage.
-
-    Anything with this surface can run a campaign's measure stage — the
-    campaign-service :class:`~repro.service.broker.BrokerScheduler`
-    leases the design out to remote workers through it.  Implementations
-    MUST be bit-identical to the built-in runner (noise streams derived
-    purely from ``(seed, function, configuration key, repetition)``,
-    results merged in canonical design order): the scheduler is
-    deliberately **not** part of the measure stage's fingerprint, so
-    local and distributed runs share cache and workspace entries.
-    """
-
-    def run_measure(
-        self,
-        workload: Workload,
-        design: Sequence[Mapping[str, float]],
-        plan: InstrumentationPlan,
-        *,
-        noise: NoiseModel,
-        contention: ContentionModel,
-        repetitions: int,
-        seed: int,
-        engine: str,
-    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]: ...
-
-
 def run_measure_stage(
     workload: Workload,
     design: Sequence[Mapping[str, float]],
@@ -212,37 +189,28 @@ def run_measure_stage(
     repetitions: int,
     seed: int,
     n_jobs: int = 1,
-    cache_dir: "str | None" = None,
+    cache_dir: "str | LocalStore | None" = None,
     engine: str = DEFAULT_MEASUREMENT_ENGINE,
-    scheduler: "MeasureScheduler | None" = None,
+    scheduler: "Callable[[MeasurePlan], None] | None" = None,
     telemetry: "dict | None" = None,
 ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
     """Run the instrumented experiments.
 
-    An explicit *scheduler* takes the whole stage (distributed
-    campaigns).  Otherwise the one
-    :class:`~repro.measure.parallel.ExperimentRunner` runs it on
-    *engine*: a batch-capable engine (``supports_batch`` registry
-    metadata; the default ``vectorized`` is one) as one tensor pass per
-    chunk, a scalar engine (the tree-walker ``tree``) one configuration
-    at a time, on ``n_jobs`` processes and with an optional run cache.
-    Every engine produces bit-identical measurements.
+    The one :class:`~repro.measure.parallel.ExperimentRunner` plans the
+    design against the run store *cache_dir* and merges it; its chunks
+    run on *engine* — a batch-capable engine (``supports_batch``
+    registry metadata; the default ``vectorized`` is one) as one tensor
+    pass per chunk, a scalar engine (the tree-walker ``tree``) one
+    configuration at a time — inline, on ``n_jobs`` processes, or
+    wherever *scheduler* sends them (the campaign service's
+    ``Broker.run_plan``).  Every engine and executor produces
+    bit-identical measurements.
 
     A *telemetry* dict, when given, is filled in place with execution
-    accounting (the runner's lane plan under ``"lanes"``).  Telemetry
-    never enters any stage fingerprint.
+    accounting: the runner's lane plan under ``"lanes"``, where its
+    results came from under ``"runs"``.  Telemetry never enters any
+    stage fingerprint.
     """
-    if scheduler is not None:
-        return scheduler.run_measure(
-            workload,
-            design,
-            plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            engine=engine,
-        )
     runner = ExperimentRunner(
         workload=workload,
         plan=plan,
@@ -253,6 +221,7 @@ def run_measure_stage(
         engine=engine,
         n_jobs=n_jobs,
         cache_dir=cache_dir,
+        scheduler=scheduler,
     )
     value = runner.run(design)
     if telemetry is not None:
@@ -262,6 +231,8 @@ def run_measure_stage(
             "executed": lanes.executed,
             "deduped": lanes.deduped,
         }
+        runs = runner.last_stats
+        telemetry["runs"] = {"executed": runs.executed, "cached": runs.cached}
     return value
 
 
@@ -524,8 +495,9 @@ class Campaign:
     repetitions: int = 5
     seed: int = 0
     n_jobs: int = 1
-    #: Per-configuration run-cache directory (below stage granularity).
-    cache_dir: "str | None" = None
+    #: Per-configuration run store (below stage granularity): a
+    #: directory or a :class:`~repro.store.LocalStore`.
+    cache_dir: "str | LocalStore | None" = None
     engine: str = DEFAULT_MEASUREMENT_ENGINE
     #: Model-search backend for the model stage (``loop`` | ``batched``);
     #: None keeps the modeler's own (``batched`` by default).
@@ -536,12 +508,14 @@ class Campaign:
     #: or :class:`~repro.service.remote_store.RemoteStore`) or a directory
     #: opened as a ``LocalStore``; None disables persistence and resume.
     workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None
-    #: Measure-stage executor override (e.g. the campaign service's
-    #: ``BrokerScheduler``); None runs the built-in runner.
-    #: Schedulers are bit-identical by contract, so this field is not
-    #: part of any stage fingerprint — local and distributed campaigns
-    #: share cache and workspace entries.
-    scheduler: "MeasureScheduler | None" = None
+    #: Who runs the measure stage's chunks: None runs them in process
+    #: (inline or on ``n_jobs`` processes); on a campaign server it is
+    #: the broker's ``run_plan``, which leases the runner's plan to
+    #: workers and publishes to the store given as ``cache_dir``.  Every
+    #: executor is bit-identical, so this field is not part of any stage
+    #: fingerprint — local and distributed campaigns share cache and
+    #: workspace entries.
+    scheduler: "Callable[[MeasurePlan], None] | None" = None
 
     def __post_init__(self) -> None:
         if isinstance(self.mode, str):
@@ -828,31 +802,50 @@ class Campaign:
         path: "str | pathlib.Path",
         workspace: "LocalStore | RemoteStore | str | pathlib.Path | None" = None,
     ) -> "Campaign":
-        """Build a campaign from a TOML spec file (see :meth:`from_spec`)."""
-        try:
-            import tomllib
-        except ModuleNotFoundError:  # Python < 3.11
-            try:
-                import tomli as tomllib
-            except ModuleNotFoundError:
-                raise CampaignSpecError(
-                    "reading TOML specs needs Python >= 3.11 (stdlib "
-                    "tomllib) or the 'tomli' package; alternatively parse "
-                    "the file yourself and call Campaign.from_spec()"
-                ) from None
+        """Build a campaign from a spec file (see :meth:`read_spec` and
+        :meth:`from_spec`)."""
+        return cls.from_spec(cls.read_spec(path), workspace=workspace)
 
+    @staticmethod
+    def read_spec(path: "str | pathlib.Path") -> dict:
+        """The spec mapping in a TOML file, or in a JSON file when its
+        name ends in ``.json``; every failure is a
+        :class:`~repro.errors.CampaignSpecError`."""
+        if pathlib.Path(path).suffix.lower() == ".json":
+            import json
+
+            load, kind, invalid = json.load, "JSON", ValueError
+        else:
+            try:
+                import tomllib
+            except ModuleNotFoundError:  # Python < 3.11
+                try:
+                    import tomli as tomllib
+                except ModuleNotFoundError:
+                    raise CampaignSpecError(
+                        "reading TOML specs needs Python >= 3.11 (stdlib "
+                        "tomllib) or the 'tomli' package; alternatively "
+                        "write the spec as JSON"
+                    ) from None
+            load, kind = tomllib.load, "TOML"
+            invalid = tomllib.TOMLDecodeError
         try:
             with open(path, "rb") as handle:
-                data = tomllib.load(handle)
+                data = load(handle)
         except OSError as exc:
             raise CampaignSpecError(
                 f"cannot read spec file {str(path)!r}: {exc}"
             ) from exc
-        except tomllib.TOMLDecodeError as exc:
+        except invalid as exc:
             raise CampaignSpecError(
-                f"spec file {str(path)!r} is not valid TOML: {exc}"
+                f"spec file {str(path)!r} is not valid {kind}: {exc}"
             ) from exc
-        return cls.from_spec(data, workspace=workspace)
+        if not isinstance(data, dict):
+            raise CampaignSpecError(
+                f"spec file {str(path)!r} must contain a mapping, got "
+                f"{type(data).__name__}"
+            )
+        return data
 
 
 def _spec_int(

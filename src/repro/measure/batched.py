@@ -10,8 +10,10 @@ the chunk is sampled through :func:`~repro.measure.noise.perturb_block`
 — the vectorized twin of the scalar ``rng_for`` derivation.
 
 :func:`run_chunk` is the one chunk executor of the measure path: the
-runner's inline path, its pool workers and the service worker all call
-it, on chunks cut by :func:`batch_chunks` (batch engines) or one
+runner's inline executor calls it directly, and the process pool and
+the campaign service's workers through
+:func:`~repro.measure.parallel.run_task`, on chunks cut from the
+runner's :func:`batch_chunks` groups (batch engines) or one
 configuration wide (scalar engines).
 
 Bit-identity contract: for any chunking the results equal
@@ -44,10 +46,11 @@ def batch_chunks(
     Each such group is one chunk, or, with an ``n_jobs`` hint, splits
     into ``min(n_jobs, len)`` balanced chunks (sizes differing by at
     most one, so no worker idles on an uneven split; ``None`` counts as
-    1).  Shared by :class:`~repro.measure.parallel.ExperimentRunner` and
-    the campaign-service broker, whose leases are cut from these groups
-    — so a lease handed to a batch-capable worker is always executable
-    as one tensor pass.
+    1).  :class:`~repro.measure.parallel.ExperimentRunner` plans with
+    the whole groups; its process pool splits them across ``n_jobs``,
+    and the campaign-service broker cuts its leases from them — so a
+    lease handed to a batch-capable worker is always executable as one
+    tensor pass.
     """
     groups: list[tuple[tuple, list[int]]] = []
     for index in pending:

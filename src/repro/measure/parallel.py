@@ -1,41 +1,59 @@
-"""The measure runner: plan a design, execute its chunks, merge.
+"""The measure runner: one plan, three executors, one merge.
 
 The paper's measurement campaigns are embarrassingly parallel: every
 configuration of the design is an independent profiled run (benchbuild
 structures its experiments the same way — independent, cacheable jobs
-fanned out over workers).  :class:`ExperimentRunner` is the one runner
-for every engine.  It plans the design once (configuration keys,
-setups, the run-cache probe, repeated points dropped), cuts the pending
-configurations into chunks — :func:`~repro.measure.batched.batch_chunks`
-groups for a batch-capable engine, one configuration per chunk for a
-scalar one — executes each chunk with
-:func:`~repro.measure.batched.run_chunk`, inline or on a
-``concurrent.futures`` process pool, and merges **in canonical design
-order** (:func:`~repro.measure.experiment.merge_results_dense`).  Every
-noise sample is drawn from a purely key-derived RNG stream
-(:func:`~repro.measure.noise.rng_for`), so the measurements are
-bit-identical for every engine, worker count and completion order.
+fanned out over workers).  :class:`ExperimentRunner` is the one measure
+planner for every engine and every executor.
+:meth:`ExperimentRunner.prepare` plans a design once into a
+:class:`MeasurePlan`: configuration keys and setups (a repeated design
+point kept at its first occurrence), the run fingerprints whenever a
+store or a scheduler is attached, the one ``has_many`` probe of the run
+store (:func:`~repro.measure.io.cached_runs`), the pending
+configurations in their :func:`~repro.measure.batched.batch_chunks`
+groups, and the lane accounting.  One of three executors runs the
+pending chunks:
 
-Pool workers do not unpickle live
+* inline (``n_jobs == 1``): each chunk — a group on a batch engine,
+  one configuration on a scalar one — through
+  :func:`~repro.measure.batched.run_chunk`, in this process;
+* the process pool (``n_jobs > 1``): a batch engine's groups split
+  evenly across ``n_jobs``, each chunk shipped as its
+  :class:`MeasureTask` plus its configurations to :func:`run_task`;
+* a *scheduler*: the campaign service's
+  :meth:`~repro.service.broker.Broker.run_plan` leases the groups to
+  remote workers, which run each lease through :func:`run_task` too.
+
+Every executor publishes each result to the run store as its chunk
+lands, so an interrupted run keeps what it finished.  Only the runner
+merges, **in canonical design order**
+(:func:`~repro.measure.experiment.merge_results_dense`).  Every noise
+sample is drawn from a purely key-derived RNG stream
+(:func:`~repro.measure.noise.rng_for`), so the measurements are
+bit-identical for every engine, executor, worker count and completion
+order.
+
+Pool processes and service workers do not unpickle live
 :class:`~repro.measure.experiment.Workload` objects (those may hold
 caches, runtimes, and other process-local state); they rebuild the
 workload from a :class:`WorkloadSpec` — a picklable (factory, args,
-kwargs) triple — and memoize the built workload per process so the
-program is constructed once per worker, not once per chunk.
+kwargs) triple — and keep it in a bounded per-process memo, so the
+program is constructed once per process, not once per chunk.
 
-An optional ``cache_dir`` — a :class:`~repro.store.LocalStore`, probed
-with :func:`~repro.measure.io.cached_runs` — short-circuits
-configurations that were already measured with identical inputs (program
-content, configuration, instrumentation plan, execution config, noise
-model, seed, engine, ...), making repeated sweeps and benchmark reruns
-nearly free.
+The run store — ``cache_dir``, a :class:`~repro.store.LocalStore` —
+short-circuits configurations that were already measured with identical
+inputs (program content, configuration, instrumentation plan, execution
+config, noise model, seed, engine, ...), making repeated sweeps and
+benchmark reruns nearly free.
 """
 
 from __future__ import annotations
 
 import pathlib
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -51,6 +69,7 @@ from .experiment import (
     Measurements,
     RunSetup,
     Workload,
+    config_key,
     merge_results_dense,
     unique_configurations,
 )
@@ -119,13 +138,14 @@ def configuration_fingerprints(
     Each setup carries everything the workload derives from its
     configuration point (entry args, exec config, runtime/network
     parameters) — fingerprint the derived state, not just the point.
-    The runner and the campaign-service broker both key the ``runs``
-    namespace with this function, so a configuration measured by either
-    is a hit for both.  The engine enters by its registry identity
-    (name plus import path), as in the measure-stage fingerprint:
-    re-registering a name with another implementation misses the cache,
-    and an unregistered name raises :class:`~repro.errors.RegistryError`
-    here, before anything runs or is queued.
+    The runner keys the ``runs`` namespace with this function for every
+    executor, so a configuration measured in process, on the pool or by
+    the campaign service is a hit for all three.  The engine enters by
+    its registry identity (name plus import path), as in the
+    measure-stage fingerprint: re-registering a name with another
+    implementation misses the cache, and an unregistered name raises
+    :class:`~repro.errors.RegistryError` here, before anything runs or
+    is queued.
     """
     engine_identity = ENGINE_REGISTRY.identity(engine)
     digest = program_hash(program)
@@ -172,48 +192,69 @@ def spec_of(workload: Workload) -> WorkloadSpec:
     return WorkloadSpec(factory=_identity_workload, args=(workload,))
 
 
-# ----------------------------------------------------------------------
-# worker side
-
-#: Per-process memo of built workloads, keyed by the pickled spec: each
-#: worker constructs the program once and reuses it for every chunk it
-#: is handed.
-_WORKER_WORKLOADS: dict[bytes, Workload] = {}
-
-
-def _workload_for(spec_blob: bytes) -> Workload:
-    workload = _WORKER_WORKLOADS.get(spec_blob)
-    if workload is None:
-        workload = pickle.loads(spec_blob).build()
-        _WORKER_WORKLOADS[spec_blob] = workload
-    return workload
 
 
 @dataclass(frozen=True)
-class _ChunkTask:
-    """One chunk of the design, shipped to a pool worker."""
+class MeasureTask:
+    """Everything a worker needs to execute a chunk of one design.
 
-    indices: tuple[int, ...]
-    spec_blob: bytes
-    configs: tuple[tuple[tuple[str, float], ...], ...]
-    keys: tuple[ConfigKey, ...]
+    The one chunk task: the process pool pickles it together with each
+    chunk's configurations, and the campaign service encodes it
+    (:mod:`repro.codec`) into every lease of a measure job, whose
+    checkpoint key it enters.  Either way :func:`run_task` runs it.
+    """
+
+    workload_spec: WorkloadSpec
     plan: InstrumentationPlan
-    noise: NoiseModel
-    contention: ContentionModel
+    noise: object
+    contention: object
     repetitions: int
     seed: int
     engine: str
 
 
-def _run_chunk_task(
-    task: _ChunkTask,
-) -> tuple[tuple[int, ...], list[ConfigRunResult]]:
-    """Pool entry point: rebuild the workload, run one chunk."""
-    workload = _workload_for(task.spec_blob)
-    results = run_chunk(
+#: Built workloads a process keeps for reuse across chunks and jobs.
+WORKLOAD_MEMO_LIMIT = 4
+
+#: Built workloads keyed by their pickled spec, least recently used
+#: first: each is built once per process and reused by every chunk that
+#: names it, and the memo never outgrows ``WORKLOAD_MEMO_LIMIT`` however
+#: many jobs the process serves.
+_WORKLOAD_MEMO: "OrderedDict[bytes, Workload]" = OrderedDict()
+_WORKLOAD_MEMO_LOCK = threading.Lock()
+
+
+def _workload(spec: WorkloadSpec) -> Workload:
+    key = pickle.dumps(spec)
+    with _WORKLOAD_MEMO_LOCK:
+        workload = _WORKLOAD_MEMO.get(key)
+        if workload is not None:
+            _WORKLOAD_MEMO.move_to_end(key)
+            return workload
+    workload = spec.build()
+    with _WORKLOAD_MEMO_LOCK:
+        _WORKLOAD_MEMO[key] = workload
+        if len(_WORKLOAD_MEMO) > WORKLOAD_MEMO_LIMIT:
+            _WORKLOAD_MEMO.popitem(last=False)
+    return workload
+
+
+def run_task(
+    task: MeasureTask, configs: Sequence[Mapping[str, float]]
+) -> list[ConfigRunResult]:
+    """Run one chunk of *task*: its *configs*, in order.
+
+    The chunk executor of the process pool and of the campaign service's
+    workers: the workload comes from the task's spec (built once per
+    process, :data:`WORKLOAD_MEMO_LIMIT` kept), the chunk runs through
+    :func:`~repro.measure.batched.run_chunk`.
+    """
+    workload = _workload(task.workload_spec)
+    parameters = tuple(workload.parameters)
+    return run_chunk(
         workload.program(),
-        [workload.setup(dict(config)) for config in task.configs],
-        task.keys,
+        [workload.setup(dict(config)) for config in configs],
+        [config_key(parameters, config) for config in configs],
         task.plan,
         task.noise,
         task.contention,
@@ -221,11 +262,34 @@ def _run_chunk_task(
         task.seed,
         task.engine,
     )
-    return task.indices, results
 
 
-# ----------------------------------------------------------------------
-# driver side
+@dataclass
+class MeasurePlan:
+    """A design planned by :meth:`ExperimentRunner.prepare`.
+
+    ``results`` starts with the run store's hits; an executor fills the
+    pending slots — the indices in ``groups`` — as its chunks land.
+    ``groups`` are the pending configurations cut by
+    :func:`~repro.measure.batched.batch_chunks`: the lanes of one group
+    may share one tensor pass.
+    """
+
+    task: MeasureTask
+    configs: list[dict[str, float]]
+    keys: list[ConfigKey]
+    setups: list[RunSetup]
+    #: Run-store keys, one per configuration; None when neither a store
+    #: nor a scheduler is attached.
+    fingerprints: "list[str] | None"
+    results: "list[ConfigRunResult | None]"
+    groups: list[list[int]]
+    lanes: LaneStats
+
+    @property
+    def pending(self) -> list[int]:
+        """Design indices the executor must run, in design order."""
+        return [index for group in self.groups for index in group]
 
 
 @dataclass
@@ -244,14 +308,16 @@ class RunStats:
 class ExperimentRunner:
     """Runs a design against a workload under one instrumentation plan.
 
-    The one measure runner: any registered *engine* (default: the
+    The one measure planner: any registered *engine* (default: the
     tree-walker, the serial oracle), ``n_jobs`` worker processes
-    (``1`` executes inline: no pool, no pickling), and an optional run
-    cache under *cache_dir*.  For any design ``run()`` returns
-    bit-identical measurements for every engine and ``n_jobs``, because
-    per-sample RNG streams depend only on ``(seed, function,
-    configuration, repetition)`` and results merge in design order.  A
-    repeated design point is measured once, at its first occurrence
+    (``1`` executes inline: no pool, no pickling), an optional run store
+    *cache_dir* (a directory or a :class:`~repro.store.LocalStore`), and
+    an optional *scheduler* that runs the chunks instead.  For any
+    design ``run()`` returns bit-identical measurements for every engine
+    and executor, because per-sample RNG streams depend only on
+    ``(seed, function, configuration, repetition)`` and results merge in
+    design order.  A repeated design point is measured once, at its
+    first occurrence
     (:func:`~repro.measure.experiment.unique_configurations`).
     """
 
@@ -266,13 +332,21 @@ class ExperimentRunner:
     #: engine is never served to another.
     engine: str = ENGINE_TREE
     n_jobs: int = 1
-    cache_dir: str | pathlib.Path | None = None
+    cache_dir: "str | pathlib.Path | LocalStore | None" = None
+    #: Runs a :class:`MeasurePlan`'s pending chunks instead of this
+    #: process, publishing each result to its own run store — the
+    #: campaign service's :meth:`~repro.service.broker.Broker.run_plan`,
+    #: whose store is then *cache_dir*.  None runs inline or on the pool.
+    scheduler: "Callable[[MeasurePlan], None] | None" = None
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
         self._store = (
-            LocalStore(self.cache_dir) if self.cache_dir is not None else None
+            self.cache_dir
+            if self.cache_dir is None
+            or isinstance(self.cache_dir, LocalStore)
+            else LocalStore(self.cache_dir)
         )
         #: Execution/cache counters of the most recent :meth:`run`.
         self.last_stats = RunStats()
@@ -283,16 +357,25 @@ class ExperimentRunner:
         self, design: Iterable[Mapping[str, float]]
     ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
         """Execute the design; return measurements and per-config profiles."""
-        parameters = tuple(self.workload.parameters)
-        configs, keys = unique_configurations(parameters, design)
-        program = self.workload.program()
-        setups = [self.workload.setup(c) for c in configs]
+        plan = self.prepare(design)
+        if self.scheduler is not None:
+            self.scheduler(plan)
+        else:
+            self._execute(plan)
+        return self.collect(plan)
 
-        results: list[ConfigRunResult | None] = [None] * len(configs)
-        if self._store is not None:
+    def prepare(self, design: Iterable[Mapping[str, float]]) -> MeasurePlan:
+        """Plan *design*: keys, setups, fingerprints, store probe, groups."""
+        configs, keys = unique_configurations(
+            tuple(self.workload.parameters), design
+        )
+        setups = [self.workload.setup(c) for c in configs]
+        fingerprints = None
+        results: "list[ConfigRunResult | None]" = [None] * len(configs)
+        if self._store is not None or self.scheduler is not None:
             fingerprints = configuration_fingerprints(
                 self.workload,
-                program,
+                self.workload.program(),
                 configs,
                 setups,
                 self.plan,
@@ -302,75 +385,90 @@ class ExperimentRunner:
                 self.seed,
                 self.engine,
             )
+        if self._store is not None:
             hits = cached_runs(self._store, fingerprints)
             results = [hits.get(fp) for fp in fingerprints]
         pending = [i for i, result in enumerate(results) if result is None]
-
-        if supports_batch(self.engine):
-            chunks = batch_chunks(pending, setups, self.n_jobs)
-        else:
-            chunks = [[index] for index in pending]
+        groups = batch_chunks(pending, setups)
+        # A batch engine dedups lanes within a group; a scalar engine
+        # runs every configuration.
         lanes = LaneStats()
-        for chunk in chunks:
-            _, _, stats = plan_lanes(
-                [setups[i] for i in chunk], self.repetitions
+        for chunk in (
+            groups if supports_batch(self.engine) else [[i] for i in pending]
+        ):
+            lanes = lanes.merged(
+                plan_lanes([setups[i] for i in chunk], self.repetitions)[2]
             )
-            lanes = lanes.merged(stats)
-
-        if self.n_jobs == 1 or len(chunks) < 2:
-            for chunk in chunks:
-                chunk_results = run_chunk(
-                    program,
-                    [setups[i] for i in chunk],
-                    [keys[i] for i in chunk],
-                    self.plan,
-                    self.noise,
-                    self.contention,
-                    self.repetitions,
-                    self.seed,
-                    self.engine,
-                )
-                for index, result in zip(chunk, chunk_results):
-                    results[index] = result
-        else:
-            self._run_pool(configs, keys, chunks, results)
-        if self._store is not None:
-            for index in pending:
-                store_run(self._store, fingerprints[index], results[index])
-
-        self.last_stats = RunStats(
-            executed=len(pending), cached=len(configs) - len(pending)
+        task = MeasureTask(
+            spec_of(self.workload),
+            self.plan,
+            self.noise,
+            self.contention,
+            self.repetitions,
+            self.seed,
+            self.engine,
         )
-        self.last_lane_stats = lanes
-        return merge_results_dense(parameters, results)
+        return MeasurePlan(
+            task, configs, keys, setups, fingerprints, results, groups, lanes
+        )
 
-    def _run_pool(
-        self,
-        configs: Sequence[Mapping[str, float]],
-        keys: Sequence[ConfigKey],
-        chunks: Sequence[Sequence[int]],
-        results: list[ConfigRunResult | None],
-    ) -> None:
-        spec_blob = pickle.dumps(spec_of(self.workload))
-        tasks = [
-            _ChunkTask(
-                indices=tuple(chunk),
-                spec_blob=spec_blob,
-                configs=tuple(
-                    tuple(sorted(configs[i].items())) for i in chunk
-                ),
-                keys=tuple(keys[i] for i in chunk),
-                plan=self.plan,
-                noise=self.noise,
-                contention=self.contention,
-                repetitions=self.repetitions,
-                seed=self.seed,
-                engine=self.engine,
-            )
-            for chunk in chunks
-        ]
-        workers = min(self.n_jobs, len(tasks))
+    def collect(
+        self, plan: MeasurePlan
+    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
+        """Merge an executed *plan* in design order and record its stats."""
+        executed = len(plan.pending)
+        self.last_stats = RunStats(
+            executed=executed, cached=len(plan.configs) - executed
+        )
+        self.last_lane_stats = plan.lanes
+        return merge_results_dense(
+            tuple(self.workload.parameters), plan.results
+        )
+
+    def _execute(self, plan: MeasurePlan) -> None:
+        """Run the pending chunks inline or on the process pool."""
+        if supports_batch(self.engine):
+            chunks = batch_chunks(plan.pending, plan.setups, self.n_jobs)
+        else:
+            chunks = [[index] for index in plan.pending]
+        if self.n_jobs == 1 or len(chunks) < 2:
+            program = self.workload.program()
+            for chunk in chunks:
+                self._land(
+                    plan,
+                    chunk,
+                    run_chunk(
+                        program,
+                        [plan.setups[i] for i in chunk],
+                        [plan.keys[i] for i in chunk],
+                        self.plan,
+                        self.noise,
+                        self.contention,
+                        self.repetitions,
+                        self.seed,
+                        self.engine,
+                    ),
+                )
+            return
+        workers = min(self.n_jobs, len(chunks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for indices, chunk_results in pool.map(_run_chunk_task, tasks):
-                for index, result in zip(indices, chunk_results):
-                    results[index] = result
+            futures = {
+                pool.submit(
+                    run_task, plan.task, [plan.configs[i] for i in chunk]
+                ): chunk
+                for chunk in chunks
+            }
+            for future in as_completed(futures):
+                self._land(plan, futures[future], future.result())
+
+    def _land(
+        self,
+        plan: MeasurePlan,
+        chunk: Sequence[int],
+        results: Sequence[ConfigRunResult],
+    ) -> None:
+        """Fill a finished chunk's slots and publish its results."""
+        for index, result in zip(chunk, results):
+            plan.results[index] = result
+            if self._store is not None:
+                store_run(self._store, plan.fingerprints[index], result)

@@ -9,12 +9,13 @@ This package promotes those two facts into a service:
   :mod:`repro.codec` bodies built from
   :class:`~repro.measure.parallel.WorkloadSpec` recipes and per-stage /
   per-run fingerprints;
-* :mod:`~repro.service.broker` — splits the measure stage into leases,
-  hands them to workers, re-queues them on worker death or timeout, and
-  merges results in deterministic design order (bit-identical to the
-  local runner for any worker count or failure schedule);
+* :mod:`~repro.service.broker` — the fleet executor of the measure
+  runner's plan: leases its pending groups to workers, re-queues them
+  on worker death or timeout, and fills the plan by design index
+  (bit-identical to the local runner for any worker count or failure
+  schedule);
 * :mod:`~repro.service.worker` — pulls leases and executes them with
-  the local runner's chunk executor (batch-capable engines as
+  the process pool's chunk executor (batch-capable engines as
   whole-chunk tensor passes);
 * :mod:`~repro.service.remote_store` — the one store
   (:class:`~repro.store.LocalStore`: stage artifacts, run results and
@@ -37,7 +38,7 @@ front doors are ``repro serve``, ``repro worker``, ``repro submit``, and
 """
 
 from ..store import LocalStore
-from .broker import Broker, BrokerScheduler, Lease, MeasureJob, measure_job_key
+from .broker import Broker, Lease, MeasureJob, measure_job_key
 from .journal import CampaignHistory, ServiceJournal
 from .protocol import (
     PROTOCOL_VERSION,
@@ -53,7 +54,6 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "PROTOCOL_VERSION",
     "Broker",
-    "BrokerScheduler",
     "CampaignHistory",
     "CampaignService",
     "HttpBrokerTransport",

@@ -1,4 +1,4 @@
-"""The measure-stage broker: adaptive leases, merged in design order.
+"""The measure-stage broker: the fleet executor of the runner's plan.
 
 The broker owns one side of the campaign service's central invariant:
 
@@ -6,17 +6,21 @@ The broker owns one side of the campaign service's central invariant:
     schedule, a distributed measure stage is bit-identical to the
     local runner.*
 
-It holds that invariant the same way the local runner does — workers
-only ever compute :class:`~repro.measure.experiment.ConfigRunResult`
-values whose noise streams are derived purely from
-``(seed, function, configuration key, repetition)``, and the broker
-merges them **by design index**, never by completion order, with the
-runner's merge (:func:`~repro.measure.experiment.merge_results_dense`).
-Which worker ran a chunk, how chunks were sized, and how many times
-work was re-queued after a crash are all invisible in the output.
+It does not plan: :class:`~repro.measure.parallel.ExperimentRunner`
+plans every measure stage (keys, setups, run fingerprints, the store
+probe, the pending ``batch_chunks`` groups) and hands the
+:class:`~repro.measure.parallel.MeasurePlan` to :meth:`Broker.run_plan`
+— on a campaign server, ``Campaign.scheduler`` is that method — and the
+runner merges what comes back.  Workers only ever compute
+:class:`~repro.measure.experiment.ConfigRunResult` values whose noise
+streams are derived purely from ``(seed, function, configuration key,
+repetition)``, and each lands in the plan **by design index**, never by
+completion order.  Which worker ran a chunk, how chunks were sized, and
+how many times work was re-queued after a crash are all invisible in the
+output.
 
-Capability-aware leases: pending work lives in design-ordered pools
-(one per ``exec_config``/``entry`` group, the unit a batch-capable
+Capability-aware leases: pending work lives in the plan's design-ordered
+groups (one per ``exec_config``/``entry`` run, the unit a batch-capable
 worker can run as one tensor pass), and every :meth:`Broker.claim` cuts
 a lease sized to the *claiming* worker — workers advertise
 ``supports_batch`` and a measured lanes/sec capability in their claim,
@@ -39,27 +43,23 @@ configuration** (they follow the work across re-leases); after
 :class:`~repro.errors.LeaseTimeout` naming the lease, the job, and the
 affected fingerprints.
 
-Fleet-wide dedupe: given a store, the broker probes the ``runs``
-namespace (keyed by
-:func:`~repro.measure.parallel.configuration_fingerprints`) with
-:func:`~repro.measure.io.cached_runs` before pooling — one batched
-``has_many`` round trip — and publishes each completed result back as
-the run-cache entry the worker sent (the entry the local runner's
-:func:`~repro.measure.io.store_run` writes), so two campaigns sharing
-configurations execute each profiled run once
-between them.  Within a job, a repeated design point is dropped at
-submission, as the local runner drops it
-(:func:`~repro.measure.experiment.unique_configurations`).
+Fleet-wide dedupe: the broker publishes each completed result to its
+store as the lease lands — the run-cache entry the worker sent, keyed by
+the plan's run fingerprint — and the runner plans against that same
+store (on a campaign server the runner's ``cache_dir`` is the broker's
+store), so two campaigns sharing configurations execute each profiled
+run once between them.
 
 Crash safety: given a :class:`~repro.service.journal.ServiceJournal`,
 every job checkpoints its merge progress under a **content fingerprint**
-of the measure task + configuration fingerprints.  A broker restarted on
-the same state directory that receives the same job re-adopts the merged
-prefix from the runs store (the checkpoint tells it which store hits
-were this job's own completions) and re-leases only the unfinished tail.
-Workers that fail leases repeatedly are **quarantined** — their claims
-return no work until the operator restarts them — and a draining broker
-stops granting leases so in-flight work can land before shutdown.
+of the measure task + configuration fingerprints
+(:func:`measure_job_key`).  A broker restarted on the same state
+directory that receives the same plan re-adopts the merged prefix from
+the runs store (the checkpoint tells it which store hits were this job's
+own completions) and re-leases only the unfinished tail.  Workers that
+fail leases repeatedly are **quarantined** — their claims return no work
+until the operator restarts them — and a draining broker stops granting
+leases so in-flight work can land before shutdown.
 """
 
 from __future__ import annotations
@@ -76,25 +76,12 @@ from typing import Mapping, Sequence
 
 from ..codec import decode, encode
 from ..errors import ArtifactError, LeaseTimeout, ServiceError
-from ..measure.batched import batch_chunks
-from ..measure.experiment import (
-    ConfigKey,
-    ConfigRunResult,
-    Measurements,
-    Workload,
-    merge_results_dense,
-    unique_configurations,
-)
-from ..measure.instrumentation import InstrumentationPlan
-from ..measure.io import cached_runs
-from ..measure.parallel import RunStats, configuration_fingerprints, spec_of
-from ..mpisim.contention import ContentionModel
-from ..measure.noise import NoiseModel
-from ..measure.profiler import ProfileResult
 from ..interp import supports_batch
+from ..measure.experiment import ConfigRunResult
+from ..measure.parallel import MeasurePlan, RunStats
 from ..registry import load_builtin_components
 from ..store import RUNS_NAMESPACE
-from .protocol import Configs, LeaseResult, MeasureTask
+from .protocol import Configs, LeaseResult
 
 #: Default seconds a claimed lease may stay unreported before reaping.
 DEFAULT_LEASE_TTL = 30.0
@@ -155,14 +142,13 @@ class Lease:
 
 @dataclass
 class MeasureJob:
-    """One submitted measure stage, tracked to completion."""
+    """One submitted measure plan, tracked to completion."""
 
     job_id: str
-    workload: Workload
-    parameters: tuple[str, ...]
     configs: list[dict[str, float]]
     fingerprints: list[str]
     task_wire: dict
+    #: The plan's own result slots, filled in place as leases land.
     results: "list[ConfigRunResult | None]"
     cached: int = 0
     executed: int = 0
@@ -276,85 +262,42 @@ class Broker:
 
     # -- submission --------------------------------------------------------
 
-    def submit_measure(
-        self,
-        workload: Workload,
-        design: Sequence[Mapping[str, float]],
-        plan: InstrumentationPlan,
-        *,
-        noise: NoiseModel,
-        contention: ContentionModel,
-        repetitions: int,
-        seed: int,
-        engine: str,
-    ) -> str:
-        """Queue one measure stage; returns the job id.
+    def submit_measure(self, plan: MeasurePlan) -> str:
+        """Queue the pending groups of a runner's *plan*; returns the job
+        id.
 
-        A repeated design point is kept at its first occurrence only,
-        the design is fingerprinted configuration by configuration,
-        store hits are adopted immediately (``cached``), and the
-        remaining misses are pooled in canonical design order.  An
-        engine the registry does not know raises
-        :class:`~repro.errors.RegistryError` before anything is queued.
+        The plan's store hits count as ``cached``; workers' results fill
+        its ``results`` in place, by design index.  The plan must carry
+        fingerprints (the runner computes them when a scheduler is
+        attached).
         """
-        parameters = tuple(workload.parameters)
-        configs, _ = unique_configurations(parameters, design)
-        setups = [workload.setup(c) for c in configs]
-        fingerprints = configuration_fingerprints(
-            workload,
-            workload.program(),
-            configs,
-            setups,
-            plan,
-            noise,
-            contention,
-            repetitions,
-            seed,
-            engine,
-        )
-
-        hits = (
-            cached_runs(self.store, fingerprints)
-            if self.store is not None
-            else {}
-        )
-        results: "list[ConfigRunResult | None]" = [
-            hits.get(fingerprint) for fingerprint in fingerprints
-        ]
-        pending = [i for i, result in enumerate(results) if result is None]
-        task = MeasureTask(
-            spec_of(workload), plan, noise, contention, repetitions, seed, engine
-        )
         try:
-            task_wire = encode(task)
+            task_wire = encode(plan.task)
         except ArtifactError as exc:
-            name = getattr(workload, "name", type(workload).__name__)
             raise ServiceError(
-                f"workload '{name}' cannot cross the service wire: {exc} — "
+                f"the measure task cannot cross the service wire: {exc} — "
                 "give the workload class a spec() method returning a "
                 "WorkloadSpec with an importable factory (see "
                 "repro.measure.parallel.WorkloadSpec)"
             ) from exc
         journal_key, recovered = self._job_checkpoint(
-            task_wire, fingerprints, results
+            task_wire, plan.fingerprints, plan.results
         )
         with self._lock:
             job_id = f"J{next(self._ids)}"
             job = MeasureJob(
                 job_id=job_id,
-                workload=workload,
-                parameters=parameters,
-                configs=configs,
-                fingerprints=fingerprints,
+                configs=plan.configs,
+                fingerprints=plan.fingerprints,
                 task_wire=task_wire,
-                results=results,
-                cached=sum(1 for r in results if r is not None),
+                results=plan.results,
+                cached=sum(1 for r in plan.results if r is not None),
                 recovered=recovered,
                 journal_key=journal_key,
-                batch_capable=supports_batch(engine),
+                batch_capable=supports_batch(plan.task.engine),
             )
             self._jobs[job_id] = job
-            for group in batch_chunks(pending, setups):
+            for group in plan.groups:
                 position = len(job.pending_groups)
                 job.pending_groups.append(list(group))
                 for index in group:
@@ -363,6 +306,17 @@ class Broker:
                 job.done.set()
         self._checkpoint_job(job)
         return job_id
+
+    def run_plan(
+        self, plan: MeasurePlan, timeout: "float | None" = None
+    ) -> None:
+        """Execute a runner's *plan* on the fleet: submit it and wait.
+
+        The campaign service's measure executor — ``Campaign.scheduler``
+        on a server is this method, bound to the service's
+        ``measure_timeout``.
+        """
+        self.wait(self.submit_measure(plan), timeout=timeout)
 
     def _job_checkpoint(
         self,
@@ -769,8 +723,9 @@ class Broker:
 
     def wait(
         self, job_id: str, timeout: "float | None" = None, poll: float = 0.05
-    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-        """Block until *job_id* finishes; return its merged measurements.
+    ) -> None:
+        """Block until *job_id* finishes: every slot of its plan's
+        ``results`` is then filled.
 
         Raises the job's :class:`~repro.errors.LeaseTimeout` if a
         configuration exhausted its attempts, and
@@ -778,8 +733,8 @@ class Broker:
         timeout.
 
         A finished job is *collected* by its wait: the broker drops its
-        workload, configurations, results and task, and keeps only the
-        counts :meth:`job_stats` and :meth:`job_recovery` report — so a
+        configurations, results and task, and keeps only the counts
+        :meth:`job_stats` and :meth:`job_recovery` report — so a
         long-running broker does not grow with every measure stage.
         """
         with self._lock:
@@ -807,7 +762,6 @@ class Broker:
             self._collected[job_id] = (job.executed, job.cached, job.recovered)
         if job.error is not None:
             raise job.error
-        return merge_results_dense(job.parameters, job.results)
 
     def _counts(self, job_id: str) -> tuple[int, int, int]:
         """``(executed, cached, recovered)`` of a live or collected job."""
@@ -870,48 +824,3 @@ class Broker:
                     return not self._active
             time.sleep(poll)
 
-
-@dataclass
-class BrokerScheduler:
-    """A :class:`~repro.core.stages.MeasureScheduler` over a broker.
-
-    Plugging one of these into a campaign makes ``run_measure_stage``
-    lease the design out to whatever workers are attached to the broker
-    instead of executing locally — with identical output, so local and
-    distributed campaigns share stage-artifact fingerprints.
-    """
-
-    broker: Broker
-    timeout: "float | None" = None
-
-    def __post_init__(self) -> None:
-        self.last_stats = RunStats()
-        self.last_job_id: "str | None" = None
-
-    def run_measure(
-        self,
-        workload: Workload,
-        design: Sequence[Mapping[str, float]],
-        plan: InstrumentationPlan,
-        *,
-        noise: NoiseModel,
-        contention: ContentionModel,
-        repetitions: int,
-        seed: int,
-        engine: str,
-    ) -> tuple[Measurements, dict[ConfigKey, ProfileResult]]:
-        job_id = self.broker.submit_measure(
-            workload,
-            design,
-            plan,
-            noise=noise,
-            contention=contention,
-            repetitions=repetitions,
-            seed=seed,
-            engine=engine,
-        )
-        self.last_job_id = job_id
-        try:
-            return self.broker.wait(job_id, timeout=self.timeout)
-        finally:
-            self.last_stats = self.broker.job_stats(job_id)

@@ -9,15 +9,17 @@ workers is a JSON **envelope**::
 :class:`~repro.errors.ProtocolVersionMismatch` instead of silently
 misinterpreting messages from a peer running a different repro version.
 
-The typed bodies — the lease task (:class:`MeasureTask`), its
-configurations, lease results (:class:`LeaseResult`) and a worker's
+The typed bodies — the lease task (the runner's own chunk task,
+:class:`~repro.measure.parallel.MeasureTask`), its configurations
+(:data:`Configs`), lease results (:class:`LeaseResult`) and a worker's
 claim (:class:`Capability`) — are :mod:`repro.codec` payloads, built
 from two existing content-addressed currencies:
 
 * :class:`~repro.measure.parallel.WorkloadSpec` — the picklable
-  (factory, args, kwargs) recipe the runner's process pool already ships
-  to workers; its factory and arguments take the codec's marked form,
-  resolved by ``module:qualname`` like unpickling;
+  (factory, args, kwargs) recipe inside every measure task, which the
+  runner's process pool pickles as it is; on the wire its factory and
+  arguments take the codec's marked form, resolved by
+  ``module:qualname`` like unpickling;
 * sha256 fingerprints — the per-stage artifact fingerprints of
   :mod:`repro.core.stages` and the per-configuration run fingerprints of
   :func:`repro.measure.parallel.configuration_fingerprints` — which name
@@ -36,8 +38,6 @@ from typing import Mapping
 
 from ..errors import ProtocolVersionMismatch, ServiceError
 from ..measure.experiment import ConfigRunResult
-from ..measure.instrumentation import InstrumentationPlan
-from ..measure.parallel import WorkloadSpec
 
 #: Version of the service wire protocol; bump on incompatible change
 #: (2: bodies encoded by :mod:`repro.codec`).
@@ -82,19 +82,6 @@ def open_envelope(payload: object, expected_type: "str | None" = None):
 
 # ----------------------------------------------------------------------
 # typed bodies
-
-
-@dataclass(frozen=True)
-class MeasureTask:
-    """Everything a worker needs to execute one measure-stage chunk."""
-
-    workload_spec: WorkloadSpec
-    plan: InstrumentationPlan
-    noise: object
-    contention: object
-    repetitions: int
-    seed: int
-    engine: str
 
 
 #: A lease's configurations (parameter name -> value), in lease order.

@@ -20,7 +20,7 @@ from typing import Mapping
 from ..errors import ServiceError, TransientServiceError
 from ..store import check_name
 from .protocol import envelope, open_envelope
-from .retry import RetryPolicy, retry_call
+from .retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
 
 # ----------------------------------------------------------------------
 # HTTP plumbing (shared by every service client)
@@ -121,7 +121,7 @@ class RemoteStore:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
 
     def _retry(self, fn, key: str):
         return retry_call(fn, key=key, policy=self.retry)

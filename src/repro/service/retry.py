@@ -22,26 +22,19 @@ funnels its calls through :func:`retry_call` with the same
 * exhaustion raises a typed :class:`~repro.errors.RetryExhausted`
   carrying the per-attempt trace.
 
-Policy knobs are also readable from the environment
-(:meth:`RetryPolicy.from_env`): ``REPRO_SERVICE_RETRY_ATTEMPTS``,
-``REPRO_SERVICE_RETRY_BASE_DELAY``, ``REPRO_SERVICE_RETRY_MAX_DELAY``.
+A client built without an explicit ``retry=`` policy uses
+:data:`DEFAULT_RETRY_POLICY`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import RetryExhausted, TransientServiceError
-
-#: Environment knobs for the default policy.
-ATTEMPTS_ENV = "REPRO_SERVICE_RETRY_ATTEMPTS"
-BASE_DELAY_ENV = "REPRO_SERVICE_RETRY_BASE_DELAY"
-MAX_DELAY_ENV = "REPRO_SERVICE_RETRY_MAX_DELAY"
 
 
 @dataclass(frozen=True)
@@ -67,21 +60,6 @@ class RetryPolicy:
             raise ValueError("delays must be >= 0")
         if not 0 <= self.jitter < 1:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RetryPolicy":
-        """The default policy, with environment knobs applied."""
-        attempts = os.environ.get(ATTEMPTS_ENV)
-        base = os.environ.get(BASE_DELAY_ENV)
-        ceiling = os.environ.get(MAX_DELAY_ENV)
-        kwargs = dict(overrides)
-        if attempts is not None and "max_attempts" not in kwargs:
-            kwargs["max_attempts"] = int(attempts)
-        if base is not None and "base_delay" not in kwargs:
-            kwargs["base_delay"] = float(base)
-        if ceiling is not None and "max_delay" not in kwargs:
-            kwargs["max_delay"] = float(ceiling)
-        return cls(**kwargs)
 
     def backoffs(self, key: str) -> list[float]:
         """The deterministic backoff schedule for *key*.

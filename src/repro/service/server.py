@@ -23,11 +23,13 @@ PUT       /api/v1/store/<ns>/<key>               store.put -> store.ack
 POST      /api/v1/store/<ns>/has-many            store.has_many -> store.presence
 ========  =====================================  =======================
 
-Submitted campaigns run every stage *on the server* except measure,
-which the broker leases out to attached ``repro worker`` processes.
-Because stage artifacts live in the shared store and the scheduler is
-not fingerprinted, a second submission of the same spec — from any
-client — resumes every stage with zero profile executions.
+Submitted campaigns run every stage *on the server*; the measure
+stage's runner plans against the shared store, and its chunks go to the
+broker (``Campaign.scheduler`` is :meth:`Broker.run_plan`), which leases
+them to attached ``repro worker`` processes.  Because stage artifacts
+live in the shared store and the scheduler is not fingerprinted, a
+second submission of the same spec — from any client — resumes every
+stage with zero profile executions.
 
 Crash safety: every campaign transition is journaled to the store
 (:mod:`repro.service.journal`), and a server restarted on the same store
@@ -46,6 +48,7 @@ tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -61,11 +64,11 @@ from ..codec import decode
 from ..core.stages import STAGES, Campaign
 from ..errors import ReproError, ServiceError
 from ..store import STAGE_NAMESPACE, LocalStore, stage_key
-from .broker import Broker, BrokerScheduler
+from .broker import Broker
 from .journal import CampaignHistory, ServiceJournal
 from .protocol import Capability, envelope, open_envelope
 from .remote_store import http_json, raise_for_error
-from .retry import RetryPolicy, retry_call
+from .retry import DEFAULT_RETRY_POLICY, retry_call
 
 #: Environment variable carrying a server-side network fault spec
 #: (``drop:<n>``/``garble:<n>``/``delay:<n>``, fired on the n-th request).
@@ -274,10 +277,7 @@ class CampaignService:
         with self._lock:
             self._campaigns[campaign_id] = record
         try:
-            campaign = Campaign.from_spec(history.spec, workspace=self.store)
-            campaign.scheduler = BrokerScheduler(
-                self.broker, timeout=self.measure_timeout
-            )
+            campaign = self._campaign(history.spec)
         except Exception as exc:  # noqa: BLE001 — surfaced via status
             with record.lock:
                 record.state = "failed"
@@ -306,10 +306,7 @@ class CampaignService:
                 "(the same keys as a TOML campaign file)"
             )
         spec = {k: v for k, v in spec.items() if k != "workspace"}
-        campaign = Campaign.from_spec(spec, workspace=self.store)
-        campaign.scheduler = BrokerScheduler(
-            self.broker, timeout=self.measure_timeout
-        )
+        campaign = self._campaign(spec)
         with self._lock:
             if token is not None and token in self._tokens:
                 return self._tokens[token]
@@ -323,6 +320,17 @@ class CampaignService:
         )
         self._start(record)
         return campaign_id
+
+    def _campaign(self, spec: Mapping) -> Campaign:
+        """A campaign over this server's store whose measure chunks run
+        on the broker: its runner probes the store the broker publishes
+        to, and the broker's wait is bounded by ``measure_timeout``."""
+        campaign = Campaign.from_spec(spec, workspace=self.store)
+        campaign.cache_dir = self.store
+        campaign.scheduler = functools.partial(
+            self.broker.run_plan, timeout=self.measure_timeout
+        )
+        return campaign
 
     def _start(self, record: _CampaignRecord) -> None:
         thread = threading.Thread(
@@ -360,7 +368,7 @@ class CampaignService:
             with record.lock:
                 if campaign.stage_stats.get("measure") == "computed":
                     record.profile_executions = (
-                        campaign.scheduler.last_stats.executed
+                        campaign.measure_telemetry["runs"]["executed"]
                     )
                 else:
                     record.profile_executions = 0
@@ -778,9 +786,7 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retry = (
-            retry if retry is not None else RetryPolicy.from_env()
-        )
+        self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
 
     def _call(
         self,

@@ -7,13 +7,15 @@ campaign server (``repro worker --server http://...``).  Both expose the
 same three calls (``claim`` / ``complete`` / ``fail``), so the execution
 path is identical wherever the broker lives.
 
-A lease executes through the local runner's chunk executor,
-:func:`~repro.measure.batched.run_chunk`: an engine that carries
-``supports_batch`` registry metadata runs the whole lease as **one
-tensor pass** (broker chunks are grouped to make that legal); every
-other engine runs it configuration by configuration.  Either way the
-results are bit-identical, because noise streams depend only on
-``(seed, function, configuration key, repetition)``.
+A lease carries the runner's :class:`~repro.measure.parallel.MeasureTask`
+and its configurations, and executes through
+:func:`~repro.measure.parallel.run_task` — the process pool's chunk
+executor, with its bounded per-process workload memo: an engine that
+carries ``supports_batch`` registry metadata runs the whole lease as
+**one tensor pass** (leases are cut from the plan's groups to make that
+legal); every other engine runs it configuration by configuration.
+Either way the results are bit-identical, because noise streams depend
+only on ``(seed, function, configuration key, repetition)``.
 
 Capability claims: every claim advertises whether this worker executes
 leases as tensor batches (``supports_batch``) and its self-measured
@@ -49,10 +51,8 @@ attempt budgets.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -64,15 +64,12 @@ from ..errors import (
     TransientServiceError,
 )
 from ..codec import decode, encode
-from ..measure.batched import run_chunk
-from ..measure.experiment import config_key
-from ..measure.parallel import WorkloadSpec
+from ..measure.parallel import MeasureTask, run_task
 from ..registry import load_builtin_components
 from .protocol import (
     Capability,
     Configs,
     LeaseResult,
-    MeasureTask,
     envelope,
     open_envelope,
 )
@@ -83,8 +80,6 @@ FAULT_ENV = "REPRO_SERVICE_FAULT"
 #: Seconds a ``slow:<n>`` worker stalls before executing each lease.
 SLOW_ENV = "REPRO_SERVICE_SLOW_SECONDS"
 DEFAULT_SLOW_SECONDS = 1.0
-#: Built workloads a worker keeps for reuse across leases and jobs.
-WORKLOAD_MEMO_LIMIT = 4
 
 
 def _parse_fault(spec: "str | None") -> "tuple[str, int] | None":
@@ -138,11 +133,11 @@ class HttpBrokerTransport:
     def __init__(
         self, base_url: str, timeout: float = 30.0, retry=None
     ) -> None:
-        from .retry import RetryPolicy
+        from .retry import DEFAULT_RETRY_POLICY
 
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy.from_env()
+        self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
 
     def _post(self, path: str, msg_type: str, body: Mapping, reply: str):
         from .remote_store import http_json, raise_for_error
@@ -249,11 +244,6 @@ class Worker:
         #: Self-measured lanes/sec (EWMA over executed leases), sent
         #: with every claim so a fresh broker can size the first lease.
         self.lanes_per_sec: "float | None" = None
-        #: Built workloads keyed by their wire spec, least recently used
-        #: first: each is built once and reused by every lease and job
-        #: that names it, and the memo never outgrows
-        #: ``WORKLOAD_MEMO_LIMIT`` however many jobs the worker serves.
-        self._workloads: "OrderedDict[str, object]" = OrderedDict()
         load_builtin_components()
 
     def capability(self) -> dict:
@@ -388,16 +378,6 @@ class Worker:
 
     # -- lease execution ---------------------------------------------------
 
-    def _workload_for(self, wire: Mapping, spec: WorkloadSpec):
-        key = json.dumps(wire, sort_keys=True)
-        workload = self._workloads.pop(key, None)
-        if workload is None:
-            workload = spec.build()
-        self._workloads[key] = workload  # most recently used last
-        if len(self._workloads) > WORKLOAD_MEMO_LIMIT:
-            self._workloads.popitem(last=False)
-        return workload
-
     def execute(self, lease: Mapping) -> list[dict]:
         """Run one lease; returns wire-ready ``{"index", "result"}`` rows."""
         try:
@@ -413,35 +393,13 @@ class Worker:
             raise ServiceError(
                 f"lease {lease.get('lease')!r} does not decode: {exc!r}"
             ) from exc
-        workload = self._workload_for(
-            lease["task"]["workload_spec"], task.workload_spec
-        )
         if len(configs) != len(indices):
             raise ServiceError(
                 f"malformed lease {lease.get('lease')!r}: "
                 f"{len(indices)} indices but {len(configs)} configurations"
             )
-        parameters = tuple(workload.parameters)
-        program = workload.program()
-        setups = [workload.setup(c) for c in configs]
-        keys = [config_key(parameters, c) for c in configs]
-        if self.batch:
-            chunks = [list(range(len(configs)))]
-        else:
-            chunks = [[i] for i in range(len(configs))]
-        results = []
-        for chunk in chunks:
-            results += run_chunk(
-                program,
-                [setups[i] for i in chunk],
-                [keys[i] for i in chunk],
-                task.plan,
-                task.noise,
-                task.contention,
-                task.repetitions,
-                task.seed,
-                task.engine,
-            )
+        chunks = [configs] if self.batch else [[c] for c in configs]
+        results = [r for chunk in chunks for r in run_task(task, chunk)]
         return [
             encode(LeaseResult(index, result))
             for index, result in zip(indices, results)

@@ -412,3 +412,46 @@ s = [3, 5]
         with pytest.raises(SystemExit) as exc:
             main(["run", str(spec)])
         assert "bogus_key" in str(exc.value)
+
+    def test_run_json_spec(self, capsys, tmp_path):
+        """``run`` and ``submit`` read specs alike: a JSON copy of the
+        example TOML campaign runs."""
+        import json
+        import pathlib
+
+        from repro.core.stages import Campaign
+
+        example = (
+            pathlib.Path(__file__).parents[2]
+            / "examples"
+            / "synthetic_campaign.toml"
+        )
+        spec = tmp_path / "campaign.json"
+        spec.write_text(json.dumps(Campaign.read_spec(example)))
+        assert main(["run", str(spec)]) == 0
+        assert "9 computed, 0 resumed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.json", "{nope", "is not valid JSON"),
+            ("list.json", "[1, 2]", "must contain a mapping, got list"),
+            ("bad.toml", "x = [", "is not valid TOML"),
+        ],
+    )
+    def test_unreadable_spec_one_line_error(
+        self, tmp_path, command, name, text, message
+    ):
+        """A malformed or non-mapping spec ends both commands with one
+        ``error:`` line, before any server is contacted."""
+        spec = tmp_path / name
+        spec.write_text(text)
+        argv = [command, str(spec)]
+        if command == "submit":
+            argv += ["--server", "http://127.0.0.1:9"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        lines = str(exc.value).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]

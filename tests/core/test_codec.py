@@ -32,10 +32,9 @@ from repro.measure import ConfigKey, Measurements, cached_runs, store_run
 from repro.measure.experiment import ConfigRunResult
 from repro.measure.instrumentation import InstrumentationPlan
 from repro.measure.noise import GaussianNoise
-from repro.measure.parallel import spec_of
+from repro.measure.parallel import MeasureTask, spec_of
 from repro.measure.profiler import ProfileResult
 from repro.mpisim.contention import LogQuadraticContention
-from repro.service.protocol import MeasureTask
 from repro.staticanalysis.prune import StaticReport
 from repro.store import LocalStore
 from repro.taint.report import TaintReport

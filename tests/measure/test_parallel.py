@@ -20,6 +20,7 @@ import random
 import pytest
 
 import repro.measure.experiment as experiment_mod
+import repro.measure.parallel as parallel_mod
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.synthetic import (
     SyntheticWorkload,
@@ -41,7 +42,7 @@ from repro.measure import (
     spec_of,
 )
 from repro.measure.experiment import ConfigRunResult
-from repro.measure.parallel import _ChunkTask, _run_chunk_task
+from repro.measure.parallel import MeasureTask, run_task
 from repro.measure.profiler import ProfileResult
 from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.mpisim.network import DEFAULT_NETWORK
@@ -260,6 +261,45 @@ class TestRunCache:
         assert warm.last_stats.executed == 0
         assert canonical(m_warm) == canonical(m_cold)
 
+    @pytest.mark.parametrize("engine", ["tree", "vectorized"])
+    def test_landed_chunks_are_published_before_a_later_one_fails(
+        self, tmp_path, monkeypatch, fixed_width_chunks, engine
+    ):
+        """Every executor publishes each result as its chunk lands: a
+        local run whose second chunk raises leaves the first chunk's
+        ``runs`` entries in its cache_dir."""
+        design = full_factorial({"p": [2.0, 4.0], "s": [3.0, 5.0]})
+        width = 2 if engine == "vectorized" else 1
+        # The first chunk alone, run to completion: its entries are the
+        # ones an interrupted run must already have published.
+        complete = dataclasses.replace(
+            self._runner(tmp_path / "first"), engine=engine
+        )
+        complete.run(design[:width])
+        expected = set(LocalStore(tmp_path / "first").keys(RUNS_NAMESPACE))
+        assert len(expected) == width
+
+        monkeypatch.setattr(
+            parallel_mod, "batch_chunks", fixed_width_chunks(width)
+        )
+        real_chunk = parallel_mod.run_chunk
+        calls = []
+
+        def failing_second_chunk(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("the second chunk failed")
+            return real_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "run_chunk", failing_second_chunk)
+        runner = dataclasses.replace(
+            self._runner(tmp_path / "c"), engine=engine
+        )
+        with pytest.raises(RuntimeError, match="second chunk"):
+            runner.run(design)
+        stored = set(LocalStore(tmp_path / "c").keys(RUNS_NAMESPACE))
+        assert stored == expected
+
     def test_differing_seed_misses(self, tmp_path):
         design = [{"p": 2.0, "s": 3.0}]
         self._runner(tmp_path / "c", seed=1).run(design)
@@ -348,16 +388,13 @@ class TestWorkloadSpec:
         assert spec.build().name == "plain"
 
     def test_worker_task_round_trip(self):
-        """The pool entry point runs standalone on a pickled chunk task,
-        for a scalar and a batch engine alike."""
+        """The chunk executor runs standalone on a pickled measure task
+        and its configurations, for a scalar and a batch engine alike."""
         workload = make_scaling_workload()
         plan = full_plan(workload.program())
         for engine in ("tree", "vectorized"):
-            task = _ChunkTask(
-                indices=(0, 1),
-                spec_blob=pickle.dumps(workload.spec()),
-                configs=((("p", 2.0), ("s", 3.0)), (("p", 4.0), ("s", 3.0))),
-                keys=((2.0, 3.0), (4.0, 3.0)),
+            task = MeasureTask(
+                workload_spec=workload.spec(),
                 plan=plan,
                 noise=GaussianNoise(),
                 contention=NoContention(),
@@ -365,10 +402,8 @@ class TestWorkloadSpec:
                 seed=0,
                 engine=engine,
             )
-            indices, results = _run_chunk_task(
-                pickle.loads(pickle.dumps(task))
-            )
-            assert indices == (0, 1)
+            configs = [{"p": 2.0, "s": 3.0}, {"p": 4.0, "s": 3.0}]
+            results = run_task(*pickle.loads(pickle.dumps((task, configs))))
             assert [r.key for r in results] == [(2.0, 3.0), (4.0, 3.0)]
             assert all(len(r.samples) > 0 for r in results)
 

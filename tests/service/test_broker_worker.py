@@ -9,6 +9,7 @@ may duplicate work, but it can never change a bit of the output.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import threading
@@ -33,7 +34,6 @@ from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import LogQuadraticContention, NoContention
 from repro.service import (
     Broker,
-    BrokerScheduler,
     LocalBrokerTransport,
     LocalStore,
     Worker,
@@ -63,6 +63,18 @@ def random_design(params, rng: random.Random, n: int) -> list[dict]:
     return rng.sample(grid, n)
 
 
+def broker_runner(broker, workload, plan, *, timeout=60.0, **kw):
+    """The measure runner with *broker* as its executor, probing the
+    store the broker publishes to."""
+    return ExperimentRunner(
+        workload=workload,
+        plan=plan,
+        cache_dir=broker.store,
+        scheduler=functools.partial(broker.run_plan, timeout=timeout),
+        **kw,
+    )
+
+
 def run_distributed(
     workload,
     design,
@@ -81,7 +93,7 @@ def run_distributed(
     """One distributed measure run over in-process worker threads.
 
     *faults* maps worker slots to fault specs (e.g. ``{0: "crash:1"}``).
-    Returns (measurements, profiles, scheduler, worker stats list).
+    Returns (measurements, profiles, runner, worker stats list).
     """
     broker = Broker(
         store=store,
@@ -90,7 +102,9 @@ def run_distributed(
         chunk_size=chunk_size,
         workers_hint=n_workers,
     )
-    scheduler = BrokerScheduler(broker, timeout=timeout)
+    runner = broker_runner(
+        broker, workload, plan, timeout=timeout, engine=engine, **kw
+    )
     stop = threading.Event()
     workers = [
         Worker(
@@ -111,18 +125,12 @@ def run_distributed(
         thread.start()
         threads.append(thread)
     try:
-        measurements, profiles = scheduler.run_measure(
-            workload,
-            design,
-            plan,
-            engine=engine,
-            **kw,
-        )
+        measurements, profiles = runner.run(design)
     finally:
         stop.set()
         for thread in threads:
             thread.join(timeout=10)
-    return measurements, profiles, scheduler, stats
+    return measurements, profiles, runner, stats
 
 
 class TestBitIdentity:
@@ -142,7 +150,7 @@ class TestBitIdentity:
         serial, serial_profiles = ExperimentRunner(
             workload=workload, plan=plan, **kw
         ).run(design)
-        distributed, profiles, scheduler, _ = run_distributed(
+        distributed, profiles, runner, _ = run_distributed(
             workload,
             design,
             plan,
@@ -152,7 +160,7 @@ class TestBitIdentity:
         )
         assert canonical(distributed) == canonical(serial)
         assert set(profiles) == set(serial_profiles)
-        assert scheduler.last_stats.executed == len(design)
+        assert runner.last_stats.executed == len(design)
 
     @pytest.mark.parametrize(
         "faults",
@@ -239,7 +247,7 @@ class TestBitIdentity:
         reference, reference_profiles = serial_reference(
             workload, design, plan, **kw
         )
-        distributed, profiles, scheduler, _ = run_distributed(
+        distributed, profiles, runner, _ = run_distributed(
             workload, design, plan, engine=engine, **kw
         )
         assert canonical(distributed) == canonical(reference)
@@ -248,8 +256,8 @@ class TestBitIdentity:
         }
         for per_key in distributed.data.values():
             assert {len(v) for v in per_key.values()} == {3}
-        assert scheduler.last_stats.executed == 2
-        assert scheduler.last_stats.cached == 0
+        assert runner.last_stats.executed == 2
+        assert runner.last_stats.cached == 0
 
 
 class TestStoreDedupe:
@@ -264,21 +272,21 @@ class TestStoreDedupe:
             repetitions=2,
             seed=0,
         )
-        first, _, sched1, _ = run_distributed(
+        first, _, runner1, _ = run_distributed(
             workload, design, plan, store=store, **kw
         )
-        assert sched1.last_stats.executed == len(design)
+        assert runner1.last_stats.executed == len(design)
         assert len(store.keys("runs")) == len(design)
 
         # A *different* broker over the same store: full cache hit, no
         # workers even needed.
         broker2 = Broker(store=store)
-        sched2 = BrokerScheduler(broker2, timeout=5.0)
-        second, _ = sched2.run_measure(
-            workload, design, plan, engine="tree", **kw
+        runner2 = broker_runner(
+            broker2, workload, plan, timeout=5.0, engine="tree", **kw
         )
-        assert sched2.last_stats.executed == 0
-        assert sched2.last_stats.cached == len(design)
+        second, _ = runner2.run(design)
+        assert runner2.last_stats.executed == 0
+        assert runner2.last_stats.cached == len(design)
         assert canonical(second) == canonical(first)
 
     def test_fingerprints_isolate_different_seeds(self, tmp_path):
@@ -290,10 +298,10 @@ class TestStoreDedupe:
             noise=GaussianNoise(), contention=NoContention(), repetitions=2
         )
         run_distributed(workload, design, plan, store=store, seed=0, **kw)
-        _, _, sched, _ = run_distributed(
+        _, _, runner, _ = run_distributed(
             workload, design, plan, store=store, seed=1, **kw
         )
-        assert sched.last_stats.executed == 1  # different seed: no hit
+        assert runner.last_stats.executed == 1  # different seed: no hit
 
 
 class TestFaultHandling:
@@ -354,18 +362,19 @@ class TestFaultHandling:
         workload = make_workload("foo")
         plan = full_plan(workload.program())
         broker = Broker()  # nobody attached
-        scheduler = BrokerScheduler(broker, timeout=0.2)
+        runner = broker_runner(
+            broker,
+            workload,
+            plan,
+            timeout=0.2,
+            noise=GaussianNoise(),
+            contention=NoContention(),
+            repetitions=1,
+            seed=0,
+            engine="tree",
+        )
         with pytest.raises(ServiceError, match="workers"):
-            scheduler.run_measure(
-                workload,
-                [{"a": 2.0, "b": 3.0}],
-                plan,
-                noise=GaussianNoise(),
-                contention=NoContention(),
-                repetitions=1,
-                seed=0,
-                engine="tree",
-            )
+            runner.run([{"a": 2.0, "b": 3.0}])
 
     def test_unknown_engine_rejected_before_queueing(self):
         """An unregistered engine is a typed error at submission: no job
@@ -380,7 +389,13 @@ class TestFaultHandling:
             seed=0,
         )
         broker = Broker()
-        scheduler = BrokerScheduler(broker, timeout=10.0)
+        submitted = []
+
+        def submit_measure(plan):
+            submitted.append(plan)
+            return Broker.submit_measure(broker, plan)
+
+        broker.submit_measure = submit_measure
         stop = threading.Event()
         stats = [None, None]
         threads = []
@@ -399,18 +414,18 @@ class TestFaultHandling:
         try:
             started = time.monotonic()
             with pytest.raises(RegistryError, match="nonsense"):
-                scheduler.run_measure(
-                    workload, design, plan, engine="nonsense", **kw
-                )
+                broker_runner(
+                    broker, workload, plan, engine="nonsense", **kw
+                ).run(design)
             assert time.monotonic() - started < 1.0
-            assert scheduler.last_job_id is None
+            assert submitted == []
             with pytest.raises(ServiceError, match="unknown measure job"):
                 broker.job_stats("J1")
             assert broker.queue_depth() == 0
             assert broker.telemetry()["leases"] == []
-            measurements, _ = scheduler.run_measure(
-                workload, design, plan, engine="tree", **kw
-            )
+            measurements, _ = broker_runner(
+                broker, workload, plan, timeout=10.0, engine="tree", **kw
+            ).run(design)
         finally:
             stop.set()
             for thread in threads:
@@ -431,15 +446,18 @@ class TestBrokerSurface:
         workload = make_workload("foo")
         plan = full_plan(workload.program())
         broker = Broker(chunk_size=1)
-        broker.submit_measure(
+        runner = broker_runner(
+            broker,
             workload,
-            [{"a": 2.0, "b": 3.0}, {"a": 3.0, "b": 4.0}],
             plan,
             noise=GaussianNoise(),
             contention=NoContention(),
             repetitions=1,
             seed=0,
             engine="tree",
+        )
+        broker.submit_measure(
+            runner.prepare([{"a": 2.0, "b": 3.0}, {"a": 3.0, "b": 4.0}])
         )
         lease = broker.claim("w0")
         foreign = [i for i in (0, 1) if i not in lease["indices"]][0]
@@ -452,9 +470,9 @@ class TestBrokerSurface:
         workload = make_workload("foo")
         plan = full_plan(workload.program())
         broker = Broker(lease_ttl=0.05, max_attempts=5)
-        broker.submit_measure(
+        runner = broker_runner(
+            broker,
             workload,
-            [{"a": 2.0, "b": 3.0}],
             plan,
             noise=GaussianNoise(),
             contention=NoContention(),
@@ -462,6 +480,8 @@ class TestBrokerSurface:
             seed=0,
             engine="tree",
         )
+        measure_plan = runner.prepare([{"a": 2.0, "b": 3.0}])
+        broker.submit_measure(measure_plan)
         worker = Worker(LocalBrokerTransport(broker), worker_id="w0")
         lease = broker.claim("w0")
         results = worker.execute(lease)
@@ -473,7 +493,8 @@ class TestBrokerSurface:
         lease2 = broker.claim("w0")
         assert lease2["attempt"] == 1
         broker.complete(lease2["lease"], worker.execute(lease2))
-        measurements, _ = broker.wait(lease2["job"], timeout=5)
+        broker.wait(lease2["job"], timeout=5)
+        measurements, _ = runner.collect(measure_plan)
         assert measurements.data
 
     def test_invalid_fault_spec_rejected(self):

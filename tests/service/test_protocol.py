@@ -30,12 +30,16 @@ from repro.measure.instrumentation import (
 )
 from repro.measure.io import program_hash
 from repro.measure.noise import GaussianNoise
-from repro.measure.parallel import WorkloadSpec, spec_of, workload_repr
+from repro.measure.parallel import (
+    MeasureTask,
+    WorkloadSpec,
+    spec_of,
+    workload_repr,
+)
 from repro.mpisim.contention import LogQuadraticContention
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     Configs,
-    MeasureTask,
     envelope,
     open_envelope,
 )

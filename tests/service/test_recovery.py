@@ -54,6 +54,7 @@ from repro.service import (
     Worker,
     serve,
 )
+from repro.service.journal import BROKER_NAMESPACE
 from repro.store import RUNS_NAMESPACE, STAGE_NAMESPACE
 
 SPEC = {
@@ -78,18 +79,29 @@ def make_workload() -> SyntheticWorkload:
 
 
 def submit_job(broker, design, repetitions=2, seed=1):
+    """Plan *design* with the runner against *broker*'s store and queue
+    it without waiting.  Returns the job id and a ``collect(timeout)``
+    that waits for the job and returns the runner's merge."""
     workload = make_workload()
-    plan = full_plan(workload.program())
-    return broker.submit_measure(
+    runner = ExperimentRunner(
         workload,
-        design,
-        plan,
+        full_plan(workload.program()),
         noise=GaussianNoise(),
         contention=NoContention(),
         repetitions=repetitions,
         seed=seed,
         engine="vectorized",
+        cache_dir=broker.store,
+        scheduler=broker.run_plan,
     )
+    plan = runner.prepare(design)
+    job_id = broker.submit_measure(plan)
+
+    def collect(timeout):
+        broker.wait(job_id, timeout=timeout)
+        return runner.collect(plan)
+
+    return job_id, collect
 
 
 def drain_with_worker(broker, **worker_kwargs):
@@ -266,24 +278,39 @@ class TestServiceRestartRecovery:
             second.status(campaign_id)
 
 
+#: ``measure_job_key`` of ``submit_job`` on the 2 x 2 design below.
+PINNED_JOB_KEY = (
+    "c4d292f9c7774775dfac26e12c7551baf71430e2796348f584f8f301ac56b50c"
+)
+
+
 class TestBrokerCheckpointRecovery:
+    def test_job_key_is_pinned(self, tmp_path):
+        """A checkpoint written before a release still resumes after it:
+        an unchanged job keeps its key, the sha256 of its wire-encoded
+        measure task and its run fingerprints."""
+        store = LocalStore(tmp_path / "store")
+        broker = Broker(store=store, journal=ServiceJournal(store))
+        submit_job(broker, full_factorial({"p": [2.0, 3.0], "s": [2.0, 3.0]}))
+        assert store.keys(BROKER_NAMESPACE) == [PINNED_JOB_KEY]
+
     def test_restarted_broker_releases_only_the_tail(self, tmp_path):
         store = LocalStore(tmp_path / "store")
         journal = ServiceJournal(store)
         design = full_factorial({"p": [2.0, 3.0], "s": [2.0, 3.0]})
 
         broker1 = Broker(store=store, journal=journal, chunk_size=1)
-        job1 = submit_job(broker1, design)
+        job1, _ = submit_job(broker1, design)
         stats = drain_with_worker(broker1, max_leases=2)
         assert stats.completed == 2
 
         # Crash broker1; a fresh broker on the same store + journal
         # adopts the merged prefix as *recovered*, not just cached.
         broker2 = Broker(store=store, journal=journal, chunk_size=1)
-        job2 = submit_job(broker2, design)
+        job2, collect2 = submit_job(broker2, design)
         assert broker2.job_recovery(job2) == 2
         drain_with_worker(broker2)
-        measurements, _ = broker2.wait(job2, timeout=30)
+        measurements, _ = collect2(timeout=30)
         run_stats = broker2.job_stats(job2)
         assert run_stats.executed == len(design) - 2
         assert run_stats.cached == 2
@@ -291,7 +318,7 @@ class TestBrokerCheckpointRecovery:
         # The finished job's checkpoint is tombstoned: a third
         # submission counts the hits as plain cache, not recovery.
         broker3 = Broker(store=store, journal=journal, chunk_size=1)
-        job3 = submit_job(broker3, design)
+        job3, _ = submit_job(broker3, design)
         assert broker3.job_recovery(job3) == 0
         assert broker3.job_stats(job3).cached == len(design)
         _ = job1  # broker1 is abandoned, never waited on
@@ -317,9 +344,9 @@ class TestBrokerCheckpointRecovery:
         drain_with_worker(broker1, max_leases=1)
 
         broker2 = Broker(store=store, journal=journal, chunk_size=1)
-        job2 = submit_job(broker2, design)
+        _, collect2 = submit_job(broker2, design)
         drain_with_worker(broker2)
-        recovered, _ = broker2.wait(job2, timeout=30)
+        recovered, _ = collect2(timeout=30)
         assert canonical(recovered) == canonical(serial)
 
 
@@ -356,7 +383,7 @@ class TestKillPointProperty:
             store = LocalStore(root)
             journal = ServiceJournal(store)
             broker1 = Broker(store=store, journal=journal, chunk_size=1)
-            job1 = submit_job(broker1, design, seed=seed)
+            job1, _ = submit_job(broker1, design, seed=seed)
             executed_before = 0
             if kill_point:
                 stats = drain_with_worker(broker1, max_leases=kill_point)
@@ -364,7 +391,7 @@ class TestKillPointProperty:
 
             # Kill. Restart. Re-submit the same stage content.
             broker2 = Broker(store=store, journal=journal, chunk_size=1)
-            job2 = submit_job(broker2, design, seed=seed)
+            job2, collect2 = submit_job(broker2, design, seed=seed)
             if executed_before < len(design):
                 # Crashed mid-job: the checkpoint marks the merged
                 # prefix as this job's own recovered completions.
@@ -375,7 +402,7 @@ class TestKillPointProperty:
                 assert broker2.job_recovery(job2) == 0
             for _ in range(n_workers):
                 drain_with_worker(broker2)
-            recovered, _ = broker2.wait(job2, timeout=60)
+            recovered, _ = collect2(timeout=60)
 
             assert canonical(recovered) == canonical(serial)
             # Exactly-once: executions across both incarnations cover
@@ -390,7 +417,7 @@ class TestIdempotentReports:
     def test_duplicate_completion_is_a_noop(self, tmp_path):
         broker = Broker(chunk_size=2)
         design = full_factorial({"p": [2.0, 3.0], "s": [2.0]})
-        job_id = submit_job(broker, design)
+        job_id, _ = submit_job(broker, design)
         worker = Worker(LocalBrokerTransport(broker))
         lease = broker.claim("w0")
         results = worker.execute(lease)
@@ -428,7 +455,7 @@ class TestIdempotentReports:
 
         broker = Broker(chunk_size=1)
         design = full_factorial({"p": [2.0, 3.0], "s": [2.0]})
-        job_id = submit_job(broker, design)
+        job_id, _ = submit_job(broker, design)
         worker = Worker(
             AckDroppingTransport(LocalBrokerTransport(broker)),
             poll_interval=0.01,
@@ -445,7 +472,7 @@ class TestWorkerDegradation:
     def test_transient_claim_failures_reconnect(self):
         broker = Broker(chunk_size=2)
         design = full_factorial({"p": [2.0, 3.0], "s": [2.0]})
-        job_id = submit_job(broker, design)
+        job_id, _ = submit_job(broker, design)
 
         class FlakyClaimTransport(LocalBrokerTransport):
             def __init__(self, broker, outages):

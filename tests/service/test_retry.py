@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RetryExhausted, ServiceError, TransientServiceError
-from repro.service.retry import (
-    ATTEMPTS_ENV,
-    BASE_DELAY_ENV,
-    MAX_DELAY_ENV,
-    DEFAULT_RETRY_POLICY,
-    RetryPolicy,
-    retry_call,
-)
+from repro.service.retry import RetryPolicy, retry_call
 
 
 class TestRetryPolicy:
@@ -49,25 +42,6 @@ class TestRetryPolicy:
             RetryPolicy(base_delay=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.0)
-
-    def test_from_env_reads_knobs(self, monkeypatch):
-        monkeypatch.setenv(ATTEMPTS_ENV, "7")
-        monkeypatch.setenv(BASE_DELAY_ENV, "0.5")
-        monkeypatch.setenv(MAX_DELAY_ENV, "9.0")
-        policy = RetryPolicy.from_env()
-        assert policy.max_attempts == 7
-        assert policy.base_delay == 0.5
-        assert policy.max_delay == 9.0
-
-    def test_from_env_defaults_match_default_policy(self, monkeypatch):
-        monkeypatch.delenv(ATTEMPTS_ENV, raising=False)
-        monkeypatch.delenv(BASE_DELAY_ENV, raising=False)
-        monkeypatch.delenv(MAX_DELAY_ENV, raising=False)
-        assert RetryPolicy.from_env() == DEFAULT_RETRY_POLICY
-
-    def test_explicit_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv(ATTEMPTS_ENV, "7")
-        assert RetryPolicy.from_env(max_attempts=2).max_attempts == 2
 
 
 class TestRetryCall:

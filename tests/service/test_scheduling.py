@@ -9,6 +9,7 @@ and failure schedule.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 
@@ -29,7 +30,6 @@ from repro.measure.noise import GaussianNoise
 from repro.mpisim.contention import NoContention
 from repro.service import (
     Broker,
-    BrokerScheduler,
     LocalBrokerTransport,
     Worker,
 )
@@ -55,20 +55,31 @@ def make_design(n: int) -> list[dict]:
     return grid[:n]
 
 
-def submit_job(broker, n=8, engine="vectorized", repetitions=2, seed=1):
+def fleet_runner(
+    broker, *, engine="tree", repetitions=2, seed=1, timeout=None
+):
+    """The measure runner with *broker* as its executor."""
     workload = make_workload()
-    plan = full_plan(workload.program())
-    job_id = broker.submit_measure(
-        workload,
-        make_design(n),
-        plan,
+    return ExperimentRunner(
+        workload=workload,
+        plan=full_plan(workload.program()),
         noise=GaussianNoise(),
         contention=NoContention(),
         repetitions=repetitions,
         seed=seed,
         engine=engine,
+        cache_dir=broker.store,
+        scheduler=functools.partial(broker.run_plan, timeout=timeout),
     )
-    return job_id, workload, plan
+
+
+def submit_job(broker, n=8, engine="vectorized", repetitions=2, seed=1):
+    """Plan a design with the runner and queue it without waiting."""
+    runner = fleet_runner(
+        broker, engine=engine, repetitions=repetitions, seed=seed
+    )
+    job_id = broker.submit_measure(runner.prepare(make_design(n)))
+    return job_id, runner.workload, runner.plan
 
 
 def run_fleet(
@@ -88,10 +99,14 @@ def run_fleet(
     *batch_flags* maps worker slots to ``batch=False`` opts; *faults*
     maps slots to fault specs.  Returns (measurements, broker, stats).
     """
-    workload = make_workload()
-    plan = full_plan(workload.program())
     broker = Broker(workers_hint=n_workers, **broker_kwargs)
-    scheduler = BrokerScheduler(broker, timeout=timeout)
+    runner = fleet_runner(
+        broker,
+        engine=engine,
+        repetitions=repetitions,
+        seed=seed,
+        timeout=timeout,
+    )
     stop = threading.Event()
     workers = [
         Worker(
@@ -113,16 +128,7 @@ def run_fleet(
         thread.start()
         threads.append(thread)
     try:
-        measurements, _ = scheduler.run_measure(
-            workload,
-            design,
-            plan,
-            noise=GaussianNoise(),
-            contention=NoContention(),
-            repetitions=repetitions,
-            seed=seed,
-            engine=engine,
-        )
+        measurements, _ = runner.run(design)
     finally:
         stop.set()
         for thread in threads:

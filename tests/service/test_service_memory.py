@@ -2,9 +2,8 @@
 
 A finished campaign leaves behind only what its status and artifact
 endpoints read: its record holds no live ``Campaign``, the broker keeps
-its measure job's counts but not its workload, configurations or
-results, and the worker's workload memo does not grow with the number
-of jobs it has served.
+its measure job's counts but not its configurations or results, and the
+workers' workload memo does not grow with the number of jobs served.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.codec import encode
 from repro.apps.synthetic import SyntheticWorkload, build_additive_example
 from repro.core.stages import STAGES
@@ -22,10 +23,11 @@ from repro.measure import (
     full_factorial,
     full_plan,
 )
+from repro.measure import parallel
 from repro.measure.noise import GaussianNoise
+from repro.measure.parallel import WORKLOAD_MEMO_LIMIT
 from repro.mpisim.contention import NoContention
 from repro.service import Broker, CampaignService, LocalBrokerTransport, Worker
-from repro.service.worker import WORKLOAD_MEMO_LIMIT
 
 SPEC = {
     "app": "synthetic",
@@ -48,7 +50,38 @@ def canonical(measurements) -> str:
     return json.dumps(encode(measurements), sort_keys=True)
 
 
-def test_finished_campaigns_are_released(tmp_path):
+@pytest.fixture
+def workload_memo(monkeypatch):
+    """The process's workload memo, emptied for this test."""
+    memo = type(parallel._WORKLOAD_MEMO)()
+    monkeypatch.setattr(parallel, "_WORKLOAD_MEMO", memo)
+    return memo
+
+
+def submit(broker, workload, design, seed):
+    """Plan *design* with the runner and queue it on *broker*; returns
+    the job id and a ``collect(timeout)`` that waits and merges."""
+    runner = ExperimentRunner(
+        workload=workload,
+        plan=full_plan(workload.program()),
+        noise=GaussianNoise(),
+        contention=NoContention(),
+        repetitions=2,
+        seed=seed,
+        engine="vectorized",
+        scheduler=broker.run_plan,
+    )
+    plan = runner.prepare(design)
+    job_id = broker.submit_measure(plan)
+
+    def collect(timeout):
+        broker.wait(job_id, timeout=timeout)
+        return runner.collect(plan)
+
+    return job_id, collect
+
+
+def test_finished_campaigns_are_released(tmp_path, workload_memo):
     service = CampaignService(tmp_path / "state")
     worker = Worker(LocalBrokerTransport(service.broker), poll_interval=0.01)
     stop = threading.Event()
@@ -64,7 +97,7 @@ def test_finished_campaigns_are_released(tmp_path):
                 lambda: service.status(campaign_id)["state"] == "done"
             )
             ids.append(campaign_id)
-            memo_sizes.append(len(worker._workloads))
+            memo_sizes.append(len(workload_memo))
     finally:
         stop.set()
         thread.join(timeout=30)
@@ -113,23 +146,11 @@ def test_concurrent_collection_loses_no_update():
     plan = full_plan(workload.program())
     design = full_factorial({"p": [2.0, 3.0, 4.0], "s": [3.0, 5.0]})
     broker = Broker(chunk_size=1)
-    jobs = [
-        broker.submit_measure(
-            workload,
-            design,
-            plan,
-            noise=GaussianNoise(),
-            contention=NoContention(),
-            repetitions=2,
-            seed=seed,
-            engine="vectorized",
-        )
-        for seed in range(6)
-    ]
+    jobs = dict(submit(broker, workload, design, seed) for seed in range(6))
     results = {}
 
     def collect(job_id):
-        results[job_id], _ = broker.wait(job_id, timeout=60)
+        results[job_id], _ = jobs[job_id](timeout=60)
 
     stop = threading.Event()
     workers = [
@@ -171,7 +192,7 @@ def test_concurrent_collection_loses_no_update():
         assert canonical(results[job_id]) == canonical(serial)
 
 
-def test_worker_memo_is_bounded_across_workloads():
+def test_worker_memo_is_bounded_across_workloads(workload_memo):
     broker = Broker()
     design = full_factorial({"p": [2.0, 4.0], "s": [3.0]})
     jobs = []
@@ -182,27 +203,18 @@ def test_worker_memo_is_bounded_across_workloads():
             name=f"additive-{index}",
         )
         plan = full_plan(workload.program())
-        job_id = broker.submit_measure(
-            workload,
-            design,
-            plan,
-            noise=GaussianNoise(),
-            contention=NoContention(),
-            repetitions=2,
-            seed=index,
-            engine="vectorized",
-        )
-        jobs.append((job_id, workload, plan, index))
+        job_id, collect = submit(broker, workload, design, index)
+        jobs.append((collect, workload, plan, index))
 
     worker = Worker(
         LocalBrokerTransport(broker), poll_interval=0.01, stop_when_idle=True
     )
     stats = worker.run()
     assert stats.configurations == len(jobs) * len(design)
-    assert len(worker._workloads) == WORKLOAD_MEMO_LIMIT
+    assert len(workload_memo) == WORKLOAD_MEMO_LIMIT
 
-    for job_id, workload, plan, seed in jobs:
-        distributed, _ = broker.wait(job_id, timeout=30)
+    for collect, workload, plan, seed in jobs:
+        distributed, _ = collect(timeout=30)
         serial, _ = ExperimentRunner(
             workload=workload, plan=plan, repetitions=2, seed=seed
         ).run(design)
