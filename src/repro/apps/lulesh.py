@@ -27,6 +27,7 @@ paper:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -183,8 +184,10 @@ def _elem_kernel(
                 f.mem_work(mem_amount)
 
 
+@functools.cache
 def build_lulesh() -> Program:
-    """Build the LULESH mini-app program."""
+    """The LULESH mini-app program, built on the first call and shared
+    by every later one: treat it as read-only."""
     pb = ProgramBuilder()
 
     accessors = _add_accessors(pb)
@@ -574,13 +577,8 @@ class LuleshWorkload:
         "iters",
     )
 
-    def __post_init__(self) -> None:
-        self._program: Program | None = None
-
     def program(self) -> Program:  # noqa: D102
-        if self._program is None:
-            self._program = build_lulesh()
-        return self._program
+        return build_lulesh()
 
     def setup(self, config: Mapping[str, float]) -> RunSetup:  # noqa: D102
         merged = dict(self.defaults)

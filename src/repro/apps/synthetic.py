@@ -2,11 +2,15 @@
 
 Used by tests, the quickstart example, and the ablation benchmarks.  Each
 builder returns a finalized program whose taint behaviour is known in
-closed form.
+closed form.  A builder builds its program once per process, on its
+first call, and every later call returns that same program: it is
+shared, so treat it as read-only (``builder.__wrapped__()`` builds a
+private copy).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -29,6 +33,7 @@ from ..mpisim.runtime import MPIConfig, MPIRuntime
 from ..registry import register_workload
 
 
+@functools.cache
 def build_foo_example() -> Program:
     """The section A1 example::
 
@@ -54,6 +59,7 @@ def build_foo_example() -> Program:
     return pb.build(entry="main")
 
 
+@functools.cache
 def build_additive_example() -> Program:
     """The section A2 example: two sequenced loops, one per parameter —
     a purely additive dependency (p + s, not p * s)."""
@@ -72,6 +78,7 @@ def build_additive_example() -> Program:
     return pb.build(entry="main")
 
 
+@functools.cache
 def build_multiplicative_example() -> Program:
     """Nested loops: a multiplicative p x s dependency."""
     pb = ProgramBuilder()
@@ -84,6 +91,7 @@ def build_multiplicative_example() -> Program:
     return pb.build(entry="main")
 
 
+@functools.cache
 def build_control_flow_example() -> Program:
     """The section 5.2 LULESH excerpt: ``regElemSize`` gains its ``size``
     dependence only through control flow::
@@ -114,6 +122,7 @@ def build_control_flow_example() -> Program:
     return pb.build(entry="main")
 
 
+@functools.cache
 def build_algorithm_selection_example() -> Program:
     """The section C2 example: a parameter selects between a linear and a
     logarithmic kernel::
@@ -137,6 +146,7 @@ def build_algorithm_selection_example() -> Program:
     return pb.build(entry="main")
 
 
+@functools.cache
 def build_contention_example() -> Program:
     """The section C1 example: a memory-bound kernel with no dependence on
     anything but its own size — co-location effects must come from the

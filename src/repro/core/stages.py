@@ -537,7 +537,10 @@ class Campaign:
     # -- memoized workload state ---------------------------------------
 
     def program(self):
-        """The workload's program, built once per campaign."""
+        """The workload's program, asked for once per campaign.  A
+        built-in workload returns its app's one shared program, so every
+        campaign of a process reuses that program's call graph, digest,
+        loop plans and vectorized lowering."""
         if self._program is None:
             self._program = self.workload.program()
         return self._program

@@ -19,13 +19,14 @@ Both engines run the loop nests the fast-path planner
 then inherit new engines (and the "which engine for which job" defaults)
 automatically.
 
-Every engine provides ``run(args, entry=None)`` and ``close()``.
-``close()`` releases the lowered program: the vectorized engine's
-closures refer back to the engine, a reference cycle that only a full
-garbage collection would free, so a caller that builds an engine for
-one run closes it in ``try``/``finally`` and the engine is then freed by
-reference counting.  An engine cannot run after ``close()``; on the
-tree-walkers it releases nothing.
+Every engine provides ``run(args, entry=None)``.  What an engine
+derives from the program alone is built once per process and kept on
+the program, one per ``ExecConfig`` (:meth:`Program.derived
+<repro.ir.program.Program.derived>`): the fast-path planner's loop plans
+and the vectorized engine's lowering, which every engine of that
+program and configuration shares, threads included.  An engine holds
+only per-run state, refers to nothing that refers back to it, and is
+freed by reference counting when its caller drops it.
 """
 
 from ..registry import ENGINE_REGISTRY, register_engine

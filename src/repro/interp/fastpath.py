@@ -231,10 +231,17 @@ class FastResult:
 
 
 class FastPathPlanner:
-    """Builds and caches :class:`LoopPlan` objects for a program."""
+    """Builds and caches :class:`LoopPlan` objects for a program.
+
+    Every engine of a process shares one planner per (program,
+    configuration), kept on the program (:meth:`Program.derived`).  It
+    holds the program's function table rather than the program, and
+    plans are read-only once built, so threads share it too: two that
+    race to plan one loop build it twice and both use the plan kept.
+    """
 
     def __init__(self, program: Program, config: ExecConfig) -> None:
-        self._program = program
+        self._functions = program.functions
         self._config = config
         self._leaf_cache: dict[str, LeafCost | None] = {}
         # (function name, loop_id) -> plan or None
@@ -245,12 +252,10 @@ class FastPathPlanner:
     def leaf_cost(self, name: str) -> LeafCost | None:
         """Cached :func:`leaf_unit_cost` for program function *name*."""
         if name not in self._leaf_cache:
-            if name in self._program:
-                self._leaf_cache[name] = leaf_unit_cost(
-                    self._program.function(name), self._config
-                )
-            else:
-                self._leaf_cache[name] = None
+            fn = self._functions.get(name)
+            self._leaf_cache[name] = (
+                None if fn is None else leaf_unit_cost(fn, self._config)
+            )
         return self._leaf_cache[name]
 
     # -- planning --------------------------------------------------------------
@@ -259,7 +264,7 @@ class FastPathPlanner:
         """Return a fast plan for *loop* in *fn_name*, or None if ineligible."""
         key = (fn_name, loop.loop_id)
         if key not in self._plan_cache:
-            self._plan_cache[key] = self._build(fn_name, loop)
+            return self._plan_cache.setdefault(key, self._build(fn_name, loop))
         return self._plan_cache[key]
 
     def _build(self, fn_name: str, loop: For) -> LoopPlan | None:
@@ -301,7 +306,7 @@ class FastPathPlanner:
                     # an unbound or non-numeric argument) iterates.
                     unit = self.leaf_cost(expr.callee)
                     if unit is None or len(expr.args) != len(
-                        self._program.function(expr.callee).params
+                        self._functions[expr.callee].params
                     ):
                         return None
                     if not all(_total(a, enclosing) for a in expr.args):

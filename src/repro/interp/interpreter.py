@@ -105,7 +105,7 @@ class Interpreter:
         self.metrics = MetricsCollector()
         self._steps = 0
         self._depth = 0
-        self._planner = FastPathPlanner(program, config)
+        self._planner = program.derived(FastPathPlanner, config)
         # Current function name, for error messages and loop events.
         self._fn_stack: list[str] = []
 
@@ -121,10 +121,6 @@ class Interpreter:
         name, _fn, argvals = resolve_entry_args(self.program, args, entry)
         value = self._call_function(name, argvals)
         return RunResult(value=value, metrics=self.metrics, steps=self._steps)
-
-    def close(self) -> None:
-        """Engine protocol: release lowered state.  The tree-walker holds
-        no reference cycle, so there is nothing to release."""
 
     # ------------------------------------------------------------------
     # cost / step accounting

@@ -53,6 +53,13 @@ Work is paid per lane only where lanes differ:
   through the scalar planner, the tree-walker's own rule, with its
   events on the lane set.  Counting nests and nests with an operand
   that differs by lane run on the planner's vector mirror.
+
+The lowering depends only on the program and the configuration, so it is
+built once per process: one :class:`_Lowering` per (program,
+``ExecConfig``), kept on the program beside its loop planner
+(:meth:`~repro.ir.program.Program.derived`), lowers each function on its
+first call.  An engine holds only per-run state (lanes, steps, sinks,
+runtimes), and engines running on other threads share the lowering.
 """
 
 from __future__ import annotations
@@ -195,14 +202,16 @@ class _UniformOverlay:
 
 
 class _Frame:
-    """One call frame: name -> value plus the lane set it was created
-    under (writes covering all frame lanes fully define a slot)."""
+    """One call frame: name -> value, the lane set it was created under
+    (writes covering all frame lanes fully define a slot), and the
+    engine running it (the lowered closures hold none)."""
 
-    __slots__ = ("vars", "lanes")
+    __slots__ = ("vars", "lanes", "engine")
 
-    def __init__(self, vars: dict, lanes) -> None:
+    def __init__(self, vars: dict, lanes, engine: "VectorizedEngine") -> None:
         self.vars = vars
         self.lanes = lanes
+        self.engine = engine
 
 
 def _uniform_float(value) -> float:
@@ -429,7 +438,9 @@ def classify_function(fn) -> bool:
 # lowering: IR -> closures over (frame, idx)
 #
 # Every closure takes ``(frame, idx)``: *frame* is the current
-# :class:`_Frame`, *idx* the active lane set (None = all lanes).
+# :class:`_Frame`, *idx* the active lane set (None = all lanes).  The
+# closures capture no engine and no run state; they reach the running
+# engine as ``frame.engine``, so one lowering serves every engine.
 # Expression closures return uniform scalars, vectors **compressed to
 # the active lane set** (length ``len(idx)``; full ``(B,)`` when idx is
 # None), :class:`BatchedArray`, or None; statement closures return None.
@@ -472,39 +483,36 @@ def _collect_plan_exprs(plan: LoopPlan, out: list) -> None:
 
 
 class _VecFunction:
-    """One program function lowered for batched execution."""
+    """One program function lowered for batched execution: its top-level
+    statements as ``(closure, is_return)`` pairs, or None when the
+    function is not vectorizable."""
 
-    __slots__ = ("name", "params", "vectorizable", "engine", "_top")
+    __slots__ = ("name", "params", "top")
 
-    def __init__(self, engine: "VectorizedEngine", fn) -> None:
+    def __init__(self, fn, top) -> None:
         self.name = fn.name
         self.params = tuple(fn.params)
-        self.vectorizable = classify_function(fn)
-        self.engine = engine
-        self._top = None  # lowered lazily on first call
+        self.top = top
 
-    def call(self, args: list, idx):
-        engine = self.engine
-        if not self.vectorizable:
+    def call(self, engine: "VectorizedEngine", args: list, idx):
+        if self.top is None:
             _bail(f"function {self.name!r} has value-dependent control flow")
         if len(args) != len(self.params):
             _bail(f"arity mismatch calling {self.name!r}")
         if engine._depth >= engine.config.max_call_depth:
             _bail("call depth limit")
-        if self._top is None:
-            self._top = _VecCompiler(engine, engine.program.function(self.name)).compile_top()
         if idx is None:
             slots = dict(zip(self.params, args))
         else:  # frame slots are full-width; widen compressed vector args
             slots = {
                 p: engine._widen(a, idx) for p, a in zip(self.params, args)
             }
-        frame = _Frame(slots, idx)
+        frame = _Frame(slots, idx, engine)
         engine._depth += 1
         engine._enter(self.name, idx)
         try:
             ret = None
-            for closure, is_return in self._top:
+            for closure, is_return in self.top:
                 if is_return:
                     ret = closure(frame, idx)
                     break
@@ -515,12 +523,51 @@ class _VecFunction:
             engine._depth -= 1
 
 
+class _Lowering:
+    """A program lowered for batched execution under one configuration.
+
+    Read from the program's function table, the configuration and the
+    loop planner only, and holding no run state, it is kept on the
+    program (:meth:`~repro.ir.program.Program.derived`) and shared by
+    every :class:`VectorizedEngine` of the process, threads included.
+    Each function is lowered on its first call; two threads that race to
+    lower one function both lower it and both use the one kept.
+    """
+
+    __slots__ = ("functions", "config", "planner", "_lowered")
+
+    def __init__(self, program, config: ExecConfig) -> None:
+        self.functions = program.functions
+        self.config = config
+        self.planner = program.derived(FastPathPlanner, config)
+        self._lowered: dict[str, _VecFunction] = {}
+
+    def function(self, name: str) -> _VecFunction:
+        """Program function *name*, lowered on first use."""
+        lowered = self._lowered.get(name)
+        if lowered is None:
+            fn = self.functions[name]
+            top = (
+                _VecCompiler(self, fn).compile_top()
+                if classify_function(fn)
+                else None
+            )
+            lowered = self._lowered.setdefault(name, _VecFunction(fn, top))
+        return lowered
+
+
 class _VecCompiler:
     """Lowers one function body to batched closures (mirrors the
-    tree-walker's ``_exec_*``/``_eval_*`` statement for statement)."""
+    tree-walker's ``_exec_*``/``_eval_*`` statement for statement).
 
-    def __init__(self, engine: "VectorizedEngine", fn) -> None:
-        self.engine = engine
+    It reads the lowering's function table, configuration and planner,
+    nothing of an engine: the closures reach the running engine as
+    ``frame.engine``."""
+
+    def __init__(self, lowering: _Lowering, fn) -> None:
+        self.functions = lowering.functions
+        self.config = lowering.config
+        self.planner = lowering.planner
         self.fn = fn
         self.fn_name = fn.name
 
@@ -534,10 +581,9 @@ class _VecCompiler:
                     if stmt.value is not None
                     else None
                 )
-                engine = self.engine
 
                 def ret(frame, idx, _value=value):
-                    engine._step(idx)
+                    frame.engine._step(idx)
                     return _value(frame, idx) if _value is not None else None
 
                 out.append((ret, True))
@@ -557,12 +603,12 @@ class _VecCompiler:
         return block
 
     def _compile_stmt(self, stmt: Stmt):
-        engine = self.engine
         if isinstance(stmt, Assign):
             value = self._compile_expr(stmt.value)
             name = stmt.name
 
             def assign(frame, idx):
+                engine = frame.engine
                 engine._step(idx)
                 engine._charge_stmt(idx)
                 engine._assign(frame, name, value(frame, idx), idx)
@@ -572,6 +618,7 @@ class _VecCompiler:
             value = self._compile_expr(stmt.expr)
 
             def expr_stmt(frame, idx):
+                engine = frame.engine
                 engine._step(idx)
                 engine._charge_stmt(idx)
                 value(frame, idx)
@@ -583,6 +630,7 @@ class _VecCompiler:
             name = stmt.array
 
             def store(frame, idx):
+                engine = frame.engine
                 engine._step(idx)
                 engine._charge_stmt(idx)
                 arr = frame.vars.get(name, _UNDEF)
@@ -619,6 +667,7 @@ class _VecCompiler:
             )
 
             def run_if(frame, idx):
+                engine = frame.engine
                 engine._step(idx)
                 c = cond(frame, idx)
                 if not _is_vec(c):
@@ -654,7 +703,6 @@ class _VecCompiler:
         return unsupported
 
     def _compile_for(self, stmt: For):
-        engine = self.engine
         fn_name = self.fn_name
         var = stmt.var
         loop_id = stmt.loop_id
@@ -662,7 +710,7 @@ class _VecCompiler:
         stop_c = self._compile_expr(stmt.stop)
         step_c = self._compile_expr(stmt.step)
         body = self._compile_block(stmt.body)
-        iter_cost = engine.config.loop_iter_cost
+        iter_cost = self.config.loop_iter_cost
         # The genuine loop can track a uniform loop variable as an exact
         # Python value (no per-iteration vectors) only when the body
         # never rebinds it.
@@ -676,8 +724,8 @@ class _VecCompiler:
         # loop must run genuinely (per-iteration events), not via the
         # O(1) aggregate plan — event streams are part of bit-identity.
         plan = (
-            engine._planner.plan(fn_name, stmt)
-            if engine.config.fast_loops
+            self.planner.plan(fn_name, stmt)
+            if self.config.fast_loops
             else None
         )
         tbl = None
@@ -687,6 +735,7 @@ class _VecCompiler:
             tbl = {id(e): self._compile_expr(e) for e in exprs}
 
         def run_genuine(frame, idx):
+            engine = frame.engine
             start = start_c(frame, idx)
             stop = stop_c(frame, idx)
             step = step_c(frame, idx)
@@ -767,6 +816,7 @@ class _VecCompiler:
                     engine._iters(fn_name, loop_id, iters[lanes], lanes)
 
         def run_for(frame, idx):
+            engine = frame.engine
             engine._step(idx)
             if plan is None:
                 run_genuine(frame, idx)
@@ -795,7 +845,6 @@ class _VecCompiler:
     # -- expressions ---------------------------------------------------
 
     def _compile_expr(self, expr: Expr):
-        engine = self.engine
         if isinstance(expr, Const):
             value = expr.value
             return lambda frame, idx: value
@@ -803,7 +852,7 @@ class _VecCompiler:
             name = expr.name
 
             def read(frame, idx):
-                return engine._read(frame, name, idx)
+                return frame.engine._read(frame, name, idx)
 
             return read
         if isinstance(expr, BinOp):
@@ -848,7 +897,7 @@ class _VecCompiler:
                 cols = iv.astype(np.int64)
                 if cols.min() < 0 or cols.max() >= ncols:
                     _bail("load index out of bounds")
-                base = idx if idx is not None else engine._all
+                base = idx if idx is not None else frame.engine._all
                 return data[base, cols]
 
             return load
@@ -859,7 +908,6 @@ class _VecCompiler:
         _bail(f"cannot vectorize {type(expr).__name__}")
 
     def _compile_binop(self, expr: BinOp):
-        engine = self.engine
         op = expr.op
         lhs = self._compile_expr(expr.lhs)
         rhs = self._compile_expr(expr.rhs)
@@ -881,7 +929,7 @@ class _VecCompiler:
                     return left
                 if not rhs_pure:
                     _bail("divergent short-circuit with impure operand")
-                base = idx if idx is not None else engine._all
+                base = idx if idx is not None else frame.engine._all
                 sub = base[take_rhs]
                 right = rhs(frame, sub)
                 out = left.copy()
@@ -900,12 +948,11 @@ class _VecCompiler:
             right = rhs(frame, idx)
             if not (_is_vec(left) or _is_vec(right)):
                 return pyfn(left, right)  # exact Python, incl. big ints
-            return engine._vec_binop(op, left, right)
+            return frame.engine._vec_binop(op, left, right)
 
         return binop
 
     def _compile_intrinsic(self, expr: Intrinsic):
-        engine = self.engine
         name = expr.name
         arg = self._compile_expr(expr.args[0]) if expr.args else None
         if name in ("work", "mem_work"):
@@ -915,7 +962,7 @@ class _VecCompiler:
                 if const_amount >= 0:
 
                     def work_const(frame, idx):
-                        engine._charge(kind, const_amount, idx)
+                        frame.engine._charge(kind, const_amount, idx)
                         return const_amount
 
                     return work_const
@@ -928,11 +975,11 @@ class _VecCompiler:
                     amount = float(v)  # TypeError -> fallback
                     if amount < 0:
                         _bail("negative work amount")  # scalar raises
-                    engine._charge(kind, amount, idx)
+                    frame.engine._charge(kind, amount, idx)
                     return amount
                 if (v < 0).any():
                     _bail("negative work amount")
-                engine._charge(kind, v, idx)
+                frame.engine._charge(kind, v, idx)
                 return v
 
             return work
@@ -947,6 +994,7 @@ class _VecCompiler:
                 n = int(v)  # TypeError/ValueError -> fallback
                 if n < 0:
                     _bail("negative alloc size")
+                engine = frame.engine
                 arr = BatchedArray(engine._batch, n)
                 engine._charge(
                     CostKind.MEMORY, float(n) * ALLOC_COST_PER_ELEMENT, idx
@@ -1002,20 +1050,23 @@ class _VecCompiler:
         return lambda frame, idx: _bail(f"unknown intrinsic {name!r}")
 
     def _compile_call(self, expr: Call):
-        engine = self.engine
         arg_closures = tuple(self._compile_expr(a) for a in expr.args)
         callee = expr.callee
-        call_cost = engine.config.call_cost
-        if callee in engine.program:
+        call_cost = self.config.call_cost
+        if callee in self.functions:
 
             def call_fn(frame, idx):
+                engine = frame.engine
                 args = [c(frame, idx) for c in arg_closures]
                 engine._charge(CostKind.COMPUTE, call_cost, idx)
-                return engine._vec_fn(callee).call(args, idx)
+                return engine._lowering.function(callee).call(
+                    engine, args, idx
+                )
 
             return call_fn
 
         def call_external(frame, idx):
+            engine = frame.engine
             args = [c(frame, idx) for c in arg_closures]
             engine._charge(CostKind.COMPUTE, call_cost, idx)
             return engine._call_library(callee, args, idx)
@@ -1049,8 +1100,7 @@ class VectorizedEngine:
         self.config = config
         self.listener = listener or NullListener()
         self.metrics = MetricsCollector()
-        self._planner = FastPathPlanner(program, config)
-        self._fns: dict[str, _VecFunction] = {}
+        self._lowering = program.derived(_Lowering, config)
         # per-run state (reset by _run_vector)
         self._batch = 0
         self._all = None
@@ -1066,15 +1116,6 @@ class VectorizedEngine:
         self._runtimes: list = []
 
     # -- public API ----------------------------------------------------
-
-    def close(self) -> None:
-        """Release the lowered functions: breaks the engine -> function
-        -> engine cycle so the engine is freed by reference counting.
-        The engine cannot run afterwards."""
-        for fn in self._fns.values():
-            fn._top = None
-            fn.engine = None
-        self._fns.clear()
 
     def run(self, args=(), entry: str | None = None) -> RunResult:
         """Scalar-compatible single run (a batch of width one)."""
@@ -1184,7 +1225,9 @@ class VectorizedEngine:
                     self._batch_value([la[i] for la in lane_args])
                     for i in range(len(lane_args[0]))
                 ]
-                value = self._vec_fn(name).call(entry_args, None)
+                value = self._lowering.function(name).call(
+                    self, entry_args, None
+                )
         except VectorFallback:
             raise
         except Exception as exc:  # any scalar-side error -> per-lane rerun
@@ -1387,14 +1430,6 @@ class VectorizedEngine:
 
     # -- functions and library calls -----------------------------------
 
-    def _vec_fn(self, name: str) -> _VecFunction:
-        fn = self._fns.get(name)
-        if fn is None:
-            fn = self._fns[name] = _VecFunction(
-                self, self.program.function(name)
-            )
-        return fn
-
     def _call_library(self, name: str, args, idx):
         """Call every active lane's runtime, in lane order, then emit one
         enter/cost.../exit group per distinct cost-kind sequence: each
@@ -1542,7 +1577,7 @@ class VectorizedEngine:
             return value
 
         try:
-            result = self._planner.execute(plan, evaluate)
+            result = self._lowering.planner.execute(plan, evaluate)
         except _LaneVector:
             return _LANE_VECTOR
         if result is None:

@@ -2,7 +2,8 @@
 
 A :class:`Program` is a set of named :class:`Function` objects plus an entry
 point.  Finalizing a program assigns stable ids to every loop and branch
-and validates structure; its call graph and content digest are computed
+and validates structure; its call graph, content digest and the
+engines' per-configuration state (:meth:`Program.derived`) are computed
 on first use and kept.
 Analyses (:mod:`repro.staticanalysis`, :mod:`repro.ir.cfg`, ...) and the
 interpreters all operate on finalized programs.
@@ -12,12 +13,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from ..errors import IRError
 from .callgraph import CallGraph, build_callgraph
 from .expr import Call, Expr
 from .stmt import For, If, Stmt, While, iter_branches, iter_loops
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -80,6 +83,7 @@ class Program:
         default=None, repr=False, compare=False
     )
     _digest: str | None = field(default=None, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -112,6 +116,7 @@ class Program:
             raise IRError(f"entry function '{self.entry}' not defined")
         self._callgraph = None
         self._digest = None
+        self._derived = {}
         for fn in self.functions.values():
             loop_id = 0
             for loop in iter_loops(fn.body):
@@ -155,6 +160,26 @@ class Program:
             text = format_program(self)
             self._digest = hashlib.sha256(text.encode()).hexdigest()
         return self._digest
+
+    def derived(self, build: Callable[["Program", object], T], config) -> T:
+        """``build(self, config)``, built on first use and kept until the
+        next :meth:`finalize`: the engines' loop planner and vectorized
+        lowering, one per configuration, shared by every engine of the
+        process.  Keyed by ``repr(config)``, so equal configurations whose
+        fields differ in type (``1`` and ``1.0``) never share.  What
+        *build* returns must not refer back to the program, so the program
+        and its memo are freed together by reference counting; a value
+        two threads race to build is built twice and one of them kept."""
+        key = (build, repr(config))
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build(self, config))
+        return value
+
+    def __getstate__(self) -> dict:
+        # Derived state holds closures; a copy or an unpickled program
+        # derives its own.
+        return {**self.__dict__, "_derived": {}}
 
     def defined_names(self) -> frozenset[str]:
         """Names of all program-defined functions."""

@@ -425,10 +425,7 @@ def profile_run(
         config=exec_config,
         listener=listener,
     )
-    try:
-        result = interp.run(args, entry=entry)
-    finally:
-        interp.close()
+    result = interp.run(args, entry=entry)
     return ProfileResult(
         plan=plan,
         nodes=listener.nodes,
@@ -492,8 +489,6 @@ def profile_run_batch(
             )
             for lane in range(batch)
         ]
-    finally:
-        interp.close()
     return [
         ProfileResult(
             plan=plan,

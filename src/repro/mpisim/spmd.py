@@ -115,10 +115,7 @@ class SPMDSimulator:
                 runtime=self._runtime_for(rank),
                 config=self.exec_config,
             )
-            try:
-                run = interp.run(args, entry=entry)
-            finally:
-                interp.close()
+            run = interp.run(args, entry=entry)
             result.per_rank_time[rank] = run.time
             result.per_rank_value[rank] = run.value
         return result

@@ -2,7 +2,9 @@
 
 Heavy artifacts (the LULESH/MILC programs and their analysis reports) are
 session-scoped: they are deterministic and immutable, so every test module
-can share them.
+can share them.  The built-in programs are shared by the whole process
+(each builder builds its program once); :func:`shared_programs_unchanged`
+fails the session if anything changed one.
 """
 
 from __future__ import annotations
@@ -11,11 +13,35 @@ from dataclasses import replace
 
 import pytest
 
+from repro import apps
 from repro.apps.lulesh import LuleshWorkload
 from repro.apps.milc import MilcWorkload
 from repro.core.pipeline import PerfTaintPipeline
 from repro.interp import ENGINE_TREE
+from repro.ir import format_program
 from repro.measure import Measurements, config_key, run_configuration
+
+#: The built-in program builders: each builds its program on its first
+#: call and returns that one shared program on every later call.
+SHARED_BUILDERS = tuple(
+    getattr(apps, name) for name in apps.__all__ if name.startswith("build_")
+)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def shared_programs_unchanged():
+    """At the end of the session, every shared built-in program still
+    prints like a fresh build and equals it node for node (loop ids,
+    function kinds, metadata): no test or code path mutated it."""
+    yield
+    changed = []
+    for builder in SHARED_BUILDERS:
+        if not builder.cache_info().currsize:
+            continue
+        shared, fresh = builder(), builder.__wrapped__()
+        if format_program(shared) != format_program(fresh) or shared != fresh:
+            changed.append(builder.__name__)
+    assert not changed, f"shared built-in programs were changed: {changed}"
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ def taint_of(prog, args, sources=None):
 
 class TestAnnotations:
     def test_register_and_read(self):
-        prog = build_foo_example()
+        prog = build_foo_example.__wrapped__()  # annotating changes it
         register_parameters(prog, {"a": "size"})
         assert registered_parameters(prog) == {"a": "size"}
 
@@ -44,7 +44,7 @@ class TestAnnotations:
             register_parameters(prog, {"zz": "zz"})
 
     def test_register_merges(self):
-        prog = build_foo_example()
+        prog = build_foo_example.__wrapped__()
         register_parameters(prog, {"a": "a"})
         register_parameters(prog, {"b": "b"})
         assert set(registered_parameters(prog)) == {"a", "b"}

@@ -1,13 +1,15 @@
-"""``close()`` lets an engine be freed by reference counting.
+"""A dropped engine is freed by reference counting.
 
-The vectorized engine's closures refer back to the engine, so a dropped
-engine would be cyclic garbage that waited for a full collection (tens
-of thousands of objects per LULESH run).  Every built-in engine breaks
-its cycles in ``close()``; these tests run LULESH at its taint
-configuration with the collector disabled, close and drop the engine,
-and require that a collection then finds nothing.  The shadow engine
-does the same under taint, with planned nests in closed form and with
-every trip walked, and so does a full taint analysis.
+What an engine derives from the program alone (the loop planner, the
+vectorized lowering) is kept on the program, and the lowered closures
+reach the running engine through their frame, so nothing refers back to
+an engine: a caller just drops it.  These tests run LULESH and MILC at
+their taint configurations with the collector disabled, drop the engine
+without any release call, and require that a collection then finds
+nothing.  The shadow engine does the same under taint, with planned nests
+in closed form and with every trip walked, and so does a full taint
+analysis.  A program dropped together with its memo leaves nothing
+either.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.interp import ShadowInterpreter, make_engine
+from repro.apps import build_lulesh
+from repro.interp import ENGINE_VECTORIZED, ShadowInterpreter, make_engine
 from repro.registry import ENGINE_REGISTRY
 from repro.taint.domain import TaintDomain
 from repro.taint.engine import TaintEngine
@@ -42,63 +45,78 @@ def cyclic_garbage(action) -> int:
 
 
 @pytest.fixture(scope="module")
-def taint_setup(lulesh_workload):
-    return lulesh_workload.setup(dict(lulesh_workload.taint_config()))
+def taint_runs(lulesh_workload, milc_workload):
+    """app -> (program, setup at its taint configuration)."""
+    return {
+        workload.name: (
+            workload.program(),
+            workload.setup(dict(workload.taint_config())),
+        )
+        for workload in (lulesh_workload, milc_workload)
+    }
 
 
-def run_and_close(program, setup, engine: str) -> None:
+def run_and_drop(program, setup, engine: str) -> None:
     interp = make_engine(
         program, engine, runtime=setup.runtime, config=setup.exec_config
     )
     result = interp.run(setup.args, entry=setup.entry)
     assert result.time > 0
-    interp.close()
     del interp, result
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_concrete_engine_leaves_no_cycles(lulesh_program, taint_setup, engine):
-    garbage = cyclic_garbage(
-        lambda: run_and_close(lulesh_program, taint_setup, engine)
-    )
-    assert garbage == 0
+def test_concrete_engine_leaves_no_cycles(taint_runs, engine):
+    for app, (program, setup) in taint_runs.items():
+        garbage = cyclic_garbage(lambda: run_and_drop(program, setup, engine))
+        assert garbage == 0, app
 
 
 @pytest.mark.parametrize("loops", SHADOW_LOOPS)
-def test_taint_engine_leaves_no_cycles(lulesh_program, taint_setup, loops):
-    config = replace(taint_setup.exec_config, fast_loops=SHADOW_LOOPS[loops])
+def test_taint_engine_leaves_no_cycles(taint_runs, loops):
+    program, setup = taint_runs["lulesh"]
+    config = replace(setup.exec_config, fast_loops=SHADOW_LOOPS[loops])
 
     def run_shadow() -> None:
         interp = ShadowInterpreter(
-            lulesh_program,
-            runtime=taint_setup.runtime,
+            program,
+            runtime=setup.runtime,
             config=config,
             domain=TaintDomain(),
         )
-        result = interp.run(taint_setup.args, entry=taint_setup.entry)
+        result = interp.run(setup.args, entry=setup.entry)
         assert result.time > 0
         assert interp.domain.report.loop_records
-        interp.close()
         del interp, result
 
     assert cyclic_garbage(run_shadow) == 0
 
 
-def test_taint_analysis_leaves_no_cycles(
-    lulesh_workload, lulesh_program, taint_setup
-):
+def test_taint_analysis_leaves_no_cycles(lulesh_workload, taint_runs):
+    program, setup = taint_runs["lulesh"]
+
     def analyze() -> None:
         taint = TaintEngine(
-            lulesh_program,
-            runtime=taint_setup.runtime,
-            config=taint_setup.exec_config,
+            program, runtime=setup.runtime, config=setup.exec_config
         )
         result = taint.analyze(
-            taint_setup.args,
-            lulesh_workload.sources(),
-            entry=taint_setup.entry,
+            setup.args, lulesh_workload.sources(), entry=setup.entry
         )
         assert result.report.loop_records
         del taint, result
 
     assert cyclic_garbage(analyze) == 0
+
+
+def test_program_and_its_lowering_leave_no_cycles(taint_runs):
+    """The memo refers to nothing that refers back to the program, so a
+    private program dies with its planner and lowering."""
+    _, setup = taint_runs["lulesh"]
+
+    def build_run_drop() -> None:
+        program = build_lulesh.__wrapped__()
+        run_and_drop(program, setup, ENGINE_VECTORIZED)
+        assert program._derived
+        del program
+
+    assert cyclic_garbage(build_run_drop) == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.apps import synthetic
 from repro.core.stages import Campaign
 from repro.ir import ProgramBuilder
 from repro.ir.callgraph import CallGraph
@@ -41,7 +42,9 @@ def test_api_imports_without_networkx():
 
 def test_campaign_builds_one_callgraph(monkeypatch):
     """Static pruning, the taint run's recursion check and the volume
-    analysis share the program's call graph."""
+    analysis share the program's call graph.  The built-in program is
+    shared by the whole process, so the campaign runs on a private
+    build that has no call graph yet."""
     built = []
     post_init = CallGraph.__post_init__
 
@@ -49,6 +52,11 @@ def test_campaign_builds_one_callgraph(monkeypatch):
         built.append(self)
         post_init(self)
 
+    monkeypatch.setattr(
+        synthetic,
+        "build_multiplicative_example",
+        synthetic.build_multiplicative_example.__wrapped__,
+    )
     monkeypatch.setattr(CallGraph, "__post_init__", counting)
     campaign = Campaign.from_spec(
         {
