@@ -32,12 +32,9 @@ jobs count.  Measurement commands take ``--engine`` to pick a registered
 execution engine (default: ``vectorized``, which runs the whole sweep as
 tensor batches; ``tree`` is the one-configuration-at-a-time tree-walker,
 the scalar reference, bit-identical).  The taint stage has one engine,
-the shadow-tracking tree-walker, so no command chooses it.
-``run``/``model`` take ``--search-backend`` to pick the model-search
-backend (default ``batched``, one stacked-LAPACK call per hypothesis
-class; ``loop`` is the per-hypothesis reference — both select identical
-models).  Everything prints plain text; the same functionality is
-available programmatically via :mod:`repro.api`.
+the shadow-tracking tree-walker, so no command chooses it.  Everything
+prints plain text; the same functionality is available programmatically
+via :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from .measure.profiler import APP_KEY
 from .mpisim.contention import LogQuadraticContention
 from .registry import (
     ENGINE_REGISTRY,
-    MODEL_BACKEND_REGISTRY,
     WORKLOAD_REGISTRY,
     load_builtin_components,
 )
@@ -209,7 +205,6 @@ def cmd_model(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         cache_dir=args.cache_dir,
         engine=args.engine,
-        model_backend=args.search_backend,
     )
     result = pipeline.run(
         values,
@@ -224,8 +219,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     campaign = Campaign.from_toml(args.spec, workspace=args.workspace)
     if args.jobs is not None:
         campaign.n_jobs = args.jobs
-    if args.search_backend is not None:
-        campaign.model_backend = args.search_backend
     started = time.perf_counter()
     result = campaign.run()
     elapsed = time.perf_counter() - started
@@ -582,17 +575,6 @@ def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_search_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--search-backend",
-        default=None,  # None: keep the modeler's / the spec's choice
-        choices=MODEL_BACKEND_REGISTRY.names(),
-        help="model-search backend for the model stage (default: batched, "
-        "one stacked-LAPACK call per hypothesis class; 'loop' is the "
-        "per-hypothesis reference — both select identical models)",
-    )
-
-
 def _add_app_arg(parser: argparse.ArgumentParser) -> None:
     # No argparse ``choices``: validation happens in ``_workload`` against
     # the live registry, so apps registered by user code are accepted and
@@ -658,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-cache directory (reruns skip measured configurations)",
     )
     _add_engine_arg(p)
-    _add_search_backend_arg(p)
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser(
@@ -680,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the spec's worker-process count",
     )
-    _add_search_backend_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("apps", help="list registered workloads")

@@ -20,7 +20,7 @@ Per function, the prior is assembled from:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from ..measure.experiment import Measurements
@@ -62,19 +62,13 @@ class ModelComparison:
 class HybridModeler:
     """Fits per-function models under taint priors.
 
-    *backend*, when set, overrides the wrapped modeler's model-search
-    backend (``loop`` | ``batched``).  :meth:`model_all` searches every
-    function in one call, so all functions measured at the same
-    configuration matrix share one set of factorized hypothesis classes.
+    The model search is the wrapped modeler's (``Modeler.backend``).
+    :meth:`model_all` searches every function in one call, so all
+    functions measured at the same configuration matrix share one set of
+    factorized hypothesis classes.
     """
 
     modeler: Modeler = field(default_factory=Modeler)
-    #: Registered model-search backend name; None keeps the modeler's.
-    backend: "str | None" = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None and self.backend != self.modeler.backend:
-            self.modeler = replace(self.modeler, backend=self.backend)
 
     # ------------------------------------------------------------------
 

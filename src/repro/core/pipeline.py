@@ -101,11 +101,6 @@ class PerfTaintPipeline:
     #: default, runs tensor batches; "tree" runs one configuration at a
     #: time).
     engine: str = DEFAULT_MEASUREMENT_ENGINE
-    #: Model-search backend for the model stage ("batched" | "loop");
-    #: None keeps the modeler's own choice.  The built-ins select
-    #: identical models; "batched" fits every hypothesis class with one
-    #: stacked LAPACK call (see benchmarks/bench_model_speedup.py).
-    model_backend: str | None = None
 
     def __post_init__(self) -> None:
         self._program = None
@@ -220,7 +215,6 @@ class PerfTaintPipeline:
             modeler=self.modeler,
             compare_black_box=compare_black_box,
             cov_threshold=cov_threshold,
-            model_backend=self.model_backend,
         )
 
     def validate(
@@ -261,7 +255,6 @@ class PerfTaintPipeline:
             n_jobs=self.n_jobs,
             cache_dir=self.cache_dir,
             engine=self.engine,
-            model_backend=self.model_backend,
             compare_black_box=compare_black_box,
             cov_threshold=cov_threshold,
         )

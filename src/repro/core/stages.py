@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..codec import decode, encode
-from ..errors import ArtifactError, CampaignSpecError, PipelineError
+from ..errors import ArtifactError, CampaignSpecError, PipelineError, ReproError
 from ..interp import DEFAULT_MEASUREMENT_ENGINE
 from ..libdb.database import LibraryDatabase
 from ..libdb.mpi_models import MPI_DATABASE
@@ -60,6 +60,7 @@ from ..registry import (
     NOISE_REGISTRY,
     WORKLOAD_REGISTRY,
     Registry,
+    finite_real,
     load_builtin_components,
 )
 from ..staticanalysis.prune import StaticReport, analyze_program
@@ -244,16 +245,12 @@ def run_model_stage(
     modeler: Modeler,
     compare_black_box: bool = False,
     cov_threshold: "float | None" = 0.1,
-    model_backend: "str | None" = None,
 ) -> dict[str, ModelComparison]:
-    """Hybrid model generation (paper 4.5).
-
-    *model_backend* names a registered model-search backend and, when
-    set, overrides the modeler's own (``batched`` stacked-LAPACK by
-    default; ``loop`` is the per-hypothesis reference oracle — both
-    select identical models).
-    """
-    hybrid = HybridModeler(modeler=modeler, backend=model_backend)
+    """Hybrid model generation (paper 4.5).  The model search is
+    ``modeler.backend`` (``batched`` stacked-LAPACK by default; ``loop``
+    is the per-hypothesis reference oracle — both select identical
+    models)."""
+    hybrid = HybridModeler(modeler=modeler)
     return hybrid.model_all(
         measurements,
         taint,
@@ -431,7 +428,6 @@ STAGES: dict[str, Stage] = {
                 modeler=c.modeler,
                 compare_black_box=c.compare_black_box,
                 cov_threshold=c.cov_threshold,
-                model_backend=c.model_backend,
             ),
             # The backend's registry identity (import path, not just the
             # name) is part of the fingerprint — consistent with how
@@ -440,7 +436,7 @@ STAGES: dict[str, Stage] = {
             config=lambda c: {
                 "modeler": repr(c.modeler),
                 "model_backend": MODEL_BACKEND_REGISTRY.identity(
-                    c.model_backend or c.modeler.backend
+                    c.modeler.backend
                 ),
                 "compare_black_box": bool(c.compare_black_box),
                 "cov_threshold": (
@@ -499,9 +495,6 @@ class Campaign:
     #: directory or a :class:`~repro.store.LocalStore`.
     cache_dir: "str | LocalStore | None" = None
     engine: str = DEFAULT_MEASUREMENT_ENGINE
-    #: Model-search backend for the model stage (``loop`` | ``batched``);
-    #: None keeps the modeler's own (``batched`` by default).
-    model_backend: "str | None" = None
     compare_black_box: bool = False
     cov_threshold: "float | None" = 0.1
     #: Stage-artifact workspace: a store (:class:`~repro.store.LocalStore`
@@ -669,7 +662,6 @@ class Campaign:
             "mode",
             "design",
             "engine",
-            "model_backend",
             "jobs",
             "seed",
             "repetitions",
@@ -691,15 +683,17 @@ class Campaign:
         """Build a campaign from a plain mapping (a parsed TOML spec).
 
         Required keys: ``app`` (a registered workload name) and
-        ``parameters`` (name -> list of values).  Optional: ``mode``,
-        ``design``, ``engine``, ``model_backend`` (a
-        registered model-search backend for the model stage),
-        ``jobs``, ``seed``, ``repetitions``,
-        ``noise``/``contention`` (a registered name, or a table whose
-        ``model`` key names one and whose remaining keys are constructor
-        arguments), ``compare_black_box``, ``cov_threshold`` (a number or
-        ``"none"`` to disable the CoV screen), ``workspace``,
-        ``cache_dir``.  The *workspace* argument overrides the spec key.
+        ``parameters`` (name -> list of finite numbers > 0).  Optional:
+        ``mode``, ``design``, ``engine``, ``jobs``, ``seed``,
+        ``repetitions``, ``noise``/``contention`` (a registered name, or
+        a table whose ``model`` key names one and whose remaining keys
+        are constructor arguments), ``compare_black_box`` (a bool),
+        ``cov_threshold`` (a finite number >= 0, or ``"none"`` to
+        disable the CoV screen), ``workspace``, ``cache_dir`` (directory
+        paths).  The *workspace* argument overrides the spec key.  Every
+        value is checked here, before any stage runs: junk raises
+        :class:`CampaignSpecError` (:class:`RegistryError` for an
+        unknown component name).
         """
         load_builtin_components()
         if not isinstance(spec, Mapping):
@@ -729,15 +723,25 @@ class Campaign:
                 raise CampaignSpecError(
                     f"parameter '{name}' needs a non-empty value list"
                 )
-            try:
-                values[str(name)] = [float(v) for v in entries]
-            except (TypeError, ValueError):
+            # Model terms take log2 of every value: only positive,
+            # finite numbers make a parameter.
+            reals = [finite_real(v) for v in entries]
+            if any(v is None or v <= 0 for v in reals):
                 raise CampaignSpecError(
-                    f"parameter '{name}' has non-numeric values: {entries!r}"
-                ) from None
+                    f"parameter '{name}' needs finite numbers > 0, "
+                    f"got {entries!r}"
+                )
+            values[str(name)] = reals
 
         factory = WORKLOAD_REGISTRY.get(app)
         workload = factory(parameters=tuple(values))
+        try:
+            workload.setup({name: vals[0] for name, vals in values.items()})
+        except KeyError as exc:
+            raise CampaignSpecError(
+                f"app '{app}' needs parameter {exc.args[0]!r}, which the "
+                f"spec's parameters ({', '.join(values)}) do not give"
+            ) from None
 
         mode_name = data.get("mode", InstrumentationMode.TAINT_FILTER.value)
         try:
@@ -748,34 +752,32 @@ class Campaign:
                 f"unknown mode {mode_name!r} (valid modes: {valid})"
             ) from None
 
-        design = str(data.get("design", "reduced"))
-        DESIGN_REGISTRY.entry(design)  # fail fast with the valid names
-        engine = str(data.get("engine", DEFAULT_MEASUREMENT_ENGINE))
-        ENGINE_REGISTRY.entry(engine)
-        model_backend = data.get("model_backend")
-        if model_backend is not None:
-            model_backend = str(model_backend)
-            MODEL_BACKEND_REGISTRY.entry(model_backend)  # fail fast
+        design = _spec_name(data, "design", "reduced", DESIGN_REGISTRY)
+        engine = _spec_name(
+            data, "engine", DEFAULT_MEASUREMENT_ENGINE, ENGINE_REGISTRY
+        )
 
         cov_threshold = data.get("cov_threshold", 0.1)
-        if isinstance(cov_threshold, str):
-            if cov_threshold.lower() != "none":
-                raise CampaignSpecError(
-                    "cov_threshold must be a number or 'none', "
-                    f"got {cov_threshold!r}"
-                )
+        if isinstance(cov_threshold, str) and cov_threshold.lower() == "none":
             cov_threshold = None
         elif cov_threshold is not None:
-            try:
-                cov_threshold = float(cov_threshold)
-            except (TypeError, ValueError):
+            threshold = finite_real(cov_threshold)
+            if threshold is None or threshold < 0:
                 raise CampaignSpecError(
-                    "cov_threshold must be a number or 'none', "
+                    "cov_threshold must be a finite number >= 0 or 'none', "
                     f"got {cov_threshold!r}"
-                ) from None
+                )
+            cov_threshold = threshold
+
+        compare_black_box = data.get("compare_black_box", False)
+        if not isinstance(compare_black_box, bool):
+            raise CampaignSpecError(
+                "spec key 'compare_black_box' must be true or false, "
+                f"got {compare_black_box!r}"
+            )
 
         if workspace is None:
-            workspace = data.get("workspace")
+            workspace = _spec_path(data, "workspace")
 
         return cls(
             workload=workload,
@@ -791,10 +793,9 @@ class Campaign:
             repetitions=_spec_int(data, "repetitions", 5, minimum=1),
             seed=_spec_int(data, "seed", 0),
             n_jobs=_spec_int(data, "jobs", 1, minimum=1),
-            cache_dir=data.get("cache_dir"),
+            cache_dir=_spec_path(data, "cache_dir"),
             engine=engine,
-            model_backend=model_backend,
-            compare_black_box=bool(data.get("compare_black_box", False)),
+            compare_black_box=compare_black_box,
             cov_threshold=cov_threshold,
             workspace=workspace,
         )
@@ -854,9 +855,11 @@ class Campaign:
 def _spec_int(
     data: Mapping, key: str, default: int, minimum: "int | None" = None
 ) -> int:
-    """Integer spec value with a typed error on junk (booleans included)."""
+    """Integer spec value with a typed error on junk: booleans, strings
+    and non-integral floats (``2.0`` is accepted as 2)."""
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = finite_real(value)
+    if number is None or not number.is_integer():
         raise CampaignSpecError(
             f"spec key '{key}' must be an integer, got {value!r}"
         )
@@ -864,6 +867,29 @@ def _spec_int(
     if minimum is not None and value < minimum:
         raise CampaignSpecError(
             f"spec key '{key}' must be >= {minimum}, got {value}"
+        )
+    return value
+
+
+def _spec_name(data: Mapping, key: str, default: str, registry: Registry) -> str:
+    """A registered component name (:class:`RegistryError` listing the
+    valid names when it is not one)."""
+    name = data.get(key, default)
+    if not isinstance(name, str):
+        raise CampaignSpecError(
+            f"spec key '{key}' must name a registered {registry.kind}, "
+            f"got {name!r}"
+        )
+    registry.entry(name)
+    return name
+
+
+def _spec_path(data: Mapping, key: str) -> "str | None":
+    """A directory path spec value: absent, or a non-empty string."""
+    value = data.get(key)
+    if value is not None and (not isinstance(value, str) or not value):
+        raise CampaignSpecError(
+            f"spec key '{key}' must be a directory path, got {value!r}"
         )
     return value
 
@@ -886,9 +912,10 @@ def _component_from_spec(registry: Registry, spec: object):
                 f"registered {registry.kind} "
                 f"(registered: {', '.join(registry.names())})"
             )
+        factory = registry.get(name)
         try:
-            return registry.create(name, **kwargs)
-        except TypeError as exc:
+            return factory(**kwargs)
+        except (TypeError, ValueError, ReproError) as exc:
             raise CampaignSpecError(
                 f"bad arguments for {registry.kind} '{name}': {exc}"
             ) from None

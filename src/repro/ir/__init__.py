@@ -1,9 +1,16 @@
 """Program intermediate representation.
 
 This package stands in for LLVM IR in the original Perf-Taint: a small
-structured imperative language with functions, natural loops, branches,
-arrays, calls, and cost intrinsics, plus the classic analyses the paper
-relies on (CFG, dominators, natural loops, call graph).
+structured imperative language with functions, loops, branches, arrays,
+calls, and cost intrinsics, plus the call graph.
+
+Loops are statements: every loop is a ``For`` or ``While`` with one
+entry, and ``break``/``continue`` may only leave or restart the loop
+that encloses them (:func:`validate_program`, run by
+:meth:`Program.finalize`, rejects them anywhere else).  Control flow is
+therefore reducible by construction, and the analyses read loops from
+the statement tree (:meth:`Function.loops`) instead of recovering them
+from a CFG with dominators.
 
 Most users build programs through :class:`ProgramBuilder`::
 
@@ -51,8 +58,6 @@ from .builder import (
     work,
 )
 from .callgraph import CallGraph, build_callgraph
-from .cfg import CFG, BasicBlock, build_cfg
-from .dominators import dominators, immediate_dominators
 from .expr import (
     BINARY_OPS,
     COST_INTRINSICS,
@@ -67,7 +72,6 @@ from .expr import (
     UnOp,
     Var,
 )
-from .loops import LoopForest, NaturalLoop, find_natural_loops, loop_forest
 from .printer import format_expr, format_function, format_program
 from .program import Function, Program
 from .stmt import (
@@ -93,10 +97,8 @@ __all__ = [
     "INTRINSICS",
     "UNARY_OPS",
     "Assign",
-    "BasicBlock",
     "BinOp",
     "Break",
-    "CFG",
     "Call",
     "CallGraph",
     "Const",
@@ -109,8 +111,6 @@ __all__ = [
     "If",
     "Intrinsic",
     "Load",
-    "LoopForest",
-    "NaturalLoop",
     "Program",
     "ProgramBuilder",
     "Return",
@@ -125,27 +125,22 @@ __all__ = [
     "assigned_names",
     "binop",
     "build_callgraph",
-    "build_cfg",
     "call",
     "const",
     "div",
-    "dominators",
     "eq",
-    "find_natural_loops",
     "floordiv",
     "format_expr",
     "format_function",
     "format_program",
     "ge",
     "gt",
-    "immediate_dominators",
     "intrinsic",
     "iter_branches",
     "iter_loops",
     "le",
     "load",
     "log2",
-    "loop_forest",
     "lt",
     "max_",
     "mem_work",

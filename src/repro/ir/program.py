@@ -5,8 +5,13 @@ point.  Finalizing a program assigns stable ids to every loop and branch
 and validates structure; its call graph, content digest and the
 engines' per-configuration state (:meth:`Program.derived`) are computed
 on first use and kept.
-Analyses (:mod:`repro.staticanalysis`, :mod:`repro.ir.cfg`, ...) and the
+Analyses (:mod:`repro.staticanalysis`, :mod:`repro.taint`, ...) and the
 interpreters all operate on finalized programs.
+
+A function's loops are its ``For``/``While`` statements
+(:meth:`Function.loops`); each has one entry, and finalization validates
+that ``break``/``continue`` appear only inside a loop, so no analysis
+needs a CFG or a reducibility check to find them.
 """
 
 from __future__ import annotations

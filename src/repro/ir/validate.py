@@ -5,7 +5,9 @@ Checks performed at finalization time, before any analysis or execution:
 * every called program function exists or is recognizably external
   (externals must look like library routines: ``MPI_*`` or registered via
   the library database at run time — here we only check program calls);
-* ``break``/``continue`` only appear inside loops;
+* ``break``/``continue`` only appear inside loops, so every loop is a
+  single-entry ``For``/``While`` and control flow is reducible by
+  construction (the static phase relies on this);
 * loop/branch ids were assigned;
 * arity of calls to program-defined functions matches the definition.
 

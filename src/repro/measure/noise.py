@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..registry import register_noise
+from ..registry import check_nonnegative, register_noise
 
 
 class NoiseModel(Protocol):
@@ -55,6 +55,10 @@ class GaussianNoise:
 
     relative_sigma: float = 0.02
     absolute_sigma: float = 200.0
+
+    def __post_init__(self) -> None:
+        check_nonnegative(self, "relative_sigma")
+        check_nonnegative(self, "absolute_sigma")
 
     def perturb(self, base: float, rng: np.random.Generator) -> float:  # noqa: D102
         rel = rng.normal(0.0, self.relative_sigma)
@@ -244,7 +248,9 @@ def perturb_block(
     applied as one array expression.  Bit-identity holds because
     ``Generator.normal(0.0, sigma)`` is exactly
     ``sigma * standard_normal()`` and the two-component model's scalar
-    arithmetic maps 1:1 onto float64 ufuncs.
+    arithmetic maps 1:1 onto float64 ufuncs (``np.fmax(0.0, x)``, like
+    the scalar ``max(0.0, x)``, keeps 0.0 when a sigma large enough to
+    overflow makes ``x`` NaN).
     """
     if isinstance(noise, NoNoise):
         return [[base] * repetitions for _, _, base in items]
@@ -285,9 +291,10 @@ def perturb_block(
             np.array([base for _, _, base in items], dtype=float),
             repetitions,
         )
-        rel = noise.relative_sigma * z[:, 0]
-        absn = np.abs(noise.absolute_sigma * z[:, 1])
-        samples = np.maximum(0.0, bases * (1.0 + rel) + absn)
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as floats
+            rel = noise.relative_sigma * z[:, 0]
+            absn = np.abs(noise.absolute_sigma * z[:, 1])
+            samples = np.fmax(0.0, bases * (1.0 + rel) + absn)
         per_item = samples.reshape(len(items), repetitions)
         return [row.tolist() for row in per_item]
     # Generic noise models: scalar perturb per stream, fast stream setup.

@@ -27,10 +27,12 @@ at measurement time; compute-bound and communication costs are unaffected
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..registry import register_contention
+from ..errors import MeasurementError
+from ..registry import check_nonnegative, register_contention
 
 
 class ContentionModel(Protocol):
@@ -56,6 +58,9 @@ class LogQuadraticContention:
 
     beta: float = 0.06
 
+    def __post_init__(self) -> None:
+        check_nonnegative(self, "beta")
+
     def factor(self, ranks_per_node: int) -> float:  # noqa: D102
         r = max(1, int(ranks_per_node))
         return 1.0 + self.beta * math.log2(r) ** 2
@@ -67,6 +72,18 @@ class BandwidthSaturationContention:
     """Bandwidth sharing: free below ``saturation_ranks``, linear beyond."""
 
     saturation_ranks: int = 4
+
+    def __post_init__(self) -> None:
+        ranks = self.saturation_ranks
+        if (
+            isinstance(ranks, bool)
+            or not isinstance(ranks, numbers.Integral)
+            or ranks < 1
+        ):
+            raise MeasurementError(
+                "BandwidthSaturationContention.saturation_ranks must be an "
+                f"integer >= 1, got {ranks!r}"
+            )
 
     def factor(self, ranks_per_node: int) -> float:  # noqa: D102
         r = max(1, int(ranks_per_node))

@@ -32,10 +32,12 @@ CLI app arguments, and campaign specs.
 from __future__ import annotations
 
 import importlib
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
-from .errors import RegistryError
+from .errors import MeasurementError, RegistryError
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,36 @@ register_design = DESIGN_REGISTRY.register
 register_model_backend = MODEL_BACKEND_REGISTRY.register
 
 
+def finite_real(value: object) -> "float | None":
+    """*value* as a float when it is a real number that is finite as a
+    float, else None.  Booleans are not numbers here: TOML/JSON ``true``
+    is not 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def check_nonnegative(component: object, name: str) -> None:
+    """Raise :class:`~repro.errors.MeasurementError` unless *component*'s
+    field *name* is a finite real >= 0.
+
+    Noise and contention parameters reach both the tree-walker's scalar
+    arithmetic and the vectorized engine's array arithmetic; a negative
+    or non-finite one is where the two would part ways.
+    """
+    value = getattr(component, name)
+    number = finite_real(value)
+    if number is None or number < 0:
+        raise MeasurementError(
+            f"{type(component).__name__}.{name} must be a finite number "
+            f">= 0, got {value!r}"
+        )
+
+
 #: Modules whose import populates the registries with bundled components.
 _BUILTIN_MODULES = (
     "repro.interp",  # tree + vectorized engines
@@ -204,6 +236,8 @@ __all__ = [
     "Registry",
     "RegistryEntry",
     "WORKLOAD_REGISTRY",
+    "check_nonnegative",
+    "finite_real",
     "load_builtin_components",
     "register_contention",
     "register_design",

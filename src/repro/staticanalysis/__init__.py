@@ -1,7 +1,10 @@
 """Compile-time phase of Perf-Taint (paper section 5.1).
 
 Constant trip-count resolution (SCEV-lite), static function pruning, and
-structural warnings (recursion, irreducible control flow).
+the recursion warning.  Loops come straight from the structured IR: every
+loop is a ``For``/``While`` statement with one entry, which
+:func:`repro.ir.validate_program` guarantees, so every function is
+reducible by construction and nothing needs checking.
 """
 
 from .prune import (

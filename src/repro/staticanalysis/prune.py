@@ -14,15 +14,22 @@ A function is *statically constant* iff
 
 Such functions are pruned from instrumentation and their models are fixed
 to constants without any measurement (rows "Pruned Statically" of Table 2).
+
+The LLVM-based original finds loops as natural loops of the CFG, which
+needs reducible control flow.  Here a function's loops are its
+``For``/``While`` statements (:meth:`~repro.ir.program.Function.loops`),
+each with a single entry, and :func:`~repro.ir.validate.validate_program`
+(run by ``Program.finalize()``) rejects ``break``/``continue`` outside a
+loop, so every function is reducible by construction and no check is
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..ir.loops import loop_forest
 from ..ir.program import Program
-from .scev import is_static_loop, static_trip_count
+from .scev import static_trip_count
 
 
 def default_relevant_library(routine: str) -> bool:
@@ -54,7 +61,6 @@ class FunctionStaticInfo:
     static_trip_counts: dict[int, int] = field(default_factory=dict)
     relevant_library_calls: frozenset[str] = frozenset()
     is_recursive: bool = False
-    irreducible: bool = False
 
     @property
     def loops_dynamic(self) -> int:
@@ -128,17 +134,10 @@ def analyze_program(
             if relevant_library(routine)
         )
         info.is_recursive = fn.name in recursive
-        forest = loop_forest(fn)
-        info.irreducible = not forest.is_reducible
         if info.is_recursive:
             report.warnings.append(
                 f"function '{fn.name}' is recursive: static volume analysis "
                 "is over-approximate (paper section 4.1)"
-            )
-        if info.irreducible:
-            report.warnings.append(
-                f"function '{fn.name}' has irreducible control flow: "
-                "normalize via node splitting before analysis"
             )
         report.functions[fn.name] = info
     return report

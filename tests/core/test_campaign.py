@@ -21,6 +21,8 @@ from repro.core.stages import STAGES, Campaign
 from repro.errors import CampaignSpecError, RegistryError
 from repro.interp import DEFAULT_MEASUREMENT_ENGINE
 from repro.measure.noise import GaussianNoise, NoNoise
+from repro.modeling import Modeler
+from repro.registry import MODEL_BACKEND_REGISTRY
 from repro.store import STAGE_NAMESPACE, LocalStore, stage_key
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -414,6 +416,48 @@ class TestCampaignSpec:
                 Campaign.from_spec(spec)
             assert key in str(err.value)
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"noise": {"model": "gaussian", "relative_sigma": "x"}},
+            {"contention": {"model": "logquad", "beta": "x"}},
+            {"cache_dir": 5},
+            {"cache_dir": ""},
+            {"workspace": [1]},
+            {"parameters": {"p": [float("inf"), 2], "s": [3, 5]}},
+            {"parameters": {"p": [float("nan")], "s": [3, 5]}},
+            {"parameters": {"p": [True, 4], "s": [3, 5]}},
+            {"parameters": {"p": ["2", 4], "s": [3, 5]}},
+            {"parameters": {"p": [0, 4], "s": [3, 5]}},
+            {"parameters": {"q": [1]}},
+            {"compare_black_box": "no"},
+            {"repetitions": 2.5},
+            {"repetitions": float("nan")},
+            {"seed": 1.7},
+            {"cov_threshold": float("nan")},
+            {"cov_threshold": -0.1},
+            {"engine": 5},
+            {"design": ["reduced"]},
+        ],
+        ids=lambda patch: repr(patch),
+    )
+    def test_junk_values_are_spec_errors(self, patch):
+        """Each of these ran with a silently coerced value, or failed
+        mid-run with a bare TypeError/KeyError/OverflowError/ValueError;
+        all are now typed errors before any stage runs."""
+        spec = self.base_spec()
+        spec.update(patch)
+        with pytest.raises(CampaignSpecError) as err:
+            Campaign.from_spec(spec)
+        assert "\n" not in str(err.value)
+
+    def test_integral_float_accepted(self):
+        spec = self.base_spec()
+        spec.update(repetitions=2.0, seed=7.0)
+        campaign = Campaign.from_spec(spec)
+        assert (campaign.repetitions, campaign.seed) == (2, 7)
+        assert type(campaign.repetitions) is int
+
     def test_bad_component_arguments_rejected(self):
         spec = self.base_spec()
         spec["noise"] = {"model": "gaussian", "sigma_typo": 1.0}
@@ -441,7 +485,9 @@ class TestCampaignSpec:
 
 
 class TestModelBackendThreading:
-    """The model-search backend choice: spec key, fingerprints, resume."""
+    """The model search is picked in one place, ``Modeler.backend``: its
+    registry identity is the model stage's fingerprint entry, and no
+    spec key or flag overrides it."""
 
     def base_spec(self) -> dict:
         return {
@@ -451,25 +497,29 @@ class TestModelBackendThreading:
             "seed": 7,
         }
 
-    def test_spec_key_accepted(self):
+    def test_spec_key_rejected(self):
         spec = self.base_spec()
         spec["model_backend"] = "loop"
-        campaign = Campaign.from_spec(spec)
-        assert campaign.model_backend == "loop"
+        with pytest.raises(CampaignSpecError) as err:
+            Campaign.from_spec(spec)
+        message = str(err.value)
+        assert "unknown spec key(s): model_backend" in message
+        assert "\n" not in message
 
-    def test_spec_default_is_none(self):
-        assert Campaign.from_spec(self.base_spec()).model_backend is None
+    def test_spec_default_is_modelers(self):
+        campaign = Campaign.from_spec(self.base_spec())
+        assert campaign.modeler == Modeler()
+        assert campaign.modeler.backend == "batched"
 
     def test_unknown_backend_rejected_with_valid_names(self):
-        spec = self.base_spec()
-        spec["model_backend"] = "gpu"
+        campaign = synthetic_campaign(modeler=Modeler(backend="gpu"))
         with pytest.raises(RegistryError) as err:
-            Campaign.from_spec(spec)
+            campaign.run()
         assert "batched" in str(err.value) and "loop" in str(err.value)
 
     def test_backends_select_identical_models(self):
-        loop = synthetic_campaign(model_backend="loop").run()
-        batched = synthetic_campaign(model_backend="batched").run()
+        loop = synthetic_campaign(modeler=Modeler(backend="loop")).run()
+        batched = synthetic_campaign(modeler=Modeler(backend="batched")).run()
         assert set(loop.models) == set(batched.models)
         for fn in loop.models:
             assert (
@@ -485,7 +535,7 @@ class TestModelBackendThreading:
         a = synthetic_campaign(workspace=tmp_path / "ws")
         a.run()
         b = synthetic_campaign(
-            workspace=tmp_path / "ws", model_backend="loop"
+            workspace=tmp_path / "ws", modeler=Modeler(backend="loop")
         )
         b.run()
         # Same measurements, different search backend: everything up to
@@ -497,10 +547,16 @@ class TestModelBackendThreading:
         assert a.fingerprints["measure"] == b.fingerprints["measure"]
 
     def test_modeler_backend_field_in_fingerprint(self, tmp_path):
-        from repro.modeling import Modeler
-
         a = synthetic_campaign()
         b = synthetic_campaign(modeler=Modeler(backend="loop"))
         a.run()
         b.run()
         assert a.fingerprints["model"] != b.fingerprints["model"]
+        # The fingerprint entry is the registry identity of the
+        # modeler's backend, the same entry a default campaign always
+        # recorded, so default campaigns keep their fingerprints.
+        for campaign, name in ((a, "batched"), (b, "loop")):
+            config = STAGES["model"].config(campaign)
+            assert config["model_backend"] == MODEL_BACKEND_REGISTRY.identity(
+                name
+            )

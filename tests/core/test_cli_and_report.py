@@ -112,34 +112,49 @@ class TestCLICommands:
         assert "hybrid model" in out
 
     def test_model_search_backend_flag(self, capsys):
-        """--search-backend loop|batched: both run and agree on output."""
-        outputs = []
+        """--search-backend is gone: the model search is the modeler's
+        (``Modeler.backend``).  Any value is rejected with one error
+        line, before anything runs."""
         for backend in ("loop", "batched"):
-            rc = main(
-                [
-                    "model",
-                    "synthetic",
-                    "--values", "p=2,4", "s=3,5",
-                    "--repetitions", "2",
-                    "--search-backend", backend,
-                ]
-            )
-            assert rc == 0
-            outputs.append(capsys.readouterr().out)
-        # Decision identity surfaces in the CLI: identical model report.
-        assert outputs[0] == outputs[1]
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "model",
+                        "synthetic",
+                        "--values", "p=2,4", "s=3,5",
+                        "--repetitions", "2",
+                        "--search-backend", backend,
+                    ]
+                )
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [
+                line for line in captured.err.splitlines() if "error:" in line
+            ]
+            assert errors == [
+                "repro: error: unrecognized arguments: "
+                f"--search-backend {backend}"
+            ]
 
-    def test_model_rejects_unknown_search_backend(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "model",
-                    "synthetic",
-                    "--values", "p=2,4", "s=3,5",
-                    "--search-backend", "gpu",
-                ]
-            )
-        assert "loop" in capsys.readouterr().err
+    def test_model_rejects_unknown_search_backend(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"app": "synthetic", "parameters": {"p": [2, 4], "s": [3, 5]}}'
+        )
+        for argv in (
+            ["model", "synthetic", "--values", "p=2,4", "s=3,5",
+             "--search-backend", "gpu"],
+            ["run", str(spec), "--search-backend", "loop"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                "repro: error: unrecognized arguments: "
+                f"--search-backend {argv[-1]}"
+            ]
 
     def test_contention_small(self, capsys):
         rc = main(

@@ -15,7 +15,17 @@ from repro.ir import (
     var,
     work,
 )
-from repro.ir.stmt import Assign, Break, For, If, Return, While, assigned_names
+from repro.ir.expr import Const
+from repro.ir.stmt import (
+    Assign,
+    Break,
+    Continue,
+    For,
+    If,
+    Return,
+    While,
+    assigned_names,
+)
 
 
 def simple_program():
@@ -120,6 +130,23 @@ class TestValidation:
     def test_break_outside_loop_rejected(self):
         fn = Function("f", (), [Break()])
         with pytest.raises(IRValidationError):
+            Program.build([fn], entry="f")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [Continue()],
+            [If(Const(1), [Continue()])],
+            [If(Const(1), [], [Assign("x", Const(0)), Continue()])],
+            [If(Const(1), [If(Const(0), [Continue()])])],
+        ],
+        ids=["top-level", "then", "else", "nested-if"],
+    )
+    def test_continue_outside_loop_rejected(self, body):
+        # No loop encloses the continue, however deep in branches it sits:
+        # every loop of a valid program is a For/While with one entry.
+        fn = Function("f", (), body)
+        with pytest.raises(IRValidationError, match="'continue' outside loop"):
             Program.build([fn], entry="f")
 
     def test_break_inside_loop_ok(self):

@@ -25,7 +25,8 @@ from repro.apps.synthetic import (
     make_scaling_workload,
 )
 import repro.measure.parallel as parallel_mod
-from repro.errors import RegistryError
+from repro.core.stages import Campaign
+from repro.errors import CampaignSpecError, MeasurementError, RegistryError
 from repro.measure import (
     ExperimentRunner,
     GaussianNoise,
@@ -40,6 +41,10 @@ from repro.measure import (
     stream_seed,
 )
 from repro.measure.noise import _seedseq_words
+from repro.mpisim.contention import (
+    BandwidthSaturationContention,
+    LogQuadraticContention,
+)
 
 
 def canonical(measurements) -> str:
@@ -67,7 +72,15 @@ class TestVectorizedNoiseStreams:
 
     @pytest.mark.parametrize(
         "noise",
-        [GaussianNoise(), GaussianNoise(0.1, 5.0), GaussianNoise(0.0, 0.0)],
+        [
+            GaussianNoise(),
+            GaussianNoise(0.1, 5.0),
+            GaussianNoise(0.0, 0.0),
+            # Finite sigmas whose products overflow: -inf + inf is NaN,
+            # which the scalar max(0.0, x) turns into 0.0.
+            GaussianNoise(1.7e308, 1.7e308),
+        ],
+        ids=["default", "small", "zero", "overflowing"],
     )
     @pytest.mark.parametrize("repetitions", [1, 3])
     def test_gaussian_block_matches_scalar_streams(self, noise, repetitions):
@@ -125,6 +138,56 @@ class TestVectorizedNoiseStreams:
         a = np.random.default_rng(seed).standard_normal(3)
         b = rng_for(5, "kernel", (2.0, 3.0), 1).standard_normal(3)
         assert a.tolist() == b.tolist()
+
+
+class TestNoiseParameters:
+    """A noise or contention parameter reaches both the tree-walker's
+    scalar arithmetic and the tensor pass's array arithmetic, so the
+    models reject every value on which the two engines could disagree
+    (a negative sigma measured on one and raised on the other; NaN
+    recorded as NaN by one and 0.0 by the other)."""
+
+    @pytest.mark.parametrize(
+        "value", [-0.5, float("nan"), float("inf"), "x", True, None]
+    )
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            (GaussianNoise, "relative_sigma"),
+            (GaussianNoise, "absolute_sigma"),
+            (LogQuadraticContention, "beta"),
+        ],
+    )
+    def test_nonnegative_fields_checked(self, model, field, value):
+        with pytest.raises(MeasurementError, match=f"{model.__name__}.{field}"):
+            model(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "4"])
+    def test_saturation_ranks_checked(self, value):
+        with pytest.raises(MeasurementError, match="saturation_ranks"):
+            BandwidthSaturationContention(saturation_ranks=value)
+
+    @pytest.mark.parametrize(
+        "key, table, field",
+        [
+            ("noise", {"model": "gaussian", "relative_sigma": -0.5}, "relative_sigma"),
+            ("noise", {"model": "gaussian", "relative_sigma": float("nan")}, "relative_sigma"),
+            ("noise", {"model": "gaussian", "absolute_sigma": "x"}, "absolute_sigma"),
+            ("contention", {"model": "logquad", "beta": "x"}, "beta"),
+            ("contention", {"model": "bandwidth", "saturation_ranks": 0}, "saturation_ranks"),
+        ],
+    )
+    def test_spec_error_names_model_and_field(self, key, table, field):
+        spec = {
+            "app": "synthetic",
+            "parameters": {"p": [2, 4], "s": [3, 5]},
+            "repetitions": 2,
+            key: table,
+        }
+        with pytest.raises(CampaignSpecError) as err:
+            Campaign.from_spec(spec)
+        assert f"'{table['model']}'" in str(err.value)
+        assert field in str(err.value)
 
 
 # ----------------------------------------------------------------------

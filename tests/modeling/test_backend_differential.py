@@ -9,6 +9,8 @@ exercise the property; the three bundled apps exercise it on real
 pipeline measurements.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -146,10 +148,9 @@ def _models_for(pipeline, values, backend):
         meas,
         taint,
         volumes,
-        modeler=pipeline.modeler,
+        modeler=replace(pipeline.modeler, backend=backend),
         compare_black_box=True,
         cov_threshold=None,
-        model_backend=backend,
     )
 
 

@@ -73,7 +73,7 @@ def _assert_identical(alone, staged):
 @pytest.mark.parametrize("backend", ["batched", "loop"])
 def test_width_invariance(stage_inputs, backend):
     _app, measurements, taint, volumes = stage_inputs
-    hybrid = HybridModeler(backend=backend)
+    hybrid = HybridModeler(modeler=Modeler(backend=backend))
     staged = hybrid.model_all(
         measurements, taint, volumes, compare_black_box=True,
         cov_threshold=None,
@@ -114,7 +114,7 @@ def test_one_factorization_per_design_and_k(stage_inputs, monkeypatch):
 
     monkeypatch.setattr(backends._Fitter, "_prepare", spy_prepare)
     monkeypatch.setattr(backends, "rank_guard", spy_guard)
-    models = HybridModeler(backend="batched").model_all(
+    models = HybridModeler(modeler=Modeler(backend="batched")).model_all(
         measurements, taint, volumes, compare_black_box=True,
         cov_threshold=None,
     )
